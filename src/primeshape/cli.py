@@ -92,6 +92,15 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse coding rate {text!r}: {exc}") from exc
 
 
+def _resolve_stretch(
+    args: argparse.Namespace, default: Stretch | None
+) -> Stretch | None:
+    """The --stretch given, none under --no-stretch, else `default`."""
+    if args.stretch:
+        return Stretch(*args.stretch)
+    return None if args.no_stretch else default
+
+
 # ---------------------------------------------------------------------------
 # sum-dist
 # ---------------------------------------------------------------------------
@@ -156,23 +165,11 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stretch_for(args: argparse.Namespace, p: int) -> Stretch | None:
-    if getattr(args, "no_stretch", False):
-        return None
-    if getattr(args, "stretch", None):
-        return Stretch(args.stretch[0], args.stretch[1])
-    return None
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
-    stretch = _stretch_for(args, field.p)
-    params = CqamParams(args.delta_rho, args.phase_steps, stretch)
-    c = (
-        build_cqam_stretched(field, params)
-        if stretch
-        else build_cqam(field, CqamParams(args.delta_rho, args.phase_steps))
-    )
+    stretch = _resolve_stretch(args, None)
+    params = CqamParams(phase_steps=args.phase_steps, stretch=stretch)
+    c = (build_cqam_stretched if stretch else build_cqam)(field, params)
     dmin = min_distance(c)
     merit = figure_of_merit(c)
     rho_out = float(c.shells.radii[-1])
@@ -229,9 +226,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                     )
     else:
         for p in primes:
-            stretch = args.stretch and Stretch(args.stretch[0], args.stretch[1])
-            if stretch is None and not args.no_stretch:
-                stretch = REFERENCE_STRETCH.get(p)
+            stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(p))
             params = CqamParams(stretch=stretch)
             for rc in rates:
                 labels.append({"scheme": "shaped-ask-squared", "p": p, "Rc": str(rc)})
@@ -288,13 +283,9 @@ def cmd_pas(args: argparse.Namespace) -> int:
         k = n * rc.numerator // rc.denominator
     code = CodeSpec.random_dense(field, n, k, seed=args.seed)
 
-    stretch = _stretch_for(args, field.p)
-    if stretch is None and not args.no_stretch:
-        stretch = REFERENCE_STRETCH.get(field.p)
-    cqam = (
-        build_cqam_stretched(field, CqamParams(stretch=stretch))
-        if stretch
-        else build_cqam(field)
+    stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(field.p))
+    cqam = (build_cqam_stretched if stretch else build_cqam)(
+        field, CqamParams(stretch=stretch)
     )
     shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, cqam.shells.radii)
     frames, plan = generate_frames(
@@ -372,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stretch shell radii to rho_max with exponent beta",
     )
     ct.add_argument("--phase-steps", type=int, default=4096)
-    ct.add_argument("--delta-rho", type=float, default=1e-4)
     ct.add_argument("-o", "--output", help="points CSV path (default stdout)")
     ct.set_defaults(func=cmd_construct, no_stretch=False)
 
@@ -393,14 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy normalization of the time-sharing rate terms "
         "('shaped' reproduces the reference table)",
     )
-    tb.add_argument(
+    tb_stretch = tb.add_mutually_exclusive_group()
+    tb_stretch.add_argument(
         "--stretch",
         nargs=2,
         type=float,
         metavar=("RHO_MAX", "BETA"),
         help="override the CQAM stretch for all listed primes",
     )
-    tb.add_argument(
+    tb_stretch.add_argument(
         "--no-stretch", action="store_true", help="force unstretched CQAM"
     )
     tb.add_argument("--nodes", type=int, default=DEFAULT_NODES)
@@ -425,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dm-block", type=int, default=64, help="matcher block length")
     ps.add_argument("--frames", type=int, default=20_000)
     ps.add_argument("--seed", type=int, default=1)
-    ps.add_argument(
+    ps_stretch = ps.add_mutually_exclusive_group()
+    ps_stretch.add_argument(
         "--stretch", nargs=2, type=float, metavar=("RHO_MAX", "BETA")
     )
-    ps.add_argument("--no-stretch", action="store_true")
+    ps_stretch.add_argument("--no-stretch", action="store_true")
     ps.add_argument("-o", "--output", help="report JSON path (default stdout)")
     ps.add_argument("--dump-frames", help="also dump per-frame symbols as CSV")
     ps.set_defaults(func=cmd_pas)

@@ -60,20 +60,13 @@ class Stretch:
 class CqamParams:
     """Construction parameters for build_cqam / build_cqam_stretched.
 
-    delta_rho bounds the radius-search discretization error.  The
-    current builder computes exact break-even radii (the delta_rho -> 0
-    limit of an incremental radius scan), so results do not depend on
-    the value; it is validated and kept for interface stability.
     phase_steps is the size of the uniform phase grid on [-pi/p, pi/p].
     """
 
-    delta_rho: float = 1e-4
     phase_steps: int = 4096
     stretch: Stretch | None = None
 
     def __post_init__(self) -> None:
-        if self.delta_rho <= 0.0:
-            raise ValueError("delta_rho must be positive")
         if self.phase_steps < 2:
             raise ValueError("phase grid needs at least 2 steps")
 

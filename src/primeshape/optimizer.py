@@ -12,7 +12,10 @@ nu is R(gamma; nu), and a target rate R_t fixed by the coding rate
 
 so gap + effective gain = potential gain by construction.
 
-Three schemes are provided:
+One driver computes these for every scheme, described by its rate
+curve at (nu, quadrature nodes), its uniform baseline's curve, the
+default nu bracket and its channel (real, or complex with two real
+dimensions per use).  Three schemes are provided:
 
 * time-sharing p-ASK: a fraction R_c of real-channel uses carries
   Maxwell-Boltzmann shaped symbols and the rest carries uniform symbols
@@ -23,16 +26,17 @@ Three schemes are provided:
   against its own transmit power), while "time-averaged" fixes one
   physical noise level from the time-averaged energy
   R_c E_shaped + (1 - R_c) E_unif.
-* CQAM: p^2-point circular constellations with MB-shaped shell priors
-  on the complex channel; the uniform baseline is the unstretched
-  construction under uniform priors.
 * shaped ASK squared: two independent fully shaped real dimensions
   (reported per real dimension), the natural square-constellation
   benchmark for CQAM.
+* CQAM: p^2-point circular constellations with MB-shaped shell priors
+  on the complex channel; the uniform baseline is the unstretched
+  construction under uniform priors.
 
-The nu search is golden-section on [0, nu_max] with automatic widening
-when the optimum lands at the upper edge; gamma solves are bisections
-on log gamma till |rate - target| < 1e-9 bits.
+The uniform p-ASK baseline serves both ASK schemes.  The nu search is
+golden-section on [0, nu_max] with automatic widening when the optimum
+lands at the upper edge; gamma solves are bisections on log gamma till
+|rate - target| < 1e-9 bits.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
@@ -52,9 +56,15 @@ from .awgn_mi import (
     mi_complex_points,
     mi_real_points,
 )
-from .constellations import CqamParams, build_ask, build_cqam, build_cqam_stretched
+from .constellations import (
+    Constellation,
+    CqamParams,
+    build_ask,
+    build_cqam,
+    build_cqam_stretched,
+)
 from .field import Prime
-from .shaping import MaxwellBoltzmann, ask_energy, mb_ask_prior
+from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 
 #: Convergence tolerance of the rate bisection, in bits.
 RATE_TOL = 1e-9
@@ -162,7 +172,7 @@ def _minimize_nu(
         warnings.warn(
             f"shaping optimum at the nu grid edge ({nu:.4g}); "
             f"widening the bracket to {2 * hi:.4g}",
-            stacklevel=3,
+            stacklevel=4,
         )
         hi *= 2.0
     raise RuntimeError("nu bracket widening failed to contain the optimum")
@@ -196,19 +206,60 @@ def _check_coding_rate(coding_rate: Fraction) -> Fraction:
     return coding_rate
 
 
-def _solution(
-    scheme: str,
-    field: Prime,
-    coding_rate: Fraction,
-    target: float,
-    nu_star: float,
-    gamma_a: float,
-    gamma_cap: float,
-    gamma_unif: float,
-    convention: str | None = None,
+Curve = Callable[[float], float]  # gamma -> bits per channel use
+
+
+@dataclass(frozen=True, slots=True)
+class _Scheme:
+    """One shaping scheme as the driver `_optimize` sees it.
+
+    curve(nu, nodes) and baseline(nodes) give the rate gamma -> bits per
+    channel use of the shaped scheme and of its uniform baseline; nu_max
+    is the default upper edge of the nu search; dimension names the
+    channel ("real" or "complex") a use of which the curves measure.
+    """
+
+    name: str
+    curve: Callable[[float, int], Curve]
+    baseline: Callable[[int], Curve]
+    nu_max: float
+    dimension: Literal["real", "complex"]
+    convention: str | None = None
+
+
+def _optimize(
+    scheme: _Scheme, field: Prime, coding_rate: Fraction, *,
+    nodes: int, search_nodes: int, nu: float | None, nu_max: float | None,
 ) -> ShapingSolution:
+    """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
+
+    `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A
+    at `search_nodes` and is re-solved at `nodes` when those differ.
+    """
+    coding_rate = _check_coding_rate(coding_rate)
+    target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
+    solve_target = 2.0 * target if scheme.dimension == "complex" else target
+
+    def gamma_of_nu(nu_val: float, n: int) -> float:
+        try:
+            return snr_for_rate(scheme.curve(nu_val, n), solve_target)
+        except ValueError:
+            return math.inf
+
+    gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target)
+    if nu is not None:
+        nu_star, gamma_a = nu, gamma_of_nu(nu, nodes)
+        if not math.isfinite(gamma_a):
+            raise ValueError(f"target rate unreachable at nu={nu}")
+    else:
+        nu_star, gamma_a = _minimize_nu(
+            lambda v: gamma_of_nu(v, search_nodes), nu_max or scheme.nu_max
+        )
+        if search_nodes != nodes:
+            gamma_a = gamma_of_nu(nu_star, nodes)
+    gamma_cap = capacity_gamma(target, scheme.dimension)
     return ShapingSolution(
-        scheme=scheme,
+        scheme=scheme.name,
         p=field.p,
         coding_rate=coding_rate,
         target_rate=target,
@@ -219,8 +270,36 @@ def _solution(
         gap_db=_db(gamma_a / gamma_cap),
         potential_gain_db=_db(gamma_unif / gamma_cap),
         effective_gain_db=_db(gamma_unif / gamma_a),
-        convention=convention,
+        convention=scheme.convention,
     )
+
+
+def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) -> Curve:
+    """Real-channel MI at gamma = energy / (2 sigma^2)."""
+    return lambda gamma: mi_real_points(
+        points, probs, math.sqrt(energy / (2.0 * gamma)), n
+    )
+
+
+def _cqam_curve(
+    c: Constellation, probs: np.ndarray, shell_probs: np.ndarray, energy: float, n: int
+) -> Curve:
+    """Complex-channel MI of a shelled constellation at gamma = energy / (2 sigma^2).
+
+    Each shell carries `shell_probs` split evenly over its phases, so the
+    MI is conditioned on one point per shell.
+    """
+    reps = c.points[np.arange(c.shells.num_shells) * c.shells.num_shells]
+    return lambda gamma: mi_complex_points(
+        c.points, probs, math.sqrt(energy / (2.0 * gamma)), n,
+        condition_on=reps, condition_weights=shell_probs,
+    )
+
+
+def _uniform_ask(field: Prime) -> tuple[np.ndarray, np.ndarray, float]:
+    """p-ASK points, the uniform prior and its mean symbol energy."""
+    p = field.p
+    return build_ask(field).points.real, np.full(p, 1.0 / p), (p * p - 1.0) / 12.0
 
 
 def optimize_time_sharing(
@@ -242,49 +321,28 @@ def optimize_time_sharing(
     the reference gain tables are reproduced.  `nu` forces the shaping
     parameter instead of optimizing it.
     """
-    coding_rate = _check_coding_rate(coding_rate)
     if convention not in ("shaped", "time-averaged"):
         raise ValueError(f"unknown energy convention {convention!r}")
-    p = field.p
-    rc = float(coding_rate)
-    target = rc * math.log2(p)
-    ask = build_ask(field)
-    pts = ask.points.real
-    unif = np.full(p, 1.0 / p)
-    e_unif = (p * p - 1.0) / 12.0
+    rc = float(Fraction(coding_rate))
+    pts, unif, e_unif = _uniform_ask(field)
 
-    def mixed_rate(gamma: float, prior: MaxwellBoltzmann) -> float:
+    def curve(nu_val: float, n: int) -> Curve:
+        prior = mb_ask_prior(field, nu_val)
         e_sh = ask_energy(prior)
         if convention == "shaped":
-            r_sh = mi_real_points(pts, prior.probs, math.sqrt(e_sh / (2 * gamma)), nodes)
-            r_un = mi_real_points(pts, unif, math.sqrt(e_unif / (2 * gamma)), nodes)
+            e_un = e_unif
         else:
-            e_avg = rc * e_sh + (1.0 - rc) * e_unif
-            sigma = math.sqrt(e_avg / (2.0 * gamma))
-            r_sh = mi_real_points(pts, prior.probs, sigma, nodes)
-            r_un = mi_real_points(pts, unif, sigma, nodes)
-        return rc * r_sh + (1.0 - rc) * r_un
+            e_sh = e_un = rc * e_sh + (1.0 - rc) * e_unif
+        shaped = _real_curve(pts, prior.probs, e_sh, n)
+        uniform = _real_curve(pts, unif, e_un, n)
+        return lambda g: rc * shaped(g) + (1.0 - rc) * uniform(g)
 
-    def gamma_of_nu(nu_val: float) -> float:
-        prior = mb_ask_prior(field, nu_val)
-        try:
-            return snr_for_rate(lambda g: mixed_rate(g, prior), target)
-        except ValueError:
-            return math.inf
-
-    gamma_unif = snr_for_rate(
-        lambda g: mi_real_points(pts, unif, math.sqrt(e_unif / (2 * g)), nodes), target
+    scheme = _Scheme(
+        "time-sharing", curve, lambda n: _real_curve(pts, unif, e_unif, n),
+        2.0 / field.half, "real", convention,
     )
-    if nu is not None:
-        nu_star, gamma_a = nu, gamma_of_nu(nu)
-        if not math.isfinite(gamma_a):
-            raise ValueError(f"target rate unreachable at nu={nu}")
-    else:
-        nu_star, gamma_a = _minimize_nu(gamma_of_nu, nu_max or 2.0 / field.half)
-    gamma_cap = capacity_gamma(target, "real")
-    return _solution(
-        "time-sharing", field, coding_rate, target,
-        nu_star, gamma_a, gamma_cap, gamma_unif, convention,
+    return _optimize(
+        scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
     )
 
 
@@ -301,40 +359,18 @@ def optimize_shaped_ask(
     Two independent such dimensions form the square (p-ASK)^2 reference
     constellation; per-real-dimension figures equal the complex ones.
     """
-    coding_rate = _check_coding_rate(coding_rate)
-    p = field.p
-    target = float(coding_rate) * math.log2(p)
-    ask = build_ask(field)
-    pts = ask.points.real
-    unif = np.full(p, 1.0 / p)
-    e_unif = (p * p - 1.0) / 12.0
+    pts, unif, e_unif = _uniform_ask(field)
 
-    def gamma_of_nu(nu_val: float) -> float:
+    def curve(nu_val: float, n: int) -> Curve:
         prior = mb_ask_prior(field, nu_val)
-        e_sh = ask_energy(prior)
-        try:
-            return snr_for_rate(
-                lambda g: mi_real_points(
-                    pts, prior.probs, math.sqrt(e_sh / (2 * g)), nodes
-                ),
-                target,
-            )
-        except ValueError:
-            return math.inf
+        return _real_curve(pts, prior.probs, ask_energy(prior), n)
 
-    gamma_unif = snr_for_rate(
-        lambda g: mi_real_points(pts, unif, math.sqrt(e_unif / (2 * g)), nodes), target
+    scheme = _Scheme(
+        "shaped-ask-squared", curve, lambda n: _real_curve(pts, unif, e_unif, n),
+        2.0 / field.half, "real",
     )
-    if nu is not None:
-        nu_star, gamma_a = nu, gamma_of_nu(nu)
-        if not math.isfinite(gamma_a):
-            raise ValueError(f"target rate unreachable at nu={nu}")
-    else:
-        nu_star, gamma_a = _minimize_nu(gamma_of_nu, nu_max or 2.0 / field.half)
-    gamma_cap = capacity_gamma(target, "real")
-    return _solution(
-        "shaped-ask-squared", field, coding_rate, target,
-        nu_star, gamma_a, gamma_cap, gamma_unif,
+    return _optimize(
+        scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
     )
 
 
@@ -357,63 +393,24 @@ def optimize_cqam(
     The nu search runs at `search_nodes` and the returned operating
     points are re-solved at `nodes`.
     """
-    coding_rate = _check_coding_rate(coding_rate)
     params = params or CqamParams()
-    p = field.p
-    target = float(coding_rate) * math.log2(p)  # bits per real dimension
-    target_complex = 2.0 * target
-
-    base = build_cqam(field, CqamParams(params.delta_rho, params.phase_steps))
+    base = build_cqam(field, replace(params, stretch=None))
     geom = build_cqam_stretched(field, params) if params.stretch else base
     radii = geom.shells.radii
-    reps = geom.points[np.arange(p) * p]
 
-    def rate_fn(gamma: float, shell_pri: np.ndarray, n: int) -> float:
-        pri = np.repeat(shell_pri / p, p)
-        energy = float(np.dot(shell_pri, radii**2))
-        sigma = math.sqrt(energy / (2.0 * gamma))
-        return mi_complex_points(
-            geom.points, pri, sigma, n,
-            condition_on=reps, condition_weights=shell_pri,
-        )
+    def curve(nu_val: float, n: int) -> Curve:
+        shell = MaxwellBoltzmann.from_amplitudes(nu_val, radii)
+        energy = float(np.dot(shell.probs, radii**2))
+        return _cqam_curve(geom, cqam_prior(shell, field), shell.probs, energy, n)
 
-    def gamma_of_nu(nu_val: float, n: int) -> float:
-        shell_pri = MaxwellBoltzmann.from_amplitudes(nu_val, radii).probs
-        try:
-            return snr_for_rate(lambda g: rate_fn(g, shell_pri, n), target_complex)
-        except ValueError:
-            return math.inf
+    def baseline(n: int) -> Curve:
+        energy = float(np.mean(base.shells.radii**2))
+        return _cqam_curve(base, base.priors, np.full(field.p, 1.0 / field.p), energy, n)
 
-    def unif_gamma(n: int) -> float:
-        bp = base.shells.radii
-        brep = base.points[np.arange(p) * p]
-        upri = np.full(p, 1.0 / p)
-
-        def unif_rate(gamma: float) -> float:
-            energy = float(np.mean(bp**2))
-            sigma = math.sqrt(energy / (2.0 * gamma))
-            return mi_complex_points(
-                base.points, base.priors, sigma, n,
-                condition_on=brep, condition_weights=upri,
-            )
-
-        return snr_for_rate(unif_rate, target_complex)
-
-    if nu is not None:
-        nu_star = nu
-        gamma_a = gamma_of_nu(nu_star, nodes)
-        if not math.isfinite(gamma_a):
-            raise ValueError(f"target rate unreachable at nu={nu}")
-    else:
-        nu_star, _ = _minimize_nu(
-            lambda v: gamma_of_nu(v, search_nodes),
-            nu_max or 4.0 / float(radii[-1]) ** 2,
-        )
-        gamma_a = gamma_of_nu(nu_star, nodes)
-    gamma_unif = unif_gamma(nodes)
-    gamma_cap = capacity_gamma(target, "complex")
-    return _solution(
-        "cqam", field, coding_rate, target, nu_star, gamma_a, gamma_cap, gamma_unif
+    scheme = _Scheme("cqam", curve, baseline, 4.0 / float(radii[-1]) ** 2, "complex")
+    return _optimize(
+        scheme, field, coding_rate,
+        nodes=nodes, search_nodes=search_nodes, nu=nu, nu_max=nu_max,
     )
 
 

@@ -282,6 +282,15 @@ def test_argparse_failures_exit_2():
     assert exc.value.code == 2
 
 
+def test_stretch_flags_exclusive_exit_2(capsys):
+    both = ["--stretch", "4.8", "0.76", "--no-stretch"]
+    for argv in (["table", "--mode", "cqam", "-p", "5"], ["pas", "-p", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + both)
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -27,8 +27,6 @@ PRIMES = [5, 7, 11, 13]
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        CqamParams(delta_rho=0.0)
-    with pytest.raises(ValueError):
         CqamParams(phase_steps=1)
     with pytest.raises(ValueError):
         Stretch(rho_max=1.0, beta=0.5)

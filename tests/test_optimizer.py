@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primeshape import optimizer
 from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
 from primeshape.optimizer import (
@@ -80,10 +81,14 @@ def test_gap_plus_effective_equals_potential():
 
 
 def test_forced_zero_nu_gives_no_gain():
-    for conv in ("shaped", "time-averaged"):
-        sol = optimize_time_sharing(
+    sols = [
+        optimize_time_sharing(
             Prime(7), Fraction(2, 3), convention=conv, nodes=NODES, nu=0.0
         )
+        for conv in ("shaped", "time-averaged")
+    ]
+    sols.append(optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=NODES, nu=0.0))
+    for sol in sols:
         assert sol.effective_gain_db == pytest.approx(0.0, abs=1e-7)
         assert sol.gamma_A_db == pytest.approx(sol.gamma_unif_db, abs=1e-7)
 
@@ -128,6 +133,21 @@ def test_unknown_convention_rejected():
         optimize_time_sharing(Prime(7), Fraction(2, 3), convention="per-symbol")
 
 
+def test_nu_bracket_widening_warns_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = optimize_time_sharing(
+            Prime(7), Fraction(2, 3), convention="shaped", nodes=24, nu_max=0.05
+        )
+    widenings = [w for w in caught if "widening the bracket" in str(w.message)]
+    assert len(widenings) == 3  # 0.05 -> 0.1 -> 0.2 -> 0.4 contains nu* ~ 0.236
+    assert all(w.filename == __file__ for w in widenings)
+    default = optimize_time_sharing(
+        Prime(7), Fraction(2, 3), convention="shaped", nodes=24
+    )
+    assert sol.gamma_A_db == default.gamma_A_db
+
+
 def test_determinism():
     a = optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=NODES)
     b = optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=NODES)
@@ -167,6 +187,65 @@ def test_shaped_ask_beats_time_sharing():
     full = optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=NODES)
     assert full.gap_db < ts.gap_db
     assert full.target_rate == ts.target_rate
+
+
+# ---------------------------------------------------------------------------
+# shared driver
+# ---------------------------------------------------------------------------
+
+# one forced-nu run per scheme; nu = 50 leaves almost no entropy in the shaped
+# symbols, so R_c = 9/10 is unreachable at that nu while the baselines reach it
+FORCED = {
+    "time-sharing": lambda nu, rc: optimize_time_sharing(
+        Prime(7), rc, convention="shaped", nodes=NODES, nu=nu
+    ),
+    "shaped-ask": lambda nu, rc: optimize_shaped_ask(Prime(7), rc, nodes=NODES, nu=nu),
+    "cqam": lambda nu, rc: optimize_cqam(Prime(5), rc, nodes=24, nu=nu),
+}
+
+
+def _count_solves(monkeypatch) -> dict:
+    """Count SNR solves in total and those the nu search asks for."""
+    counts = {"solves": 0, "search": 0}
+    solve, minimize = optimizer.snr_for_rate, optimizer._minimize_nu
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_minimize(f, *args, **kwargs):
+        def counted_f(nu):
+            counts["search"] += 1
+            return f(nu)
+
+        return minimize(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "snr_for_rate", counted_solve)
+    monkeypatch.setattr(optimizer, "_minimize_nu", counted_minimize)
+    return counts
+
+
+@pytest.mark.parametrize("scheme", sorted(FORCED))
+def test_forced_nu_solves_baseline_and_one_point(monkeypatch, scheme):
+    counts = _count_solves(monkeypatch)
+    FORCED[scheme](0.1, Fraction(2, 3))
+    assert counts == {"solves": 2, "search": 0}
+
+
+@pytest.mark.parametrize("scheme", sorted(FORCED))
+def test_forced_nu_unreachable(scheme):
+    with pytest.raises(ValueError, match="unreachable at nu"):
+        FORCED[scheme](50.0, Fraction(9, 10))
+
+
+def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
+    counts = _count_solves(monkeypatch)
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=24)
+    assert counts["search"] > 0
+    assert counts["solves"] == counts["search"] + 1  # the baseline only
+    counts.update(solves=0, search=0)
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=16)
+    assert counts["solves"] == counts["search"] + 2  # baseline and re-solve
 
 
 # ---------------------------------------------------------------------------
