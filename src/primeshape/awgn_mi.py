@@ -29,12 +29,12 @@ is kept as a cross-check oracle.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constellations import Constellation
 
@@ -42,6 +42,13 @@ from .constellations import Constellation
 DEFAULT_NODES = 96
 
 _LN2 = math.log(2.0)
+
+#: Per-thread scratch buffer for the real kernel's (active, nodes, points)
+#: terms.  Kept between calls, so a call allocates nothing of that size and
+#: its cost does not depend on how earlier work left the allocator: glibc
+#: hands a freed heap top above its trim threshold (128 KiB until a large
+#: block is freed) back to the system, and the next call faults it back in.
+_scratch = threading.local()
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +77,25 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+def _logsumexp_last(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis of a finite-maximum array, overwriting a.
+
+    The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17) step for
+    step: the maximal terms are counted apart and the rest summed through
+    log1p, so results agree to the last bit, without its full-size
+    temporaries.
+    """
+    # initial: an empty alphabet gives empty rows, not an error
+    a_max = a.max(axis=-1, keepdims=True, initial=-np.inf)
+    at_max = a == a_max
+    m = at_max.sum(axis=-1, keepdims=True, dtype=float)
+    a[at_max] = -np.inf
+    np.exp(np.subtract(a, a_max, out=a), out=a)
+    # scipy keeps s where s == 0; s / m is that same 0.0, since m >= 1
+    s = a.sum(axis=-1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
 
 
 def _log_priors(priors: np.ndarray) -> np.ndarray:
@@ -101,13 +127,18 @@ def mi_real_points(
     logp = _log_priors(priors)
     active = np.flatnonzero(priors > 0.0)
 
-    y = points[active, None] + math.sqrt(2.0) * sigma * t[None, :]
-    # log q(y) up to the common Gaussian normalizer, which cancels in the ratio
-    d2 = (y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
-    lse = logsumexp(logp[None, None, :] - d2, axis=2)
-    integrand = (-t[None, :] ** 2 - lse) / _LN2
-    total = float(np.dot(priors[active], integrand @ w) / math.sqrt(math.pi))
-    return total
+    y = points[active, None, None] + math.sqrt(2.0) * sigma * t[None, :, None]
+    shape = (active.size, t.size, points.size)
+    buf = getattr(_scratch, "buf", np.empty(0))
+    if buf.size < math.prod(shape):
+        buf = _scratch.buf = np.empty(math.prod(shape))
+    # log q(y) up to the common Gaussian normalizer, which cancels in the
+    # ratio: log p_j - (y - x_j)^2 / (2 sigma^2), built in the scratch buffer
+    a = buf[: math.prod(shape)].reshape(shape)
+    np.square(np.subtract(y, points, out=a), out=a)
+    np.subtract(logp, np.divide(a, 2.0 * sigma**2, out=a), out=a)
+    integrand = (-t[None, :] ** 2 - _logsumexp_last(a)) / _LN2
+    return float(np.dot(priors[active], integrand @ w) / math.sqrt(math.pi))
 
 
 def mi_complex_points(
@@ -145,8 +176,7 @@ def mi_complex_points(
             continue
         y = x + shift
         d2 = np.abs(y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
-        lse = logsumexp(logp[None, None, :] - d2, axis=2)
-        integrand = (-t2 - lse) / _LN2
+        integrand = (-t2 - _logsumexp_last(logp[None, None, :] - d2)) / _LN2
         total += weight * float((w2 * integrand).sum()) / math.pi
     return total
 
@@ -162,16 +192,21 @@ def _shell_priors(c: Constellation) -> np.ndarray:
     return grid.sum(axis=1)
 
 
-def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:
-    """I(X; Y) of a real constellation at gamma = E_s / N_0."""
-    if snr.dimension != "real":
-        raise ValueError("mi_real needs a real-dimension SNR")
-    if np.abs(c.points.imag).max() > 0.0:
-        raise ValueError("constellation is not real-valued")
+def _sigma(c: Constellation, snr: ChannelSnr, dimension: str, caller: str) -> float:
+    """Noise deviation per real component that puts c at snr."""
+    if snr.dimension != dimension:
+        raise ValueError(f"{caller} needs a {dimension}-dimension SNR")
     energy = c.mean_energy()
     if energy <= 0.0:
         raise ValueError("zero-energy constellation has no SNR interpretation")
-    sigma = math.sqrt(energy / (2.0 * snr.gamma))
+    return math.sqrt(energy / (2.0 * snr.gamma))
+
+
+def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:
+    """I(X; Y) of a real constellation at gamma = E_s / N_0."""
+    sigma = _sigma(c, snr, "real", "mi_real")
+    if np.abs(c.points.imag).max() > 0.0:
+        raise ValueError("constellation is not real-valued")
     return mi_real_points(c.points.real, c.priors, sigma, nodes)
 
 
@@ -183,14 +218,9 @@ def mi_complex_cqam(
     Exploits the p-fold rotational symmetry: one conditional term per
     shell, weighted by the shell prior.
     """
-    if snr.dimension != "complex":
-        raise ValueError("mi_complex_cqam needs a complex-dimension SNR")
+    sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
     shell_pri = _shell_priors(c)
     p = shell_pri.shape[0]
-    energy = c.mean_energy()
-    if energy <= 0.0:
-        raise ValueError("zero-energy constellation has no SNR interpretation")
-    sigma = math.sqrt(energy / (2.0 * snr.gamma))
     reps = c.points[np.arange(p) * p]
     return mi_complex_points(
         c.points, c.priors, sigma, nodes,
@@ -202,12 +232,7 @@ def mi_complex_naive(
     c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES
 ) -> float:
     """Cross-check oracle: full conditional sum over every point."""
-    if snr.dimension != "complex":
-        raise ValueError("mi_complex_naive needs a complex-dimension SNR")
-    energy = c.mean_energy()
-    if energy <= 0.0:
-        raise ValueError("zero-energy constellation has no SNR interpretation")
-    sigma = math.sqrt(energy / (2.0 * snr.gamma))
+    sigma = _sigma(c, snr, "complex", "mi_complex_naive")
     return mi_complex_points(c.points, c.priors, sigma, nodes)
 
 

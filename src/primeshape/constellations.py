@@ -28,7 +28,7 @@ better energy profile under shaped (nonuniform) shell priors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -162,19 +162,23 @@ def _pack_shells(field: Prime, params: CqamParams) -> tuple[np.ndarray, np.ndarr
     radii = np.empty(p)
     phases = np.empty(p)
     radii[0], phases[0] = 1.0, 0.0
-    placed = _shell_points(1.0, 0.0, p)
 
     # sweep phases from +pi/p down so argmin ties resolve to the largest
     phi_grid = np.linspace(math.pi / p, -math.pi / p, params.phase_steps)
+    # need[k]: radius at which a point at phase phi_grid[k] clears every
+    # placed point; placed points never move, so each shell is folded in once
+    need = np.zeros_like(phi_grid)
     for i in range(1, p):
-        r = np.abs(placed)
-        theta = np.angle(placed)
+        last = _shell_points(radii[i - 1], phases[i - 1], p)
+        r = np.abs(last)
+        theta = np.angle(last)
         # by p-fold symmetry it suffices to place the l = 0 point of the
         # new shell against every previously placed point
         a = r[None, :] * np.cos(phi_grid[:, None] - theta[None, :])
         disc = a * a - r[None, :] ** 2 + d2
-        need = np.where(disc > 0.0, a + np.sqrt(np.maximum(disc, 0.0)), 0.0)
-        rho_by_phi = np.maximum(need.max(axis=1), radii[i - 1])
+        clear = np.where(disc > 0.0, a + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+        need = np.maximum(need, clear.max(axis=1))
+        rho_by_phi = np.maximum(need, radii[i - 1])
         best = rho_by_phi.min()
         j = int(np.argmax(rho_by_phi <= best + 1e-12))
         radii[i], phases[i] = rho_by_phi[j], phi_grid[j]
@@ -182,7 +186,6 @@ def _pack_shells(field: Prime, params: CqamParams) -> tuple[np.ndarray, np.ndarr
             raise RuntimeError(
                 f"shell {i + 1} radius {radii[i]:.6f} exceeded bound {RADIUS_BOUND:.6f}"
             )
-        placed = np.concatenate([placed, _shell_points(radii[i], phases[i], p)])
     return radii, phases
 
 
@@ -209,13 +212,15 @@ def build_cqam_stretched(field: Prime, params: CqamParams) -> Constellation:
     """CQAM with stretched shell radii and the unstretched phase offsets."""
     if params.stretch is None:
         raise ValueError("build_cqam_stretched requires stretch parameters")
-    if field.p == 2:
-        raise ValueError("CQAM construction requires an odd prime")
-    _, phases = _pack_shells(field, params)
-    p = field.p
+    return _stretched(build_cqam(field, replace(params, stretch=None)), params.stretch)
+
+
+def _stretched(c: Constellation, stretch: Stretch) -> Constellation:
+    """Re-radius a packed CQAM by the stretch law, keeping its phase offsets."""
+    p = c.shells.num_shells
     frac = np.arange(p) / (p - 1)
-    radii = 1.0 + (params.stretch.rho_max - 1.0) * frac**params.stretch.beta
-    return _assemble(radii, phases, p)
+    radii = 1.0 + (stretch.rho_max - 1.0) * frac**stretch.beta
+    return _assemble(radii, c.shells.phases, p)
 
 
 def min_distance(c: Constellation) -> float:

@@ -61,7 +61,7 @@ from .constellations import (
     CqamParams,
     build_ask,
     build_cqam,
-    build_cqam_stretched,
+    _stretched,
 )
 from .field import Prime
 from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
@@ -395,7 +395,7 @@ def optimize_cqam(
     """
     params = params or CqamParams()
     base = build_cqam(field, replace(params, stretch=None))
-    geom = build_cqam_stretched(field, params) if params.stretch else base
+    geom = _stretched(base, params.stretch) if params.stretch else base
     radii = geom.shells.radii
 
     def curve(nu_val: float, n: int) -> Curve:

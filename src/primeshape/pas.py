@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .constellations import Constellation
 from .field import Prime
@@ -252,6 +251,10 @@ def empirical_distributions(
         raise ValueError("shell target must be strictly positive")
     stat = float(((point_counts - expected) ** 2 / expected).sum())
     dof = p * p - 1
+    # imported here: scipy.stats adds ~45 MB and ~0.5 s to every import of
+    # the package, and only this report needs it
+    from scipy.stats import chi2
+
     return {
         "num_frames": len(frames),
         "num_parity_symbols": int(parity.size),

@@ -9,15 +9,17 @@ AWGN channel.
 
 The distribution matcher (DM) realizes such a prior operationally: it
 maps a block of uniform input symbols to a fixed-composition output
-block by arithmetic-coding-style interval subdivision, exactly and
-invertibly, using big-integer rationals.
+block, exactly and invertibly, in integer arithmetic.  Arithmetic-coding
+interval subdivision over the admissible blocks is the same map as
+lexicographic ranking of multiset permutations (enumerative coding), so
+encoding unranks and decoding ranks with multinomial counts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -165,115 +167,110 @@ class CompositionPlan:
 
     def input_length(self) -> int:
         """Uniform input symbols consumed per block: floor(log_p M)."""
-        m = self.num_sequences()
-        p = self.field.p
-        d = 0
-        while p ** (d + 1) <= m:
-            d += 1
-        return d
+        return _input_grid(self.num_sequences(), self.field.p)[0]
 
     def rate_bits(self) -> float:
         """Matching rate in bits per shaped symbol, (d log2 p) / N."""
         return self.input_length() * math.log2(self.field.p) / self.block_length
 
 
-def _subdivide(
-    low: Fraction, width: Fraction, remaining: list[int], total: int, point: Fraction
-) -> tuple[int, Fraction, Fraction]:
-    """One interval-subdivision step: pick the symbol whose slot holds point.
+def _input_grid(m: int, p: int) -> tuple[int, int]:
+    """(d, p^d) for the largest d with p^d <= m, by a running power."""
+    d, scale = 0, 1
+    while scale * p <= m:
+        d, scale = d + 1, scale * p
+    return d, scale
 
-    The current interval [low, low + width) is split into consecutive
-    slots of width proportional to the remaining symbol counts.  Returns
-    (symbol, slot_low, slot_width).
-    """
-    cum = 0
-    for s, c in enumerate(remaining):
-        if c == 0:
-            continue
-        slot_low = low + width * Fraction(cum, total)
-        slot_width = width * Fraction(c, total)
-        if slot_low <= point < slot_low + slot_width:
-            return s, slot_low, slot_width
-        cum += c
-    raise RuntimeError("interval subdivision failed to locate the input point")
+
+def _symbols(values: Sequence[int], p: int, what: str) -> list[int]:
+    """Validate symbols of F_p and return them as Python ints."""
+    out = []
+    for v in values:
+        try:
+            s = operator.index(v)
+        except TypeError:
+            raise ValueError(f"{what} {v!r} is not an integer") from None
+        if not 0 <= s < p:
+            raise ValueError(f"{what} {s} outside F_{p}")
+        out.append(s)
+    return out
 
 
 def ccdm_encode(plan: CompositionPlan, uniform_symbols: Sequence[int]) -> list[int]:
     """Map uniform input symbols to one constant-composition block.
 
     Consumes exactly plan.input_length() symbols (each in 0..p-1), reads
-    them as a base-p integer u, and walks the interval subdivision that
-    assigns each admissible block a subinterval of [0, 1) of width 1/M:
-    the output is the block whose subinterval contains u / p^d.  Exact
-    rational arithmetic makes the map invertible with no precision loss.
+    them as a base-p integer u and outputs the admissible block of
+    lexicographic rank r = floor(u * M / p^d).  Unranking is exact in
+    integers: of the m completions left after a prefix of length
+    N - n, m * c_s / n start with symbol s, where c_s is the remaining
+    count of s (M(counts) * c_s / n = M(counts - e_s)).
     """
     p = plan.field.p
-    d = plan.input_length()
+    m = plan.num_sequences()
+    d, scale = _input_grid(m, p)
     if len(uniform_symbols) < d:
         raise ValueError(
             f"matcher needs {d} input symbols per block, got {len(uniform_symbols)}"
         )
-    consumed = list(uniform_symbols[:d])
-    for s in consumed:
-        if not 0 <= s < p:
-            raise ValueError(f"input symbol {s} outside F_{p}")
     u = 0
-    for s in consumed:
+    for s in _symbols(uniform_symbols[:d], p, "input symbol"):
         u = u * p + s
-    point = Fraction(u, p**d)
+    r = u * m // scale
 
     remaining = list(plan.counts)
-    total = plan.block_length
-    low, width = Fraction(0), Fraction(1)
     block: list[int] = []
-    for _ in range(plan.block_length):
-        s, low, width = _subdivide(low, width, remaining, total, point)
-        block.append(s)
+    for n in range(plan.block_length, 0, -1):
+        # the chosen symbol s is the last whose preceding counts sum to
+        # at most r * n / m, i.e. whose first completion has rank <= r
+        below = r * n // m
+        cum = 0
+        for s, c in enumerate(remaining):
+            if below < cum + c:
+                break
+            cum += c
+        r -= m * cum // n
+        m = m * c // n
         remaining[s] -= 1
-        total -= 1
+        block.append(s)
     return block
 
 
 def ccdm_decode(plan: CompositionPlan, shaped: Sequence[int]) -> list[int]:
     """Invert ccdm_encode: recover the uniform input symbols of a block.
 
-    Replays the subdivision along the given block to find its interval
-    [L, L + 1/M), then returns the unique grid point u / p^d inside it.
-    Blocks of the wrong composition, or blocks whose interval contains
-    no grid point (compositions with M not a power of p have M - p^d
-    such unreachable blocks), are rejected with ValueError.
+    Ranks the block lexicographically among the M blocks of its
+    composition and returns the base-p digits of u = ceil(r * p^d / M),
+    the smallest input whose rank floor(u * M / p^d) is at least r.
+    Blocks of the wrong composition, or blocks no input maps to
+    (compositions with M not a power of p have M - p^d of them, where
+    floor(u * M / p^d) != r), are rejected with ValueError.
     """
     p = plan.field.p
-    shaped = list(shaped)
+    shaped = _symbols(shaped, p, "symbol")
     if len(shaped) != plan.block_length:
         raise ValueError(
             f"block length {len(shaped)} does not match plan ({plan.block_length})"
         )
     observed = [0] * p
     for s in shaped:
-        if not 0 <= s < p:
-            raise ValueError(f"symbol {s} outside F_{p}")
         observed[s] += 1
     if tuple(observed) != plan.counts:
         raise ValueError(
             f"block composition {tuple(observed)} does not match plan {plan.counts}"
         )
 
+    m = plan.num_sequences()
+    d, scale = _input_grid(m, p)
     remaining = list(plan.counts)
-    total = plan.block_length
-    low, width = Fraction(0), Fraction(1)
-    for s in shaped:
-        cum = sum(remaining[:s])
-        low = low + width * Fraction(cum, total)
-        width = width * Fraction(remaining[s], total)
+    r, left = 0, m
+    for n, s in zip(range(plan.block_length, 0, -1), shaped):
+        r += left * sum(remaining[:s]) // n
+        left = left * remaining[s] // n
         remaining[s] -= 1
-        total -= 1
 
-    d = plan.input_length()
-    scale = p**d
-    # smallest grid point >= low
-    u = -((-low.numerator * scale) // low.denominator)
-    if not Fraction(u, scale) < low + width:
+    u = -(-r * scale // m)
+    if u * m // scale != r:
         raise ValueError("block is not in the matcher image (no input maps to it)")
     digits = []
     for _ in range(d):

@@ -1,9 +1,13 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 
 from primeshape.awgn_mi import (
     ChannelSnr,
@@ -128,6 +132,86 @@ def test_zero_prior_points_are_ignored():
     a = mi_real_points(pts, pri, 0.8)
     b = mi_real_points(pts[:2], pri[:2], 0.8)
     npt.assert_allclose(a, b, atol=1e-12)
+
+
+def mi_real_points_scipy(points, priors, sigma, nodes=96):
+    """Oracle: the real kernel with full-size temporaries and scipy's logsumexp."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    logp = np.full(priors.shape, -np.inf)
+    logp[priors > 0.0] = np.log(priors[priors > 0.0])
+    active = np.flatnonzero(priors > 0.0)
+    y = points[active, None] + math.sqrt(2.0) * sigma * t[None, :]
+    d2 = (y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
+    lse = logsumexp(logp[None, None, :] - d2, axis=2)
+    integrand = (-t[None, :] ** 2 - lse) / math.log(2.0)
+    return float(np.dot(priors[active], integrand @ w) / math.sqrt(math.pi))
+
+
+def _random_real_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 32))
+        if rng.random() < 0.3:
+            # equally spaced: several terms tie for the maximum
+            pts = np.arange(k) - (k - 1) / 2.0
+        else:
+            pts = rng.normal(size=k) * rng.choice([1.0, 3.0, 10.0])
+        pri = rng.random(k)
+        if k > 1 and rng.random() < 0.3:
+            pri[rng.integers(0, k)] = 0.0
+        yield pts, pri / pri.sum(), float(np.exp(rng.uniform(-4.0, 3.0))), int(
+            rng.choice([2, 8, 96, 192])
+        )
+
+
+def test_real_kernel_equals_scipy_oracle_bit_for_bit():
+    # shapes vary from call to call, so the scratch buffer grows and is
+    # reused through smaller views
+    for pts, pri, sigma, nodes in _random_real_cases(300, seed=5):
+        assert mi_real_points(pts, pri, sigma, nodes) == mi_real_points_scipy(
+            pts, pri, sigma, nodes
+        )
+
+
+def test_real_kernel_threads_agree_with_serial():
+    # each thread has its own scratch buffer; frequent switches and more
+    # workers than cores would expose one shared between threads
+    cases = list(_random_real_cases(64, seed=6))
+    serial = [mi_real_points(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(
+                pool.map(lambda case: mi_real_points(*case), cases * 4, timeout=120)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 4
+
+
+def test_real_kernel_without_active_points_is_zero():
+    # a fresh thread starts with no scratch buffer; these calls need none
+    cases = [([], []), ([1.0, 2.0], [0.0, 0.0])]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for pts, pri in cases:
+            pts, pri = np.array(pts), np.array(pri)
+            assert pool.submit(mi_real_points, pts, pri, 1.0).result(timeout=60) == 0.0
+            assert mi_complex_points(pts + 0j, pri, 1.0) == 0.0
+
+
+def test_real_kernel_allocates_no_full_size_temporaries():
+    # the old kernel peaked at seven (active, nodes, points) float arrays
+    pts = np.arange(31) - 15.0
+    pri = np.full(31, 1 / 31)
+    mi_real_points(pts, pri, 0.7)
+    tracemalloc.start()
+    try:
+        mi_real_points(pts, pri, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 31 * 96 * 31 * 8
 
 
 # ---------------------------------------------------------------------------

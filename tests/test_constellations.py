@@ -132,6 +132,37 @@ def test_known_radii_p5():
     )
 
 
+def _pack_against_all_points(p: int, phase_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy packing that recomputes every placed point's clearance per shell."""
+    def shell(radius, phase):
+        return radius * np.exp(1j * (2.0 * np.pi * np.arange(p) / p + phase))
+
+    d2 = (2.0 * math.sin(math.pi / p)) ** 2
+    radii, phases = [1.0], [0.0]
+    placed = shell(1.0, 0.0)
+    phi_grid = np.linspace(math.pi / p, -math.pi / p, phase_steps)
+    for _ in range(1, p):
+        r, theta = np.abs(placed), np.angle(placed)
+        a = r[None, :] * np.cos(phi_grid[:, None] - theta[None, :])
+        disc = a * a - r[None, :] ** 2 + d2
+        need = np.where(disc > 0.0, a + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+        rho_by_phi = np.maximum(need.max(axis=1), radii[-1])
+        j = int(np.argmax(rho_by_phi <= rho_by_phi.min() + 1e-12))
+        radii.append(rho_by_phi[j])
+        phases.append(phi_grid[j])
+        placed = np.concatenate([placed, shell(radii[-1], phases[-1])])
+    return np.array(radii), np.array(phases)
+
+
+@pytest.mark.parametrize("p", [3, *PRIMES])
+@pytest.mark.parametrize("phase_steps", [7, 4096])
+def test_packing_equals_all_points_oracle(p, phase_steps):
+    shells = build_cqam(Prime(p), CqamParams(phase_steps=phase_steps)).shells
+    radii, phases = _pack_against_all_points(p, phase_steps)
+    npt.assert_array_equal(shells.radii, radii)
+    npt.assert_array_equal(shells.phases, phases)
+
+
 # ---------------------------------------------------------------------------
 # stretched CQAM
 # ---------------------------------------------------------------------------

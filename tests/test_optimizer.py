@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primeshape import optimizer
+from primeshape import constellations, optimizer
 from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
 from primeshape.optimizer import (
@@ -246,6 +246,31 @@ def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
     counts.update(solves=0, search=0)
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=16)
     assert counts["solves"] == counts["search"] + 2  # baseline and re-solve
+
+
+def test_stretched_cqam_packs_shells_once(monkeypatch):
+    packs, geoms = [], []
+    pack, cqam_curve = constellations._pack_shells, optimizer._cqam_curve
+
+    def counted_pack(*args, **kwargs):
+        packs.append(args)
+        return pack(*args, **kwargs)
+
+    def recorded_curve(c, *args, **kwargs):
+        geoms.append(c)
+        return cqam_curve(c, *args, **kwargs)
+
+    monkeypatch.setattr(constellations, "_pack_shells", counted_pack)
+    monkeypatch.setattr(optimizer, "_cqam_curve", recorded_curve)
+    params = CqamParams(stretch=Stretch(4.8, 0.76))
+    optimize_cqam(Prime(7), Fraction(2, 3), params, nodes=16, nu=0.1)
+    assert len(packs) == 1
+    monkeypatch.undo()
+    base = constellations.build_cqam(Prime(7))
+    stretched = constellations.build_cqam_stretched(Prime(7), params)
+    assert [np.array_equal(g.points, base.points) for g in geoms] == [True, False]
+    assert np.array_equal(geoms[1].points, stretched.points)
+    assert np.array_equal(geoms[1].shells.radii, stretched.shells.radii)
 
 
 # ---------------------------------------------------------------------------

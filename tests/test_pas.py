@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -228,3 +232,13 @@ def test_empirical_distributions_guards():
         empirical_distributions(
             frames, cqam, shell_target=[1.0, 0.0, 0.0, 0.0, 0.0], min_frames=10
         )
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # only empirical_distributions needs scipy.stats, and it imports it itself
+    code = "import sys, primeshape.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from primeshape.field import Prime
 from primeshape.shaping import (
@@ -123,6 +126,11 @@ def test_multinomial_and_input_length():
     plan = CompositionPlan(f3, 4, (2, 1, 1))
     assert plan.num_sequences() == 12
     assert plan.input_length() == 2  # 3^2 = 9 <= 12 < 27
+    # M = p^k and M = p^k - 1, on either side of a digit boundary
+    plan = CompositionPlan(f3, 3, (2, 1, 0))
+    assert (plan.num_sequences(), plan.input_length()) == (3, 1)
+    plan = CompositionPlan(f3, 2, (1, 1, 0))
+    assert (plan.num_sequences(), plan.input_length()) == (2, 0)
 
 
 def test_degenerate_composition():
@@ -218,3 +226,178 @@ def test_encode_rejects_short_or_invalid_input():
         ccdm_encode(plan, [0] * (d - 1))
     with pytest.raises(ValueError):
         ccdm_encode(plan, [7] * d)
+
+
+def test_encode_accepts_numpy_symbols():
+    # the base-p input integer must not accumulate in np.int64 (d = 53)
+    f13 = Prime(13)
+    plan = CompositionPlan.from_distribution(f13, mb_ask_prior(f13, 0.05).probs, 64)
+    d = plan.input_length()
+    assert d == 53
+    for seed in range(5):
+        u = np.random.default_rng(seed).integers(0, 13, size=d)
+        block = ccdm_encode(plan, u)
+        assert block == ccdm_encode(plan, u.tolist())
+        assert ccdm_decode(plan, block) == u.tolist()
+        assert ccdm_decode(plan, np.array(block)) == u.tolist()
+    with pytest.raises(ValueError, match="not an integer"):
+        ccdm_encode(plan, [1.0] + [0] * (d - 1))
+    with pytest.raises(ValueError, match="not an integer"):
+        ccdm_decode(plan, [float(s) for s in block])
+
+
+# ---------------------------------------------------------------------------
+# the exact-rational interval-subdivision matcher, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _subdivide(
+    low: Fraction, width: Fraction, remaining: list[int], total: int, point: Fraction
+) -> tuple[int, Fraction, Fraction]:
+    """One interval-subdivision step: pick the symbol whose slot holds point.
+
+    The current interval [low, low + width) is split into consecutive
+    slots of width proportional to the remaining symbol counts.  Returns
+    (symbol, slot_low, slot_width).
+    """
+    cum = 0
+    for s, c in enumerate(remaining):
+        if c == 0:
+            continue
+        slot_low = low + width * Fraction(cum, total)
+        slot_width = width * Fraction(c, total)
+        if slot_low <= point < slot_low + slot_width:
+            return s, slot_low, slot_width
+        cum += c
+    raise RuntimeError("interval subdivision failed to locate the input point")
+
+
+def fraction_encode(plan: CompositionPlan, uniform_symbols: Sequence[int]) -> list[int]:
+    """Map uniform input symbols to one constant-composition block.
+
+    Consumes exactly plan.input_length() symbols (each in 0..p-1), reads
+    them as a base-p integer u, and walks the interval subdivision that
+    assigns each admissible block a subinterval of [0, 1) of width 1/M:
+    the output is the block whose subinterval contains u / p^d.  Exact
+    rational arithmetic makes the map invertible with no precision loss.
+    """
+    p = plan.field.p
+    d = plan.input_length()
+    if len(uniform_symbols) < d:
+        raise ValueError(
+            f"matcher needs {d} input symbols per block, got {len(uniform_symbols)}"
+        )
+    consumed = list(uniform_symbols[:d])
+    for s in consumed:
+        if not 0 <= s < p:
+            raise ValueError(f"input symbol {s} outside F_{p}")
+    u = 0
+    for s in consumed:
+        u = u * p + s
+    point = Fraction(u, p**d)
+
+    remaining = list(plan.counts)
+    total = plan.block_length
+    low, width = Fraction(0), Fraction(1)
+    block: list[int] = []
+    for _ in range(plan.block_length):
+        s, low, width = _subdivide(low, width, remaining, total, point)
+        block.append(s)
+        remaining[s] -= 1
+        total -= 1
+    return block
+
+
+def fraction_decode(plan: CompositionPlan, shaped: Sequence[int]) -> list[int]:
+    """Invert fraction_encode: recover the uniform input symbols of a block.
+
+    Replays the subdivision along the given block to find its interval
+    [L, L + 1/M), then returns the unique grid point u / p^d inside it.
+    Blocks of the wrong composition, or blocks whose interval contains
+    no grid point (compositions with M not a power of p have M - p^d
+    such unreachable blocks), are rejected with ValueError.
+    """
+    p = plan.field.p
+    shaped = list(shaped)
+    if len(shaped) != plan.block_length:
+        raise ValueError(
+            f"block length {len(shaped)} does not match plan ({plan.block_length})"
+        )
+    observed = [0] * p
+    for s in shaped:
+        if not 0 <= s < p:
+            raise ValueError(f"symbol {s} outside F_{p}")
+        observed[s] += 1
+    if tuple(observed) != plan.counts:
+        raise ValueError(
+            f"block composition {tuple(observed)} does not match plan {plan.counts}"
+        )
+
+    remaining = list(plan.counts)
+    total = plan.block_length
+    low, width = Fraction(0), Fraction(1)
+    for s in shaped:
+        cum = sum(remaining[:s])
+        low = low + width * Fraction(cum, total)
+        width = width * Fraction(remaining[s], total)
+        remaining[s] -= 1
+        total -= 1
+
+    d = plan.input_length()
+    scale = p**d
+    # smallest grid point >= low
+    u = -((-low.numerator * scale) // low.denominator)
+    if not Fraction(u, scale) < low + width:
+        raise ValueError("block is not in the matcher image (no input maps to it)")
+    digits = []
+    for _ in range(d):
+        digits.append(u % p)
+        u //= p
+    return digits[::-1]
+
+
+def _decoded(decode, plan: CompositionPlan, block: list[int]) -> list[int] | str:
+    try:
+        return decode(plan, block)
+    except ValueError:
+        return "rejected"
+
+
+@st.composite
+def _matcher_cases(draw):
+    """A random composition plan, an input for it and a block of its type."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=p - 1, max_size=p - 1)))
+    counts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+    plan = CompositionPlan(Prime(p), n, counts)
+    d = plan.input_length()
+    u = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    block = draw(st.permutations([s for s, c in enumerate(counts) for _ in range(c)]))
+    return plan, u, block
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_matcher_cases())
+# one nonzero count (M = 1), N = 1, and M = 2 < p (d = 0) with an unreachable block
+@example((CompositionPlan(Prime(5), 6, (0, 6, 0, 0, 0)), [], [1] * 6))
+@example((CompositionPlan(Prime(7), 1, (0, 0, 0, 1, 0, 0, 0)), [], [3]))
+@example((CompositionPlan(Prime(13), 2, (1, 1) + (0,) * 11), [], [1, 0]))
+def test_matcher_equals_fraction_oracle(case):
+    plan, u, block = case
+    assert ccdm_encode(plan, u) == fraction_encode(plan, u)
+    assert _decoded(ccdm_decode, plan, block) == _decoded(fraction_decode, plan, block)
+
+
+def test_matcher_equals_fraction_oracle_p13_n64():
+    f13 = Prime(13)
+    plan = CompositionPlan.from_distribution(f13, mb_ask_prior(f13, 0.05).probs, 64)
+    d = plan.input_length()
+    rng = np.random.default_rng(1364)
+    for _ in range(50):
+        u = rng.integers(0, 13, size=d).tolist()
+        block = ccdm_encode(plan, u)
+        assert block == fraction_encode(plan, u)
+        assert ccdm_decode(plan, block) == fraction_decode(plan, block) == u
+        other = rng.permutation(block).tolist()
+        assert _decoded(ccdm_decode, plan, other) == _decoded(fraction_decode, plan, other)
