@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 
@@ -147,6 +148,82 @@ def mi_real_points_scipy(points, priors, sigma, nodes=96):
     return float(np.dot(priors[active], integrand @ w) / math.sqrt(math.pi))
 
 
+def mi_complex_points_oracle(
+    points, priors, sigma, nodes=96, condition_on=None, condition_weights=None
+):
+    """Oracle: the complex kernel as it was before the real-arithmetic one.
+
+    One (nodes, nodes, points) complex tensor per conditioning point,
+    np.abs for the distances, and scipy's logsumexp.
+    """
+    points = np.asarray(points, dtype=complex)
+    priors = np.asarray(priors, dtype=float)
+    if condition_on is None:
+        condition_on = points
+        condition_weights = priors
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    w2 = np.outer(w, w)
+    shift = math.sqrt(2.0) * sigma * (t[:, None] + 1j * t[None, :])
+    t2 = t[:, None] ** 2 + t[None, :] ** 2
+    logp = np.full(priors.shape, -np.inf)
+    logp[priors > 0.0] = np.log(priors[priors > 0.0])
+
+    total = 0.0
+    for x, weight in zip(condition_on, condition_weights):
+        if weight == 0.0:
+            continue
+        y = x + shift
+        d2 = np.abs(y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
+        integrand = (-t2 - logsumexp(logp[None, None, :] - d2, axis=2)) / math.log(2.0)
+        total += weight * float((w2 * integrand).sum()) / math.pi
+    return total
+
+
+def _shaped_cqam(p, nu):
+    """p^2-point CQAM with a Maxwell-Boltzmann shell prior, and its shell PMF."""
+    field = Prime(p)
+    stretch = {7: Stretch(4.8, 0.76), 13: Stretch(6.0, 0.80)}.get(p)
+    c = build_cqam_stretched(field, CqamParams(stretch=stretch)) if stretch else build_cqam(field)
+    shell = MaxwellBoltzmann.from_amplitudes(nu, c.shells.radii)
+    return c.with_priors(cqam_prior(shell, field)), shell.probs
+
+
+def test_complex_kernel_equals_oracle_on_grid():
+    # cases up to the optimizer's largest call (13^2 points at 96 nodes,
+    # one conditioning point per shell); the oracle takes ~1 s per 2e7
+    # terms, so cases above 4e6 terms run at one sigma
+    largest = 13 * 96**2 * 169
+    for p, nu in ((3, 0.3), (5, 0.0), (7, 0.05), (13, 0.05)):
+        c, shell_probs = _shaped_cqam(p, nu)
+        reduced = {
+            "condition_on": c.points[np.arange(p) * p],
+            "condition_weights": shell_probs,
+        }
+        for nodes in (16, 48, 96):
+            for kw in (reduced, {}):
+                terms = len(kw.get("condition_on", c.points)) * nodes**2 * p**2
+                if terms > largest:
+                    continue
+                for sigma in (0.05, 0.3, 2.0) if terms < 4e6 else (0.3,):
+                    got = mi_complex_points(c.points, c.priors, sigma, nodes, **kw)
+                    want = mi_complex_points_oracle(c.points, c.priors, sigma, nodes, **kw)
+                    assert abs(got - want) < 1e-13, (p, nodes, sigma, kw.keys())
+
+
+def _random_complex_cases(count, seed):
+    rng = np.random.default_rng(seed)
+    for pts, pri, sigma, _ in _random_real_cases(count, seed):
+        pts = pts[:13] + 1j * rng.normal(size=pts[:13].size) * rng.choice([0.0, 1.0, 3.0])
+        pri = pri[:13] / pri[:13].sum() if pri[:13].sum() > 0 else np.full(pts.size, 1 / pts.size)
+        nodes = int(rng.choice([2, 8, 24]))
+        if rng.random() < 0.5:
+            yield pts, pri, sigma, nodes
+        else:
+            # conditioning on a subset, as the symmetry reduction does
+            k = int(rng.integers(0, pts.size + 1))
+            yield pts, pri, sigma, nodes, pts[:k], rng.random(k)
+
+
 def _random_real_cases(count, seed):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -175,15 +252,17 @@ def test_real_kernel_equals_scipy_oracle_bit_for_bit():
 
 def test_real_kernel_threads_agree_with_serial():
     # each thread has its own scratch buffer; frequent switches and more
-    # workers than cores would expose one shared between threads
-    cases = list(_random_real_cases(64, seed=6))
-    serial = [mi_real_points(*case) for case in cases]
+    # workers than cores would expose one shared between threads.  Real and
+    # complex calls share the buffer, and differ in its layout.
+    cases = [(mi_real_points, case) for case in _random_real_cases(64, seed=6)]
+    cases += [(mi_complex_points, case) for case in _random_complex_cases(32, seed=7)]
+    serial = [fn(*case) for fn, case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(
-                pool.map(lambda case: mi_real_points(*case), cases * 4, timeout=120)
+                pool.map(lambda item: item[0](*item[1]), cases * 4, timeout=120)
             )
     finally:
         sys.setswitchinterval(interval)
@@ -212,6 +291,45 @@ def test_real_kernel_allocates_no_full_size_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 31 * 96 * 31 * 8
+
+
+def test_complex_kernel_allocates_no_full_size_temporaries():
+    # the old kernel built (nodes, nodes, points) complex tensors for every
+    # conditioning point: a 15 MB peak here
+    c, shell_probs = _shaped_cqam(7, 0.05)
+    kw = {"condition_on": c.points[np.arange(7) * 7], "condition_weights": shell_probs}
+    mi_complex_points(c.points, c.priors, 0.3, **kw)
+    tracemalloc.start()
+    try:
+        mi_complex_points(c.points, c.priors, 0.3, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 96 * 49 * 8
+
+
+@st.composite
+def _real_alphabets(draw):
+    k = draw(st.integers(1, 13))
+    pts = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    pri = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]), min_size=k, max_size=k))
+    if sum(pri) == 0.0:
+        pri[0] = 1.0
+    pri = np.array(pri) / sum(pri)
+    sigma = math.exp(draw(st.floats(-4.0, 2.5)))
+    return np.array(pts), pri, sigma, draw(st.integers(4, 48))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_real_alphabets())
+def test_idle_imaginary_dimension_integrates_out(case):
+    pts, pri, sigma, nodes = case
+    real = mi_real_points(pts, pri, sigma, nodes)
+    cplx = mi_complex_points(pts + 0j, pri, sigma, nodes)
+    assert abs(cplx - real) < 1e-13
+    entropy = -sum(q * math.log2(q) for q in pri if q > 0.0)
+    for mi in (real, cplx):
+        assert -1e-12 <= mi <= entropy + 1e-12
 
 
 # ---------------------------------------------------------------------------
