@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_NODES
+from .awgn_mi import DEFAULT_NODES, _hermgauss
 from .constellations import (
     CqamParams,
     Stretch,
@@ -113,7 +113,7 @@ def _parse_pmf(field: Prime, values: list[float]) -> SymbolDistribution:
             f"factor has {probs.shape[0]} entries, expected {field.p}"
         )
     total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"factor sums to {total!r}, expected 1 within 1e-9")
     return SymbolDistribution(field, probs / total)
 
@@ -198,6 +198,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    # an invalid node count is an input error, not an unreachable row
+    for nodes in (args.nodes, args.search_nodes):
+        _hermgauss(nodes)
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]

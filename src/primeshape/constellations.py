@@ -50,10 +50,10 @@ class Stretch:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.rho_max <= 1.0:
-            raise ValueError("stretch rho_max must exceed 1")
-        if self.beta <= 0.0:
-            raise ValueError("stretch exponent beta must be positive")
+        if not 1.0 < self.rho_max < math.inf:
+            raise ValueError("stretch rho_max must be finite and exceed 1")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("stretch exponent beta must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,7 +44,8 @@ class MaxwellBoltzmann:
         probs = np.array(self.probs, dtype=float)
         if amps.shape != probs.shape or amps.ndim != 1:
             raise ValueError("amplitudes and probs must be 1-D with equal length")
-        if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-12:
+        # NaN fails every comparison, so each check states what must hold
+        if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be a normalized PMF")
         amps.flags.writeable = False
         probs.flags.writeable = False
@@ -53,8 +54,8 @@ class MaxwellBoltzmann:
 
     @classmethod
     def from_amplitudes(cls, nu: float, amplitudes: Sequence[float]) -> "MaxwellBoltzmann":
-        if nu < 0.0:
-            raise ValueError("shaping parameter nu must be nonnegative")
+        if not 0.0 <= nu < math.inf:
+            raise ValueError("shaping parameter nu must be nonnegative and finite")
         amps = np.asarray(amplitudes, dtype=float)
         if amps.size == 0:
             raise ValueError("amplitude alphabet must be nonempty")
@@ -146,7 +147,7 @@ class CompositionPlan:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (field.p,):
             raise ValueError("PMF length must equal the field size")
-        if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("probs must be a normalized PMF")
         ideal = probs * block_length
         counts = np.floor(ideal).astype(int)

@@ -48,10 +48,11 @@ class SymbolDistribution:
                 f"PMF over F_{self.field.p} must have length {self.field.p}, "
                 f"got shape {probs.shape}"
             )
-        if np.any(probs < 0.0):
-            raise ValueError("PMF entries must be nonnegative")
+        # NaN fails every comparison, so each check states what must hold
+        if not np.all(probs >= 0.0):
+            raise ValueError("PMF entries must be nonnegative numbers")
         total = probs.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"PMF sums to {total!r}, expected 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)

@@ -19,6 +19,7 @@ from primeshape.awgn_mi import (
     mi_real,
     mi_real_points,
 )
+from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import (
     Constellation,
     CqamParams,
@@ -73,6 +74,23 @@ def test_dimension_mismatch_rejected():
     cq = build_cqam(Prime(5))
     with pytest.raises(ValueError):
         mi_complex_cqam(cq, ChannelSnr(1.0, "real"))
+
+
+def test_mismatched_lengths_rejected():
+    pts, pri = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    with pytest.raises(ValueError):
+        mi_real_points(np.array([-1.0, 0.0, 1.0]), pri, 1.0)
+    with pytest.raises(ValueError):
+        mi_real_points(pts, np.full(3, 1 / 3), 1.0)
+    with pytest.raises(ValueError):
+        mi_complex_points(pts + 0j, np.full(3, 1 / 3), 1.0)
+    for kw in (
+        {"condition_on": pts + 0j, "condition_weights": np.array([1.0])},
+        {"condition_on": pts + 0j},
+        {"condition_weights": pri},
+    ):
+        with pytest.raises(ValueError):
+            mi_complex_points(pts + 0j, pri, 1.0, **kw)
 
 
 def test_shell_nonuniform_priors_rejected():
@@ -174,7 +192,8 @@ def mi_complex_points_oracle(
             continue
         y = x + shift
         d2 = np.abs(y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
-        integrand = (-t2 - logsumexp(logp[None, None, :] - d2, axis=2)) / math.log(2.0)
+        lse = logsumexp(logp[None, None, :] - d2, axis=2)
+        integrand = (-t2 - lse) / math.log(2.0)
         total += weight * float((w2 * integrand).sum()) / math.pi
     return total
 
@@ -182,8 +201,8 @@ def mi_complex_points_oracle(
 def _shaped_cqam(p, nu):
     """p^2-point CQAM with a Maxwell-Boltzmann shell prior, and its shell PMF."""
     field = Prime(p)
-    stretch = {7: Stretch(4.8, 0.76), 13: Stretch(6.0, 0.80)}.get(p)
-    c = build_cqam_stretched(field, CqamParams(stretch=stretch)) if stretch else build_cqam(field)
+    params = CqamParams(stretch=REFERENCE_STRETCH.get(p))
+    c = (build_cqam_stretched if params.stretch else build_cqam)(field, params)
     shell = MaxwellBoltzmann.from_amplitudes(nu, c.shells.radii)
     return c.with_priors(cqam_prior(shell, field)), shell.probs
 
@@ -205,23 +224,27 @@ def test_complex_kernel_equals_oracle_on_grid():
                 if terms > largest:
                     continue
                 for sigma in (0.05, 0.3, 2.0) if terms < 4e6 else (0.3,):
-                    got = mi_complex_points(c.points, c.priors, sigma, nodes, **kw)
-                    want = mi_complex_points_oracle(c.points, c.priors, sigma, nodes, **kw)
+                    args = (c.points, c.priors, sigma, nodes)
+                    got = mi_complex_points(*args, **kw)
+                    want = mi_complex_points_oracle(*args, **kw)
                     assert abs(got - want) < 1e-13, (p, nodes, sigma, kw.keys())
 
 
 def _random_complex_cases(count, seed):
     rng = np.random.default_rng(seed)
-    for pts, pri, sigma, _ in _random_real_cases(count, seed):
-        pts = pts[:13] + 1j * rng.normal(size=pts[:13].size) * rng.choice([0.0, 1.0, 3.0])
-        pri = pri[:13] / pri[:13].sum() if pri[:13].sum() > 0 else np.full(pts.size, 1 / pts.size)
-        nodes = int(rng.choice([2, 8, 24]))
+    for _ in range(count):
+        k = int(rng.integers(1, 14))
+        pts = (rng.normal(size=k) + 1j * rng.normal(size=k)) * rng.choice([1.0, 3.0])
+        pri = rng.random(k)
+        if k > 1 and rng.random() < 0.3:
+            pri[rng.integers(0, k)] = 0.0
+        sigma = float(np.exp(rng.uniform(-3.0, 2.0)))
+        case = (pts, pri / pri.sum(), sigma, int(rng.choice([2, 8, 24])))
         if rng.random() < 0.5:
-            yield pts, pri, sigma, nodes
-        else:
             # conditioning on a subset, as the symmetry reduction does
-            k = int(rng.integers(0, pts.size + 1))
-            yield pts, pri, sigma, nodes, pts[:k], rng.random(k)
+            j = int(rng.integers(0, k + 1))
+            case += (pts[:j], rng.random(j))
+        yield case
 
 
 def _random_real_cases(count, seed):
@@ -312,7 +335,8 @@ def test_complex_kernel_allocates_no_full_size_temporaries():
 def _real_alphabets(draw):
     k = draw(st.integers(1, 13))
     pts = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
-    pri = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]), min_size=k, max_size=k))
+    weight = st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0])
+    pri = draw(st.lists(weight, min_size=k, max_size=k))
     if sum(pri) == 0.0:
         pri[0] = 1.0
     pri = np.array(pri) / sum(pri)

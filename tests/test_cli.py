@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
+from primeshape.constellations import Stretch
+from primeshape.field import Prime
+from primeshape.shaping import CompositionPlan, MaxwellBoltzmann
+from primeshape.sumdist import SymbolDistribution
 
 
 def _run(capsys, argv):
@@ -201,6 +206,22 @@ def test_table_unreachable_rate_is_marked(capsys):
     assert doc["rows"][0]["status"].startswith("unreachable")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nodes", "1"], "need at least 2 quadrature nodes"),
+        (["--nodes", "400"], "Hermite weights overflow at 400 nodes"),
+        (["--mode", "cqam", "--search-nodes", "1"], "need at least 2 quadrature nodes"),
+    ],
+)
+def test_table_invalid_node_count_exits_2(capsys, argv, message):
+    # an input error, not an "unreachable" row
+    code, out, err = _run(capsys, ["table", "-p", "7", "--rc", "2/3", *argv])
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_table_output_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, _, _ = _run(
@@ -266,6 +287,42 @@ def test_pas_rejects_bad_rates(capsys):
         capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "8", "--frames", "50"]
     )
     assert code == 2  # 8 * 2/3 not an integer
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+_TWO = np.array([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        ["construct", "-p", "7", "--stretch", "{x}", "0.7"],
+        ["sum-dist", "-p", "5", "--factor", "{x},0.25,0.25,0.25,0.25"],
+        ["table", "--mode", "cqam", "-p", "7", "--stretch", "{x}", "0.7"],
+        ["pas", "-p", "7", "--nu", "{x}"],
+        lambda x: Stretch(x, 0.7),
+        lambda x: Stretch(4.8, x),
+        lambda x: SymbolDistribution(Prime(3), [x, 0.5, 0.5]),
+        lambda x: MaxwellBoltzmann(0.1, [1.0, 2.0], [x, 0.5]),
+        lambda x: MaxwellBoltzmann.from_amplitudes(x, [1.0, 2.0]),
+        lambda x: CompositionPlan.from_distribution(Prime(3), [x, 0.5, 0.5], 8),
+        lambda x: mi_real_points(_TWO, _TWO / 4 + 0.5, x),
+        lambda x: mi_complex_points(_TWO + 0j, _TWO / 4 + 0.5, x),
+    ],
+)
+def test_nonfinite_input_rejected(capsys, x, case):
+    # NaN passes a check written as `value <= bound`
+    if isinstance(case, list):
+        code, _, err = _run(capsys, [arg.format(x=x) for arg in case])
+        assert code == 2
+        assert x in err or "finite" in err
+    else:
+        with pytest.raises(ValueError):
+            case(float(x))
 
 
 # ---------------------------------------------------------------------------
