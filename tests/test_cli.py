@@ -293,9 +293,6 @@ def test_pas_rejects_bad_rates(capsys):
 # non-finite input
 # ---------------------------------------------------------------------------
 
-_TWO = np.array([-1.0, 1.0])
-
-
 @pytest.mark.parametrize("x", ["nan", "inf"])
 @pytest.mark.parametrize(
     "case",
@@ -310,8 +307,13 @@ _TWO = np.array([-1.0, 1.0])
         lambda x: MaxwellBoltzmann(0.1, [1.0, 2.0], [x, 0.5]),
         lambda x: MaxwellBoltzmann.from_amplitudes(x, [1.0, 2.0]),
         lambda x: CompositionPlan.from_distribution(Prime(3), [x, 0.5, 0.5], 8),
-        lambda x: mi_real_points(_TWO, _TWO / 4 + 0.5, x),
-        lambda x: mi_complex_points(_TWO + 0j, _TWO / 4 + 0.5, x),
+        lambda x: mi_real_points(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), x),
+        lambda x: mi_complex_points(np.array([-1.0, 1.0j]), np.array([0.5, 0.5]), x),
+    ],
+    ids=[
+        "construct", "sum-dist", "table", "pas", "rho_max", "beta", "SymbolDistribution",
+        "MaxwellBoltzmann", "from_amplitudes", "from_distribution", "mi_real_points",
+        "mi_complex_points",
     ],
 )
 def test_nonfinite_input_rejected(capsys, x, case):
