@@ -29,6 +29,7 @@ from .constellations import (
 from .field import FpSymbol, Prime, add, ask_point, ask_symbol, is_prime
 from .optimizer import (
     ShapingSolution,
+    UnreachableRateError,
     compute_table,
     emit_table,
     optimize_cqam,
@@ -75,6 +76,7 @@ __all__ = [
     "ShellStructure",
     "Stretch",
     "SymbolDistribution",
+    "UnreachableRateError",
     "add",
     "ask_energy",
     "ask_point",

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_NODES, _hermgauss
+from .awgn_mi import DEFAULT_NODES
 from .constellations import (
     CqamParams,
     Stretch,
@@ -38,6 +38,7 @@ from .field import Prime
 from .optimizer import (
     NU_REL_TOL,
     RATE_TOL,
+    UnreachableRateError,
     compute_table,
     emit_table,
     optimize_cqam,
@@ -198,9 +199,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    # an invalid node count is an input error, not an unreachable row
-    for nodes in (args.nodes, args.search_nodes):
-        _hermgauss(nodes)
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]
@@ -253,7 +251,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         def run():
             try:
                 return task()
-            except ValueError as exc:
+            except UnreachableRateError as exc:
                 return {**label, "status": f"unreachable: {exc}"}
 
         return run

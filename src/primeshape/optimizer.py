@@ -37,6 +37,11 @@ The uniform p-ASK baseline serves both ASK schemes.  The nu search is
 golden-section on [0, nu_max] with automatic widening when the optimum
 lands at the upper edge; gamma solves are bisections on log gamma till
 |rate - target| < 1e-9 bits.
+
+A target rate a scheme cannot reach raises `UnreachableRateError`, a
+ValueError subclass; the nu search treats it as an infeasible nu and
+`table` reports such a row as unreachable.  Every other ValueError is an
+input error (a bad coding rate, node count or nu) and propagates.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import numpy as np
 
 from .awgn_mi import (
     DEFAULT_NODES,
+    _rule,
     capacity_gamma,
     mi_complex_points,
     mi_real_points,
@@ -81,29 +87,26 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def snr_for_rate(
-    rate_fn: Callable[[float], float],
-    target: float,
-    *,
-    tol: float = RATE_TOL,
-    lo: float = 1e-9,
-    hi: float = 4.0,
-    hi_cap: float = 1e15,
-    max_iter: int = 600,
-) -> float:
+class UnreachableRateError(ValueError):
+    """The target rate lies above what a scheme reaches at any SNR."""
+
+
+def snr_for_rate(rate_fn: Callable[[float], float], target: float) -> float:
     """Invert a monotone rate curve: smallest gamma with rate >= target.
 
-    Expands the bracket geometrically, then bisects on log gamma until
-    |rate - target| < tol.  Raises ValueError when the target exceeds
-    the curve's reachable range and RuntimeError on non-convergence.
+    Expands the bracket [1e-9, 4] geometrically, then bisects on log
+    gamma until |rate - target| < RATE_TOL.  Raises UnreachableRateError
+    when the target exceeds the curve's reachable range, ValueError for
+    a nonpositive target and RuntimeError on non-convergence.
     """
     if target <= 0.0:
         raise ValueError("target rate must be positive")
+    lo, hi = 1e-9, 4.0
     r_hi = rate_fn(hi)
     while r_hi < target:
         hi *= 8.0
-        if hi > hi_cap:
-            raise ValueError(
+        if hi > 1e15:
+            raise UnreachableRateError(
                 f"target rate {target:.6f} is unreachable for this scheme"
             )
         r_hi = rate_fn(hi)
@@ -113,10 +116,10 @@ def snr_for_rate(
         if lo < 1e-300:
             raise ValueError("target rate reached at arbitrarily small gamma")
         r_lo = rate_fn(lo)
-    for _ in range(max_iter):
+    for _ in range(600):
         mid = math.sqrt(lo * hi)
         r = rate_fn(mid)
-        if abs(r - target) < tol:
+        if abs(r - target) < RATE_TOL:
             return mid
         if r < target:
             lo = mid
@@ -125,21 +128,18 @@ def snr_for_rate(
     raise RuntimeError("SNR bisection did not converge to the rate tolerance")
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f; ties move toward lo.
+def _golden_section(f: Callable[[float], float], hi: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal f on [0, hi]; ties move toward 0.
 
     f may return inf on infeasible regions (e.g. target rate unreachable
     at large nu); the tie rule then keeps the search in the feasible
-    part of the bracket.
+    part of the bracket.  Stops at width NU_REL_TOL * hi.
     """
-    span = hi - lo
-    a, b = lo, hi
+    a, b = 0.0, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * span:
+    while (b - a) > NU_REL_TOL * hi:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -153,20 +153,16 @@ def _golden_section(
     return d, fd
 
 
-def _minimize_nu(
-    f: Callable[[float], float],
-    nu_max: float,
-    *,
-    rel_tol: float = NU_REL_TOL,
-    max_widen: int = 6,
-) -> tuple[float, float]:
-    """Minimize gamma_A over nu in [0, nu_max], widening the bracket when
-    the optimum sits at the upper edge."""
+def _minimize_nu(f: Callable[[float], float], nu_max: float) -> tuple[float, float]:
+    """Minimize gamma_A over nu in [0, nu_max], doubling the bracket up to
+    six times when the optimum sits at the upper edge."""
     hi = nu_max
-    for _ in range(max_widen + 1):
-        nu, val = _golden_section(f, 0.0, hi, rel_tol)
+    for _ in range(7):
+        nu, val = _golden_section(f, hi)
         if not math.isfinite(val):
-            raise ValueError("target rate unreachable at every shaping parameter")
+            raise UnreachableRateError(
+                "target rate unreachable at every shaping parameter"
+            )
         if nu < 0.98 * hi:
             return nu, val
         warnings.warn(
@@ -237,20 +233,22 @@ def _optimize(
     at `search_nodes` and is re-solved at `nodes` when those differ.
     """
     coding_rate = _check_coding_rate(coding_rate)
+    for n in (nodes, search_nodes):
+        _rule(n, 1)  # an invalid node count fails here, before any solve (cached)
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
     def gamma_of_nu(nu_val: float, n: int) -> float:
         try:
             return snr_for_rate(scheme.curve(nu_val, n), solve_target)
-        except ValueError:
+        except UnreachableRateError:
             return math.inf
 
     gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target)
     if nu is not None:
         nu_star, gamma_a = nu, gamma_of_nu(nu, nodes)
         if not math.isfinite(gamma_a):
-            raise ValueError(f"target rate unreachable at nu={nu}")
+            raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         nu_star, gamma_a = _minimize_nu(
             lambda v: gamma_of_nu(v, search_nodes), nu_max or scheme.nu_max

@@ -222,6 +222,24 @@ def test_table_invalid_node_count_exits_2(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-p", "4", "--rc", "2/3"], "4 is not prime"),
+        (["--mode", "cqam", "-p", "2", "--rc", "2/3"], "requires an odd prime"),
+        (["-p", "7", "--rc", "1/3"], "coding rate 1/3 outside [1/2, 1]"),
+        (["-p", "7", "--rc", "0"], "coding rate 0 outside [1/2, 1]"),
+    ],
+    ids=["composite", "even", "rc=1/3", "rc=0"],
+)
+def test_table_invalid_input_exits_2(capsys, argv, message):
+    # input errors end the command; only an unreachable rate becomes a row
+    code, out, err = _run(capsys, ["table", "--nodes", "16", *argv])
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_table_output_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, _, _ = _run(

@@ -10,6 +10,7 @@ from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
 from primeshape.optimizer import (
     ShapingSolution,
+    UnreachableRateError,
     compute_table,
     emit_table,
     optimize_cqam,
@@ -48,12 +49,14 @@ def test_snr_for_rate_unreachable_target():
     # 1/(1+g) stays positive over the whole bracket range, so the supremum
     # is genuinely unattainable (unlike exp(-g), which underflows to zero)
     rate_fn = lambda g: 2.0 - 1.0 / (1.0 + g)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnreachableRateError):
         snr_for_rate(rate_fn, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnreachableRateError):
         snr_for_rate(rate_fn, 2.5)
-    with pytest.raises(ValueError):
+    # a nonpositive target is an input error, not an unreachable rate
+    with pytest.raises(ValueError) as exc:
         snr_for_rate(rate_fn, -1.0)
+    assert not isinstance(exc.value, UnreachableRateError)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +237,48 @@ def test_forced_nu_solves_baseline_and_one_point(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))
 def test_forced_nu_unreachable(scheme):
-    with pytest.raises(ValueError, match="unreachable at nu"):
+    with pytest.raises(UnreachableRateError, match="unreachable at nu"):
         FORCED[scheme](50.0, Fraction(9, 10))
+
+
+NAN, INF = float("nan"), float("inf")
+NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=1),
+         "need at least 2 quadrature nodes"),
+        (lambda: optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=400),
+         "Hermite weights overflow at 400 nodes"),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=-1.0),
+         NU_MESSAGE),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=NAN),
+         NU_MESSAGE),
+        (lambda: optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=16, nu=INF),
+         NU_MESSAGE),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu_max=-1.0),
+         NU_MESSAGE),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu_max=NAN),
+         NU_MESSAGE),
+    ],
+    ids=[
+        "search_nodes=1", "search_nodes=400", "nu=-1", "nu=nan", "nu=inf",
+        "nu_max=-1", "nu_max=nan",
+    ],
+)
+def test_invalid_input_is_not_an_unreachable_rate(run, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        run()
+    assert not isinstance(exc.value, UnreachableRateError)
+
+
+def test_invalid_node_count_fails_before_any_solve(monkeypatch):
+    counts = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="need at least 2 quadrature nodes"):
+        optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=1)
+    assert counts == {"solves": 0, "search": 0}
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
