@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .awgn_mi import DEFAULT_NODES
 from .constellations import (
+    DEFAULT_PHASE_STEPS,
     CqamParams,
     Stretch,
     build_cqam,
@@ -36,6 +37,7 @@ from .constellations import (
 )
 from .field import Prime
 from .optimizer import (
+    DEFAULT_SEARCH_NODES,
     NU_REL_TOL,
     RATE_TOL,
     UnreachableRateError,
@@ -46,7 +48,7 @@ from .optimizer import (
     optimize_time_sharing,
     solution_record,
 )
-from .pas import CodeSpec, empirical_distributions, generate_frames
+from .pas import DEFAULT_DM_BLOCK, CodeSpec, empirical_distributions, generate_frames
 from .shaping import MaxwellBoltzmann
 from .sumdist import (
     NORMALIZATION_TOL,
@@ -199,6 +201,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]
@@ -303,9 +307,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
         "input_length": plan.input_length(),
         "rate_bits_per_symbol": plan.rate_bits(),
     }
-    doc = {"provenance": _provenance(args), **report}
-    _write_output(json.dumps(doc, indent=2) + "\n", args.output)
-
+    # frames first: an unwritable dump path then leaves no report behind
     if args.dump_frames:
         with open(args.dump_frames, "w") as fh:
             for key, value in _provenance(args).items():
@@ -317,6 +319,8 @@ def cmd_pas(args: argparse.Namespace) -> int:
                     f"{' '.join(map(str, frame.phase_symbols))},"
                     f"{' '.join(map(str, frame.point_indices))}\n"
                 )
+    doc = {"provenance": _provenance(args), **report}
+    _write_output(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
 
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("RHO_MAX", "BETA"),
         help="stretch shell radii to rho_max with exponent beta",
     )
-    ct.add_argument("--phase-steps", type=int, default=4096)
+    ct.add_argument("--phase-steps", type=int, default=DEFAULT_PHASE_STEPS)
     ct.add_argument("-o", "--output", help="points CSV path (default stdout)")
     ct.set_defaults(func=cmd_construct, no_stretch=False)
 
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument(
         "--search-nodes",
         type=int,
-        default=48,
+        default=DEFAULT_SEARCH_NODES,
         help="quadrature nodes during the nu search (final solve uses --nodes)",
     )
     tb.add_argument("--jobs", type=int, default=1, help="parallel row evaluation")
@@ -414,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-n", type=int, help="code length n (default: smallest even length)"
     )
     ps.add_argument("--nu", type=float, default=0.05, help="shell shaping parameter")
-    ps.add_argument("--dm-block", type=int, default=64, help="matcher block length")
+    ps.add_argument(
+        "--dm-block", type=int, default=DEFAULT_DM_BLOCK, help="matcher block length"
+    )
     ps.add_argument("--frames", type=int, default=20_000)
     ps.add_argument("--seed", type=int, default=1)
     ps_stretch = ps.add_mutually_exclusive_group()
@@ -433,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -56,6 +56,10 @@ class Stretch:
             raise ValueError("stretch exponent beta must be positive and finite")
 
 
+#: Default size of the CQAM phase grid.
+DEFAULT_PHASE_STEPS = 4096
+
+
 @dataclass(frozen=True, slots=True)
 class CqamParams:
     """Construction parameters for build_cqam / build_cqam_stretched.
@@ -63,7 +67,7 @@ class CqamParams:
     phase_steps is the size of the uniform phase grid on [-pi/p, pi/p].
     """
 
-    phase_steps: int = 4096
+    phase_steps: int = DEFAULT_PHASE_STEPS
     stretch: Stretch | None = None
 
     def __post_init__(self) -> None:

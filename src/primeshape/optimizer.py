@@ -78,6 +78,9 @@ RATE_TOL = 1e-9
 #: Relative width at which the golden-section nu search terminates.
 NU_REL_TOL = 1e-4
 
+#: Default Gauss-Hermite node count per real dimension of the CQAM nu search.
+DEFAULT_SEARCH_NODES = 48
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 Convention = Literal["shaped", "time-averaged"]
@@ -378,7 +381,7 @@ def optimize_cqam(
     params: CqamParams | None = None,
     *,
     nodes: int = DEFAULT_NODES,
-    search_nodes: int = 48,
+    search_nodes: int = DEFAULT_SEARCH_NODES,
     nu: float | None = None,
     nu_max: float | None = None,
 ) -> ShapingSolution:

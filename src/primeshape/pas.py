@@ -31,6 +31,9 @@ from .constellations import Constellation
 from .field import Prime
 from .shaping import CompositionPlan, MaxwellBoltzmann, ccdm_encode
 
+#: Default distribution-matcher block length of `generate_frames`.
+DEFAULT_DM_BLOCK = 64
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CodeSpec:
@@ -175,7 +178,7 @@ def generate_frames(
     shell_prior: MaxwellBoltzmann,
     num_frames: int,
     seed: int,
-    dm_block: int = 64,
+    dm_block: int = DEFAULT_DM_BLOCK,
 ) -> tuple[list[PasFrame], CompositionPlan]:
     """Run the full chain: matcher blocks feed frames, source is uniform.
 

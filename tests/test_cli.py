@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from primeshape import cli
 from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
 from primeshape.constellations import Stretch
@@ -240,6 +241,17 @@ def test_table_invalid_input_exits_2(capsys, argv, message):
     assert out == ""
 
 
+def test_table_non_convergence_exits_3(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise RuntimeError("SNR bisection did not converge to the rate tolerance")
+
+    monkeypatch.setattr(cli, "optimize_time_sharing", diverge)
+    code, out, err = _run(capsys, ["table", "-p", "7", "--rc", "2/3"])
+    assert code == 3
+    assert "error: SNR bisection did not converge" in err
+    assert out == ""
+
+
 def test_table_output_file(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, _, _ = _run(
@@ -305,6 +317,33 @@ def test_pas_rejects_bad_rates(capsys):
         capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "8", "--frames", "50"]
     )
     assert code == 2  # 8 * 2/3 not an integer
+
+
+# ---------------------------------------------------------------------------
+# unreadable and unwritable files, bad job counts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sum-dist", "-p", "5", "--factors-file", "{missing}.csv"], "No such file"),
+        (["construct", "-p", "5", "-o", "{missing}/x.csv"], "No such file"),
+        (["pas", "-p", "7", "--frames", "50", "--dump-frames", "{missing}/f.csv"],
+         "No such file"),
+        (["table", "-p", "7", "--rc", "2/3", "--nodes", "16", "-o", "{missing}/t.csv"],
+         "No such file"),
+        (["table", "-p", "7", "--rc", "2/3", "--jobs", "0"], "--jobs must be at least 1"),
+        (["table", "-p", "7", "--rc", "2/3", "--jobs", "-3"], "--jobs must be at least 1"),
+    ],
+    ids=["sum-dist-input", "construct-output", "pas-dump", "table-output", "jobs=0", "jobs=-3"],
+)
+def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing")
+    code, out, err = _run(capsys, [arg.format(missing=missing) for arg in argv])
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,21 @@ def test_snr_for_rate_unreachable_target():
     assert not isinstance(exc.value, UnreachableRateError)
 
 
+def test_snr_for_rate_non_convergence():
+    # a step curve jumps over the target, so no gamma meets the tolerance
+    with pytest.raises(RuntimeError, match="did not converge"):
+        snr_for_rate(lambda g: 0.0 if g < 1.0 else 2.0, 1.0)
+
+
+def test_nu_search_gives_up_after_six_widenings():
+    # a minimum always at the upper edge: six doublings never contain it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="widening failed"):
+            optimizer._minimize_nu(lambda v: -v, 0.1)
+    assert sum("widening the bracket" in str(w.message) for w in caught) == 7
+
+
 # ---------------------------------------------------------------------------
 # time sharing
 # ---------------------------------------------------------------------------
