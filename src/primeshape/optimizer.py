@@ -237,7 +237,7 @@ def _optimize(
     """
     coding_rate = _check_coding_rate(coding_rate)
     for n in (nodes, search_nodes):
-        _rule(n, 1)  # an invalid node count fails here, before any solve (cached)
+        _rule(n, 1)  # rejects a bad node count before any solve; cached
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
