@@ -30,7 +30,6 @@ from .field import FpSymbol, Prime, add, ask_point, ask_symbol, is_prime
 from .optimizer import (
     ShapingSolution,
     UnreachableRateError,
-    compute_table,
     emit_table,
     optimize_cqam,
     optimize_shaped_ask,
@@ -87,7 +86,6 @@ __all__ = [
     "capacity_gamma",
     "ccdm_decode",
     "ccdm_encode",
-    "compute_table",
     "cqam_prior",
     "emit_table",
     "empirical_distributions",

@@ -41,7 +41,6 @@ from .optimizer import (
     NU_REL_TOL,
     RATE_TOL,
     UnreachableRateError,
-    compute_table,
     emit_table,
     optimize_cqam,
     optimize_shaped_ask,
@@ -201,8 +200,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]
@@ -214,8 +211,16 @@ def cmd_table(args: argparse.Namespace) -> int:
             Fraction(17, 20), Fraction(9, 10), Fraction(19, 20),
         ]
 
-    tasks = []
-    labels = []
+    rows = []
+
+    def solve(scheme: str, optimize, p: int, rc: Fraction, **kwargs) -> None:
+        """Append optimize's solution at (p, rc), or an unreachable-rate row."""
+        try:
+            rows.append(optimize(Prime(p), rc, **kwargs))
+        except UnreachableRateError as exc:
+            label = {"scheme": scheme, "p": p, "Rc": str(rc)}
+            rows.append({**label, "status": f"unreachable: {exc}"})
+
     if args.mode == "time-sharing":
         conventions = (
             ["shaped", "time-averaged"] if args.convention == "both" else [args.convention]
@@ -223,46 +228,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         for conv in conventions:
             for p in primes:
                 for rc in rates:
-                    labels.append({"scheme": "time-sharing", "p": p, "Rc": str(rc)})
-                    tasks.append(
-                        lambda p=p, rc=rc, conv=conv: optimize_time_sharing(
-                            Prime(p), rc, convention=conv, nodes=args.nodes
-                        )
-                    )
+                    solve("time-sharing", optimize_time_sharing, p, rc,
+                          convention=conv, nodes=args.nodes)
     else:
         for p in primes:
             stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(p))
             params = CqamParams(stretch=stretch)
             for rc in rates:
-                labels.append({"scheme": "shaped-ask-squared", "p": p, "Rc": str(rc)})
-                tasks.append(
-                    lambda p=p, rc=rc: optimize_shaped_ask(
-                        Prime(p), rc, nodes=args.nodes
-                    )
-                )
-                labels.append({"scheme": "cqam", "p": p, "Rc": str(rc)})
-                tasks.append(
-                    lambda p=p, rc=rc, params=params: optimize_cqam(
-                        Prime(p),
-                        rc,
-                        params,
-                        nodes=args.nodes,
-                        search_nodes=args.search_nodes,
-                    )
-                )
+                solve("shaped-ask-squared", optimize_shaped_ask, p, rc, nodes=args.nodes)
+                solve("cqam", optimize_cqam, p, rc, params=params,
+                      nodes=args.nodes, search_nodes=args.search_nodes)
 
-    def guarded(task, label):
-        def run():
-            try:
-                return task()
-            except UnreachableRateError as exc:
-                return {**label, "status": f"unreachable: {exc}"}
-
-        return run
-
-    rows = compute_table(
-        [guarded(t, lab) for t, lab in zip(tasks, labels)], jobs=args.jobs
-    )
     text = emit_table(rows, fmt=args.format, provenance=_provenance(args))
     _write_output(text, args.output)
     return 0
@@ -406,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEARCH_NODES,
         help="quadrature nodes during the nu search (final solve uses --nodes)",
     )
-    tb.add_argument("--jobs", type=int, default=1, help="parallel row evaluation")
     tb.add_argument("--format", choices=["csv", "json"], default="csv")
     tb.add_argument("-o", "--output", help="output path (default stdout)")
     tb.set_defaults(func=cmd_table)

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping
 
 import numpy as np
 
@@ -441,16 +440,6 @@ _DB_FIELDS = {
     "gamma_cap_db",
     "gamma_unif_db",
 }
-
-
-def compute_table(
-    tasks: Sequence[Callable[[], object]], jobs: int = 1
-) -> list[object]:
-    """Evaluate row tasks, optionally in parallel, preserving input order."""
-    if jobs <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda task: task(), tasks))
 
 
 def solution_record(sol: ShapingSolution) -> dict:

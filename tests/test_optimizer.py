@@ -11,7 +11,6 @@ from primeshape.field import Prime
 from primeshape.optimizer import (
     ShapingSolution,
     UnreachableRateError,
-    compute_table,
     emit_table,
     optimize_cqam,
     optimize_shaped_ask,
@@ -382,12 +381,6 @@ def test_emit_table_passes_marker_rows_through():
         [{"p": 7, "Rc": "2/3", "status": "unreachable: rate too high"}], fmt="csv"
     )
     assert "unreachable: rate too high" in text
-
-
-def test_compute_table_parallel_preserves_order():
-    tasks = [lambda i=i: i * i for i in range(8)]
-    assert compute_table(tasks, jobs=4) == [i * i for i in range(8)]
-    assert compute_table(tasks, jobs=1) == [i * i for i in range(8)]
 
 
 def test_solution_record_columns():

@@ -234,9 +234,11 @@ def test_empirical_distributions_guards():
         )
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # only empirical_distributions needs scipy.stats, and it imports it itself
-    code = "import sys, primeshape.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "concurrent.futures"])
+def test_package_import_leaves_scipy_stats_unloaded(module):
+    # only empirical_distributions needs scipy.stats, and it imports it itself;
+    # table solves its rows in one loop, without a thread pool
+    code = f"import sys, primeshape.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
