@@ -159,7 +159,7 @@ def _minimize_nu(f: Callable[[float], float], nu_max: float) -> tuple[float, flo
     """Minimize gamma_A over nu in [0, nu_max], doubling the bracket up to
     six times when the optimum sits at the upper edge."""
     hi = nu_max
-    for _ in range(7):
+    while True:
         nu, val = _golden_section(f, hi)
         if not math.isfinite(val):
             raise UnreachableRateError(
@@ -167,13 +167,14 @@ def _minimize_nu(f: Callable[[float], float], nu_max: float) -> tuple[float, flo
             )
         if nu < 0.98 * hi:
             return nu, val
+        if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
+            raise RuntimeError("nu bracket widening failed to contain the optimum")
         warnings.warn(
             f"shaping optimum at the nu grid edge ({nu:.4g}); "
             f"widening the bracket to {2 * hi:.4g}",
             stacklevel=4,
         )
         hi *= 2.0
-    raise RuntimeError("nu bracket widening failed to contain the optimum")
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,6 +238,9 @@ def _optimize(
     coding_rate = _check_coding_rate(coding_rate)
     for n in (nodes, search_nodes):
         _rule(n, 1)  # rejects a bad node count before any solve; cached
+    nu_max = scheme.nu_max if nu_max is None else nu_max
+    if not 0.0 < nu_max < math.inf:
+        raise ValueError(f"nu_max must be positive and finite, got {nu_max}")
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
@@ -253,7 +257,7 @@ def _optimize(
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         nu_star, gamma_a = _minimize_nu(
-            lambda v: gamma_of_nu(v, search_nodes), nu_max or scheme.nu_max
+            lambda v: gamma_of_nu(v, search_nodes), nu_max
         )
         if search_nodes != nodes:
             gamma_a = gamma_of_nu(nu_star, nodes)

@@ -223,8 +223,10 @@ def empirical_distributions(
     against shell_target (default: the empirical shell marginal), and a
     chi-square statistic of the per-point counts against the product
     law target_shell x uniform-phase, with the 0.99 quantile for
-    reference.  Fewer than min_frames frames is rejected as
-    statistically meaningless.
+    reference.  The statistic and its degrees of freedom cover the
+    points with a positive expected count; a point the frames use but
+    the target excludes is rejected.  Fewer than min_frames frames is
+    rejected as statistically meaningless.
     """
     if len(frames) < min_frames:
         raise ValueError(
@@ -248,12 +250,16 @@ def empirical_distributions(
         if target.shape != (p,):
             raise ValueError(f"shell target must have {p} entries")
 
+    if not np.all(np.isfinite(target) & (target >= 0.0)):
+        raise ValueError("shell target must be finite and nonnegative")
+
     point_counts = np.bincount(points, minlength=p * p).astype(float)
     expected = np.repeat(target / p, p) * points.size
-    if np.any(expected <= 0.0):
-        raise ValueError("shell target must be strictly positive")
-    stat = float(((point_counts - expected) ** 2 / expected).sum())
-    dof = p * p - 1
+    used = expected > 0.0
+    if np.any(point_counts[~used]):
+        raise ValueError("frames use a point whose expected count is zero")
+    stat = float(((point_counts[used] - expected[used]) ** 2 / expected[used]).sum())
+    dof = int(used.sum()) - 1
     # imported here: scipy.stats adds ~45 MB and ~0.5 s to every import of
     # the package, and only this report needs it
     from scipy.stats import chi2

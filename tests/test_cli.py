@@ -306,6 +306,18 @@ def test_pas_dump_frames(tmp_path, capsys):
     assert len(first[1].split()) == 3  # n/2 shell symbols for n = 6
 
 
+@pytest.mark.parametrize("p, nu, dof", [(13, "0.1", 155), (7, "0.2", 41)])
+def test_pas_near_optimal_nu_leaves_a_shell_empty(capsys, p, nu, dof):
+    # the 64-symbol matcher block gives the outermost shell a count of 0, so
+    # the chi-square covers the p * (p - 1) points of the other shells
+    code, out, err = _run(capsys, ["pas", "-p", str(p), "--nu", nu, "--frames", "2000"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["matcher"]["counts"][-1] == 0
+    assert doc["shells"]["pmf"][-1] == 0.0
+    assert doc["points"]["degrees_of_freedom"] == dof
+
+
 def test_pas_rejects_bad_rates(capsys):
     code, _, err = _run(capsys, ["pas", "-p", "5", "--rc", "1/3", "--frames", "50"])
     assert code == 2

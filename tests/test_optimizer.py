@@ -65,12 +65,13 @@ def test_snr_for_rate_non_convergence():
 
 
 def test_nu_search_gives_up_after_six_widenings():
-    # a minimum always at the upper edge: six doublings never contain it
+    # a minimum always at the upper edge: six doublings never contain it, and
+    # only the six doublings that happen are announced
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="widening failed"):
             optimizer._minimize_nu(lambda v: -v, 0.1)
-    assert sum("widening the bracket" in str(w.message) for w in caught) == 7
+    assert sum("widening the bracket" in str(w.message) for w in caught) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,7 @@ def test_forced_nu_unreachable(scheme):
 
 NAN, INF = float("nan"), float("inf")
 NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
+NU_MAX_MESSAGE = "nu_max must be positive and finite"
 
 
 @pytest.mark.parametrize(
@@ -273,13 +275,15 @@ NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
         (lambda: optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=16, nu=INF),
          NU_MESSAGE),
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu_max=-1.0),
-         NU_MESSAGE),
+         NU_MAX_MESSAGE),
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu_max=NAN),
-         NU_MESSAGE),
+         NU_MAX_MESSAGE),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu_max=0.0),
+         NU_MAX_MESSAGE),
     ],
     ids=[
         "search_nodes=1", "search_nodes=400", "nu=-1", "nu=nan", "nu=inf",
-        "nu_max=-1", "nu_max=nan",
+        "nu_max=-1", "nu_max=nan", "nu_max=0",
     ],
 )
 def test_invalid_input_is_not_an_unreachable_rate(run, message):
