@@ -406,7 +406,7 @@ def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    # rows run in one loop; the removed --jobs flag is an unrecognized argument
+    # table solves its rows in one loop and has no --jobs flag
     with pytest.raises(SystemExit) as exc:
         main(["table", "-p", "7", "--rc", "2/3", "--jobs", "2"])
     assert exc.value.code == 2
