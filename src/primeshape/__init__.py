@@ -26,7 +26,7 @@ from .constellations import (
     figure_of_merit,
     min_distance,
 )
-from .field import FpSymbol, Prime, add, ask_point, ask_symbol, is_prime
+from .field import Prime, ask_amplitudes, is_prime
 from .optimizer import (
     ShapingSolution,
     UnreachableRateError,
@@ -67,7 +67,6 @@ __all__ = [
     "CompositionPlan",
     "Constellation",
     "CqamParams",
-    "FpSymbol",
     "MaxwellBoltzmann",
     "PasFrame",
     "Prime",
@@ -76,10 +75,8 @@ __all__ = [
     "Stretch",
     "SymbolDistribution",
     "UnreachableRateError",
-    "add",
+    "ask_amplitudes",
     "ask_energy",
-    "ask_point",
-    "ask_symbol",
     "build_ask",
     "build_cqam",
     "build_cqam_stretched",

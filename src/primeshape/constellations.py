@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .field import FpSymbol, Prime, ask_point
+from .field import Prime, ask_amplitudes
 
 #: Hard bound on the outermost shell radius; the greedy packing stays
 #: well below it, so hitting the bound indicates a numerical defect.
@@ -148,9 +148,7 @@ class Constellation:
 
 def build_ask(field: Prime) -> Constellation:
     """Zero-mean p-ASK alphabet {-(p-1)/2, ..., (p-1)/2} in symbol order."""
-    pts = np.array(
-        [ask_point(FpSymbol(s, field)) for s in range(field.p)], dtype=complex
-    )
+    pts = ask_amplitudes(field).astype(complex)
     return Constellation(pts, np.full(field.p, 1.0 / field.p))
 
 

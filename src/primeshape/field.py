@@ -1,7 +1,7 @@
-"""Prime-field arithmetic and the odd-prime ASK embedding.
+"""Prime moduli and the odd-prime ASK embedding.
 
-Symbols live in F_p = {0, ..., p-1} with addition mod p.  For odd p the
-field embeds into the integers as a zero-mean amplitude-shift-keying
+Symbols of F_p are the integers 0, ..., p-1 with addition mod p.  For odd
+p the field embeds into the integers as a zero-mean amplitude-shift-keying
 (ASK) alphabet: symbol s maps to the unique point x with x = s (mod p)
 and |x| <= (p - 1) / 2.
 """
@@ -9,6 +9,8 @@ and |x| <= (p - 1) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -39,57 +41,19 @@ class Prime:
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def symbol(self, value: int) -> "FpSymbol":
-        """Construct the field element with the given representative."""
-        return FpSymbol(value, self)
-
     @property
     def half(self) -> int:
         """Largest ASK amplitude (p - 1) / 2 for odd p."""
         return (self.p - 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class FpSymbol:
-    """An element of F_p, stored as its canonical representative."""
-
-    value: int
-    field: Prime
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise TypeError("symbol value must be an int")
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(
-                f"symbol {self.value} outside range of F_{self.field.p}"
-            )
-
-
-def add(a: FpSymbol, b: FpSymbol) -> FpSymbol:
-    """Field addition.  Raises ValueError on mismatched moduli."""
-    if a.field != b.field:
-        raise ValueError(
-            f"cannot add symbols from F_{a.field.p} and F_{b.field.p}"
-        )
-    return FpSymbol((a.value + b.value) % a.field.p, a.field)
-
-
-def ask_point(s: FpSymbol) -> int:
-    """Map a symbol to its ASK amplitude: x = s (mod p), |x| <= (p-1)/2.
+def ask_amplitudes(field: Prime) -> np.ndarray:
+    """ASK amplitude of each symbol 0..p-1: x = s (mod p), |x| <= (p-1)/2.
 
     Defined for odd p only; the embedding is a bijection between F_p and
     {-(p-1)/2, ..., (p-1)/2}.
     """
-    p = s.field.p
-    if p == 2:
-        raise ValueError("ASK embedding requires an odd prime")
-    return s.value if s.value <= s.field.half else s.value - p
-
-
-def ask_symbol(field: Prime, x: int) -> FpSymbol:
-    """Inverse of ask_point: recover the symbol from an amplitude."""
     if field.p == 2:
         raise ValueError("ASK embedding requires an odd prime")
-    if abs(x) > field.half:
-        raise ValueError(f"amplitude {x} outside ASK range for p={field.p}")
-    return FpSymbol(x % field.p, field)
+    s = np.arange(field.p)
+    return np.where(s <= field.half, s, s - field.p)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Prime, FpSymbol, ask_point
+from .field import Prime, ask_amplitudes
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -73,13 +73,10 @@ class MaxwellBoltzmann:
 def mb_ask_prior(field: Prime, nu: float) -> MaxwellBoltzmann:
     """MB prior over the p-ASK alphabet, indexed by symbol value 0..p-1.
 
-    Entry s carries the amplitude |ask_point(s)|, so opposite-sign
-    amplitudes automatically receive equal probability.
+    Entry s carries the magnitude of symbol s's ASK amplitude, so
+    opposite-sign amplitudes automatically receive equal probability.
     """
-    amps = np.array(
-        [abs(ask_point(FpSymbol(s, field))) for s in range(field.p)], dtype=float
-    )
-    return MaxwellBoltzmann.from_amplitudes(nu, amps)
+    return MaxwellBoltzmann.from_amplitudes(nu, np.abs(ask_amplitudes(field)))
 
 
 def ask_energy(prior: MaxwellBoltzmann) -> float:

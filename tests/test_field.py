@@ -1,6 +1,6 @@
 import pytest
 
-from primeshape.field import FpSymbol, Prime, add, ask_point, ask_symbol, is_prime
+from primeshape.field import Prime, ask_amplitudes, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -25,77 +25,25 @@ def test_prime_rejects_composites(bad):
         Prime(bad)
 
 
-def test_symbol_range_validation():
-    f5 = Prime(5)
-    assert f5.symbol(4).value == 4
-    with pytest.raises(ValueError):
-        f5.symbol(5)
-    with pytest.raises(ValueError):
-        f5.symbol(-1)
-
-
-# ---------------------------------------------------------------------------
-# addition
-# ---------------------------------------------------------------------------
-
-
-def test_add_wraps_modulo_p():
-    f7 = Prime(7)
-    assert add(f7.symbol(3), f7.symbol(5)).value == 1
-    assert add(f7.symbol(6), f7.symbol(6)).value == 5
-    assert add(f7.symbol(0), f7.symbol(4)).value == 4
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_add_group_axioms_exhaustive(p):
-    field = Prime(p)
-    elems = [field.symbol(v) for v in range(p)]
-    zero = elems[0]
-    for a in elems:
-        assert add(a, zero) == a
-        for b in elems:
-            assert add(a, b) == add(b, a)
-            for c in elems:
-                assert add(add(a, b), c) == add(a, add(b, c))
-
-
-def test_add_rejects_mismatched_fields():
-    with pytest.raises(ValueError):
-        add(Prime(5).symbol(1), Prime(7).symbol(1))
-
-
 # ---------------------------------------------------------------------------
 # ASK embedding
 # ---------------------------------------------------------------------------
 
 
 def test_ask_point_examples():
-    f7 = Prime(7)
-    expected = {0: 0, 1: 1, 2: 2, 3: 3, 4: -3, 5: -2, 6: -1}
-    for s, x in expected.items():
-        assert ask_point(f7.symbol(s)) == x
+    assert ask_amplitudes(Prime(7)).tolist() == [0, 1, 2, 3, -3, -2, -1]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 def test_ask_embedding_is_a_bijection(p):
-    field = Prime(p)
-    images = [ask_point(field.symbol(s)) for s in range(p)]
+    images = ask_amplitudes(Prime(p)).tolist()
     half = (p - 1) // 2
     assert sorted(images) == list(range(-half, half + 1))
-    # round trip back through the congruence x = s (mod p)
+    # each amplitude is congruent to its symbol: x = s (mod p)
     for s, x in enumerate(images):
         assert x % p == s
-        assert ask_symbol(field, x).value == s
 
 
 def test_ask_point_rejects_even_prime():
-    f2 = Prime(2)
     with pytest.raises(ValueError):
-        ask_point(FpSymbol(1, f2))
-    with pytest.raises(ValueError):
-        ask_symbol(f2, 0)
-
-
-def test_ask_symbol_rejects_out_of_range_amplitude():
-    with pytest.raises(ValueError):
-        ask_symbol(Prime(7), 4)
+        ask_amplitudes(Prime(2))
