@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_NODES
+from .awgn_mi import DEFAULT_NODES, _rule
 from .constellations import (
     DEFAULT_PHASE_STEPS,
     CqamParams,
@@ -45,7 +45,6 @@ from .optimizer import (
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
-    solution_record,
 )
 from .pas import DEFAULT_DM_BLOCK, CodeSpec, empirical_distributions, generate_frames
 from .shaping import MaxwellBoltzmann
@@ -231,6 +230,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                     solve("time-sharing", optimize_time_sharing, p, rc,
                           convention=conv, nodes=args.nodes)
     else:
+        _rule(args.search_nodes, 1)  # rejects a bad node count before any row
         for p in primes:
             stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(p))
             params = CqamParams(stretch=stretch)

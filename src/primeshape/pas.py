@@ -67,10 +67,6 @@ class CodeSpec:
         parity.flags.writeable = False
         object.__setattr__(self, "parity", parity)
 
-    @property
-    def coding_rate(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
     @classmethod
     def random_dense(
         cls,
@@ -260,9 +256,9 @@ def empirical_distributions(
         raise ValueError("frames use a point whose expected count is zero")
     stat = float(((point_counts[used] - expected[used]) ** 2 / expected[used]).sum())
     dof = int(used.sum()) - 1
-    # imported here: scipy.stats adds ~45 MB and ~0.5 s to every import of
-    # the package, and only this report needs it
-    from scipy.stats import chi2
+    # imported here: scipy.special costs ~0.29 s and ~26 MB at import, and
+    # only this report needs it
+    from scipy.special import gammaincinv
 
     return {
         "num_frames": len(frames),
@@ -280,6 +276,6 @@ def empirical_distributions(
         "points": {
             "chi_square": stat,
             "degrees_of_freedom": dof,
-            "chi_square_99pct": float(chi2.ppf(0.99, dof)),
+            "chi_square_99pct": float(2.0 * gammaincinv(dof / 2, 0.99)),
         },
     }

@@ -241,6 +241,19 @@ def test_table_invalid_input_exits_2(capsys, argv, message):
     assert out == ""
 
 
+def test_table_cqam_checks_search_nodes_before_any_row(monkeypatch, capsys):
+    calls = []
+
+    monkeypatch.setattr(cli, "optimize_shaped_ask", lambda *a, **k: calls.append(a))
+    code, out, err = _run(
+        capsys, ["table", "--mode", "cqam", "-p", "13", "--rc", "2/3", "--search-nodes", "1"]
+    )
+    assert code == 2
+    assert "need at least 2 quadrature nodes" in err
+    assert out == ""
+    assert calls == []
+
+
 def test_table_non_convergence_exits_3(monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise RuntimeError("SNR bisection did not converge to the rate tolerance")

@@ -236,11 +236,28 @@ def test_empirical_distributions_guards():
 
 @pytest.mark.parametrize("module", ["scipy.stats", "concurrent.futures"])
 def test_package_import_leaves_scipy_stats_unloaded(module):
-    # only empirical_distributions needs scipy.stats, and it imports it itself;
-    # table solves its rows in one loop, without a thread pool
+    # no module needs scipy.stats (empirical_distributions imports only
+    # scipy.special, itself); table solves its rows in one loop, without a
+    # thread pool
     code = f"import sys, primeshape.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_pas_leaves_scipy_stats_unloaded(tmp_path):
+    # the chi-square quantile comes from scipy.special, not scipy.stats
+    report = tmp_path / "report.json"
+    code = (
+        "import sys; from primeshape.cli import main; "
+        f"code = main(['pas', '-p', '5', '--frames', '200', '-o', {str(report)!r}]); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+    assert report.exists()
