@@ -243,7 +243,6 @@ def test_table_invalid_input_exits_2(capsys, argv, message):
 
 def test_table_cqam_checks_search_nodes_before_any_row(monkeypatch, capsys):
     calls = []
-
     monkeypatch.setattr(cli, "optimize_shaped_ask", lambda *a, **k: calls.append(a))
     code, out, err = _run(
         capsys, ["table", "--mode", "cqam", "-p", "13", "--rc", "2/3", "--search-nodes", "1"]
