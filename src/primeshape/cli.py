@@ -38,8 +38,9 @@ from .constellations import (
 from .field import Prime
 from .optimizer import (
     DEFAULT_SEARCH_NODES,
+    LOG_GAMMA_TOL,
     NU_REL_TOL,
-    RATE_TOL,
+    RATE_RESIDUAL_TOL,
     UnreachableRateError,
     emit_table,
     optimize_cqam,
@@ -71,7 +72,8 @@ def _provenance(args: argparse.Namespace) -> dict:
         "tolerances": json.dumps(
             {
                 "pmf_normalization": NORMALIZATION_TOL,
-                "rate_bisection_bits": RATE_TOL,
+                "snr_solve_log_gamma": LOG_GAMMA_TOL,
+                "snr_solve_rate_residual_bits": RATE_RESIDUAL_TOL,
                 "nu_search_relative_width": NU_REL_TOL,
             }
         ),

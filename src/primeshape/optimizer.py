@@ -33,10 +33,14 @@ dimensions per use).  Three schemes are provided:
   on the complex channel; the uniform baseline is the unstretched
   construction under uniform priors.
 
-The uniform p-ASK baseline serves both ASK schemes.  The nu search is
-golden-section on [0, nu_max] with automatic widening when the optimum
-lands at the upper edge; gamma solves are bisections on log gamma till
-|rate - target| < 1e-9 bits.
+The uniform p-ASK baseline serves both ASK schemes.  Both searches are
+Brent's methods (Brent, Algorithms for Minimization without Derivatives,
+1973).  A gamma solve finds the root of rate(e^t) - target in
+t = log gamma to LOG_GAMMA_TOL, warm-started from a nearby gamma: the
+baseline from gamma_cap, each nu from the previous nu's gamma, and the
+re-solve at `nodes` from the gamma found at `search_nodes`.  The nu
+search is a bounded minimization on [0, nu_max] that doubles the
+bracket while gamma_A still falls at its upper edge.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -47,6 +51,7 @@ input error (a bad coding rate, node count or nu) and propagates.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -71,16 +76,28 @@ from .constellations import (
 from .field import Prime
 from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 
-#: Convergence tolerance of the rate bisection, in bits.
-RATE_TOL = 1e-9
+#: Width in log gamma at which the Brent SNR solve stops: the crossing
+#: lies within this of the returned log gamma (about 4e-8 dB).
+LOG_GAMMA_TOL = 1e-8
 
-#: Relative width at which the golden-section nu search terminates.
+#: Largest |rate - target| in bits accepted at a converged SNR solve; a
+#: larger residual means the curve jumps over the target.
+RATE_RESIDUAL_TOL = 1e-7
+
+#: Relative width at which the Brent nu search terminates.
 NU_REL_TOL = 1e-4
 
 #: Default Gauss-Hermite node count per real dimension of the CQAM nu search.
 DEFAULT_SEARCH_NODES = 48
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
+GAMMA_MIN, GAMMA_MAX = 1e-300, 1e15
+
+#: First step in log gamma away from the bracket hint; later steps at
+#: least double until the rate crosses the target.
+_BRACKET_STEP = 0.1
+
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 Convention = Literal["shaped", "time-averaged"]
 
@@ -93,88 +110,198 @@ class UnreachableRateError(ValueError):
     """The target rate lies above what a scheme reaches at any SNR."""
 
 
-def snr_for_rate(rate_fn: Callable[[float], float], target: float) -> float:
-    """Invert a monotone rate curve: smallest gamma with rate >= target.
+def snr_for_rate(
+    rate_fn: Callable[[float], float], target: float, hint: float | None = None
+) -> float:
+    """Invert a monotone rate curve: the gamma where rate crosses target.
 
-    Expands the bracket [1e-9, 4] geometrically, then bisects on log
-    gamma until |rate - target| < RATE_TOL.  Raises UnreachableRateError
-    when the target exceeds the curve's reachable range, ValueError for
-    a nonpositive target and RuntimeError on non-convergence.
+    Steps out from log `hint` (default gamma = 1) in growing steps till
+    the rate crosses the target, then finds the crossing by Brent's
+    method on t = log gamma, to LOG_GAMMA_TOL in t.  Raises
+    UnreachableRateError when the target exceeds the rate at GAMMA_MAX,
+    ValueError for a nonpositive target or one reached at GAMMA_MIN, and
+    RuntimeError when the converged rate misses the target by more than
+    RATE_RESIDUAL_TOL bits (the curve jumps over it).
     """
     if target <= 0.0:
         raise ValueError("target rate must be positive")
-    lo, hi = 1e-9, 4.0
-    r_hi = rate_fn(hi)
-    while r_hi < target:
-        hi *= 8.0
-        if hi > 1e15:
+    t_min, t_max = math.log(GAMMA_MIN), math.log(GAMMA_MAX)
+    a = min(max(math.log(1.0 if hint is None else hint), t_min), t_max)
+
+    def f(t: float) -> float:
+        rate = rate_fn(math.exp(t))
+        if not math.isfinite(rate):
+            raise RuntimeError(
+                f"SNR solve did not converge: rate {rate} at gamma = {math.exp(t):.6g}"
+            )
+        return rate - target
+
+    fa = f(a)
+    step = _BRACKET_STEP if fa < 0.0 else -_BRACKET_STEP
+    b, fb = a, fa
+    while (fb < 0.0) == (fa < 0.0) and fb != 0.0:
+        if fb < 0.0 and b == t_max:
             raise UnreachableRateError(
                 f"target rate {target:.6f} is unreachable for this scheme"
             )
-        r_hi = rate_fn(hi)
-    r_lo = rate_fn(lo)
-    while r_lo > target:
-        lo /= 64.0
-        if lo < 1e-300:
+        if fb > 0.0 and b == t_min:
             raise ValueError("target rate reached at arbitrarily small gamma")
-        r_lo = rate_fn(lo)
-    for _ in range(600):
-        mid = math.sqrt(lo * hi)
-        r = rate_fn(mid)
-        if abs(r - target) < RATE_TOL:
-            return mid
-        if r < target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("SNR bisection did not converge to the rate tolerance")
+        a, fa = b, fb
+        b = min(max(b + step, t_min), t_max)
+        fb = f(b)
+        # double the step, or go past the secant root if that lies further
+        slope = (fb - fa) / (b - a)
+        reach = abs(fb / slope) if slope > 0.0 else 0.0
+        step = math.copysign(max(2.0 * abs(step), 1.5 * reach), step)
+    t, residual = _brent_root(f, a, fa, b, fb)
+    if abs(residual) > RATE_RESIDUAL_TOL:
+        raise RuntimeError(
+            f"SNR solve did not converge: rate misses the target by "
+            f"{abs(residual):.3g} bits at gamma = {math.exp(t):.6g}"
+        )
+    return math.exp(t)
 
 
-def _golden_section(f: Callable[[float], float], hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [0, hi]; ties move toward 0.
+def _brent_root(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float
+) -> tuple[float, float]:
+    """Root of f bracketed by [a, b] (fa, fb of opposite sign or zero).
 
-    f may return inf on infeasible regions (e.g. target rate unreachable
-    at large nu); the tie rule then keeps the search in the feasible
-    part of the bracket.  Stops at width NU_REL_TOL * hi.
+    Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): inverse quadratic or secant steps, bisection whenever
+    they would not shrink the bracket fast enough.  Once the bracket is
+    LOG_GAMMA_TOL wide, returns the secant root inside it and the
+    smaller |f| of its two ends.
     """
-    a, b = 0.0, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > NU_REL_TOL * hi:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * LOG_GAMMA_TOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            # a secant through the final bracket, which holds the root
+            t = b if fb == 0.0 or fc == fb else b - fb * (c - b) / (fc - fb)
+            return t, fb
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+
+
+def _brent_minimize(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Minimum of a unimodal f on [a, b] by Brent's method; ties move toward 0.
+
+    Parabolic steps through the three best points, golden-section steps
+    when a parabola would not shrink the bracket fast enough (Brent,
+    1973, ch. 5).  Starts from b / 2 and stops when the bracket around
+    the best point is NU_REL_TOL * b wide.
+    """
+    tol = 0.25 * NU_REL_TOL * b
+    x = 0.5 * b
+    fx = f(x)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        if max(x - a, b - x) <= 2.0 * tol:
+            return x, fx
+        golden = True
+        if abs(e) > tol:  # try a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d, golden = p / q, False
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (a - x) if x >= mid else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu < fx or (fu == fx and u < x):
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _minimize_nu(f: Callable[[float], float], nu_max: float) -> tuple[float, float]:
     """Minimize gamma_A over nu in [0, nu_max], doubling the bracket up to
-    six times when the optimum sits at the upper edge."""
-    hi = nu_max
+    six times when the optimum sits at the upper edge.
+
+    f returns inf where the target is unreachable; the search sees
+    GAMMA_MAX * (1 + nu) there instead, which exceeds every reachable
+    gamma and rises with nu, so it leads back toward the feasible part.
+    While f still falls at the edge, f(hi) < f(0.98 hi), hi doubles; an
+    unreachable 0.98 hi ends the doubling without a solve at hi.  One
+    Brent search from hi / 2 then runs on [0, hi], or on [0.49 hi, hi]
+    after a doubling.  f is called once per nu.
+    """
+    cache: dict[float, float] = {}
+
+    def g(nu: float) -> float:
+        if nu not in cache:
+            val = f(nu)
+            cache[nu] = val if math.isfinite(val) else GAMMA_MAX * (1.0 + nu)
+        return cache[nu]
+
+    lo, hi = 0.0, nu_max
     while True:
-        nu, val = _golden_section(f, hi)
-        if not math.isfinite(val):
-            raise UnreachableRateError(
-                "target rate unreachable at every shaping parameter"
-            )
-        if nu < 0.98 * hi:
-            return nu, val
+        edge = g(0.98 * hi)
+        if edge >= GAMMA_MAX or g(hi) >= edge:  # f no longer falls at the edge
+            nu, val = _brent_minimize(g, lo, hi)
+            if nu < 0.98 * hi:
+                break
         if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
             raise RuntimeError("nu bracket widening failed to contain the optimum")
         warnings.warn(
-            f"shaping optimum at the nu grid edge ({nu:.4g}); "
+            f"shaping optimum at the nu grid edge ({hi:.4g}); "
             f"widening the bracket to {2 * hi:.4g}",
             stacklevel=4,
         )
-        hi *= 2.0
+        lo, hi = 0.98 * hi, 2.0 * hi
+    if val >= GAMMA_MAX:
+        raise UnreachableRateError("target rate unreachable at every shaping parameter")
+    return nu, val
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,13 +371,18 @@ def _optimize(
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
+    gamma_cap = capacity_gamma(target, scheme.dimension)
+    gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target, gamma_cap)
+    last = gamma_unif  # each solve starts from the previous one's gamma
+
     def gamma_of_nu(nu_val: float, n: int) -> float:
+        nonlocal last
         try:
-            return snr_for_rate(scheme.curve(nu_val, n), solve_target)
+            last = snr_for_rate(scheme.curve(nu_val, n), solve_target, last)
         except UnreachableRateError:
             return math.inf
+        return last
 
-    gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target)
     if nu is not None:
         nu_star, gamma_a = nu, gamma_of_nu(nu, nodes)
         if not math.isfinite(gamma_a):
@@ -260,8 +392,8 @@ def _optimize(
             lambda v: gamma_of_nu(v, search_nodes), nu_max
         )
         if search_nodes != nodes:
+            last = gamma_a
             gamma_a = gamma_of_nu(nu_star, nodes)
-    gamma_cap = capacity_gamma(target, scheme.dimension)
     return ShapingSolution(
         scheme=scheme.name,
         p=field.p,

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primeshape import constellations, optimizer
+from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
 from primeshape.optimizer import (
+    LOG_GAMMA_TOL,
     ShapingSolution,
     UnreachableRateError,
     emit_table,
@@ -62,6 +65,17 @@ def test_snr_for_rate_non_convergence():
     # a step curve jumps over the target, so no gamma meets the tolerance
     with pytest.raises(RuntimeError, match="did not converge"):
         snr_for_rate(lambda g: 0.0 if g < 1.0 else 2.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(0.01, 10.0), st.floats(-8.0, 12.0))
+def test_snr_for_rate_matches_closed_form_from_any_hint(target, log10_hint):
+    # 0.5 log2(1 + 2 gamma) = target has the root gamma = (4^target - 1) / 2
+    rate_fn = lambda g: 0.5 * math.log2(1.0 + 2.0 * g)
+    root = (4.0**target - 1.0) / 2.0
+    for hint in (10.0**log10_hint, root):
+        g = snr_for_rate(rate_fn, target, hint)
+        assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -163,7 +177,7 @@ def test_nu_bracket_widening_warns_at_the_caller():
     default = optimize_time_sharing(
         Prime(7), Fraction(2, 3), convention="shaped", nodes=24
     )
-    assert sol.gamma_A_db == default.gamma_A_db
+    assert abs(sol.gamma_A_db - default.gamma_A_db) <= 1e-9
 
 
 def test_determinism():
@@ -241,6 +255,47 @@ def _count_solves(monkeypatch) -> dict:
     monkeypatch.setattr(optimizer, "snr_for_rate", counted_solve)
     monkeypatch.setattr(optimizer, "_minimize_nu", counted_minimize)
     return counts
+
+
+def test_nu_bracket_widening_reuses_its_solves(monkeypatch):
+    # the widened search doubles the edge and then runs one Brent search, so
+    # it costs a few edge solves more than the default bracket, not a restart
+    # per doubling
+    counts = _count_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        optimize_time_sharing(
+            Prime(7), Fraction(2, 3), convention="shaped", nodes=24, nu_max=0.05
+        )
+    widened = counts["solves"]
+    counts.update(solves=0, search=0)
+    optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped", nodes=24)
+    assert widened <= 2 * counts["solves"]
+
+
+def _count_mi_calls(monkeypatch) -> list:
+    calls = []
+    for name in ("mi_complex_points", "mi_real_points"):
+        kernel = getattr(optimizer, name)
+
+        def counted(*args, _kernel=kernel, **kwargs):
+            calls.append(args)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    return calls
+
+
+def test_cqam_row_mi_call_budget(monkeypatch):
+    calls = _count_mi_calls(monkeypatch)
+    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
+    assert 0 < len(calls) <= 150
+
+
+def test_time_sharing_row_mi_call_budget(monkeypatch):
+    calls = _count_mi_calls(monkeypatch)
+    optimize_time_sharing(Prime(13), Fraction(19, 20), convention="shaped")
+    assert 0 < len(calls) <= 300
 
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))

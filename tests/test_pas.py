@@ -234,7 +234,7 @@ def test_empirical_distributions_guards():
         )
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "concurrent.futures"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "concurrent.futures"])
 def test_package_import_leaves_scipy_stats_unloaded(module):
     # no module needs scipy.stats (empirical_distributions imports only
     # scipy.special, itself); table solves its rows in one loop, without a
@@ -261,3 +261,18 @@ def test_pas_leaves_scipy_stats_unloaded(tmp_path):
     )
     assert out.stdout.strip() == "0 False"
     assert report.exists()
+
+
+def test_table_leaves_scipy_optimize_unloaded():
+    # the SNR solve and the nu search are hand-written Brent methods
+    code = (
+        "import sys; from primeshape.cli import main; "
+        "code = main(['table', '--mode', 'cqam', '-p', '5', '--rc', '2/3', "
+        "'--nodes', '16', '--search-nodes', '16']); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
