@@ -117,7 +117,9 @@ def snr_for_rate(
 
     Steps out from log `hint` (default gamma = 1) in growing steps till
     the rate crosses the target, then finds the crossing by Brent's
-    method on t = log gamma, to LOG_GAMMA_TOL in t.  Raises
+    method on t = log gamma, to LOG_GAMMA_TOL in t.  A hint near the
+    crossing, such as the gamma of a neighbouring solve, saves rate
+    evaluations; it does not change the result beyond that tolerance.  Raises
     UnreachableRateError when the target exceeds the rate at GAMMA_MAX,
     ValueError for a nonpositive target or one reached at GAMMA_MIN, and
     RuntimeError when the converged rate misses the target by more than
@@ -210,7 +212,9 @@ def _brent_root(
         fb = f(b)
 
 
-def _brent_minimize(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def _brent_minimize(
+    f: Callable[[float], float], a: float, b: float
+) -> tuple[float, float]:
     """Minimum of a unimodal f on [a, b] by Brent's method; ties move toward 0.
 
     Parabolic steps through the three best points, golden-section steps

@@ -234,11 +234,13 @@ def test_empirical_distributions_guards():
         )
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "concurrent.futures"])
+@pytest.mark.parametrize(
+    "module", ["scipy.stats", "scipy.optimize", "concurrent.futures"]
+)
 def test_package_import_leaves_scipy_stats_unloaded(module):
     # no module needs scipy.stats (empirical_distributions imports only
-    # scipy.special, itself); table solves its rows in one loop, without a
-    # thread pool
+    # scipy.special, itself) or scipy.optimize (the solver's Brent methods are
+    # written out); table solves its rows in one loop, without a thread pool
     code = f"import sys, primeshape.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
