@@ -23,6 +23,11 @@ Real and complex alphabets share one kernel in real arithmetic: a
 complex point is two real components, and the tensor-product rule
 carries one factor per component.  The kernel reduces its
 (row, point) terms in fixed-size blocks in a per-thread scratch buffer.
+The 2-D rule drops every node whose product weight is below
+_WEIGHT_FLOOR = 1e-16 of the largest (Jaeckel, "A note on multivariate
+Gauss-Hermite quadrature", 2005): at 96 nodes it keeps 2164 of the
+9216, and the dropped ones carry under 1e-16 of the weight mass.  The
+1-D rule keeps all its nodes.
 
 For shell-uniform priors on a p-fold rotationally symmetric
 constellation, conditioning on one point per shell is exact (the output
@@ -50,9 +55,16 @@ DEFAULT_NODES = 96
 
 _LN2 = math.log(2.0)
 
-#: Terms (rows x points) the kernel reduces per block, 256 KiB of float64:
-#: of 2^12 .. 2^17, 2^14 and 2^15 ran fastest for 7^2- and 13^2-point
-#: alphabets at 48 and 96 nodes.
+#: Smallest tensor-rule weight, relative to the largest, that a rule in two
+#: or more dimensions keeps.  The dropped nodes carry under 1e-16 of the
+#: weight mass, so a float64 sum loses nothing it could hold: MI moves by
+#: under 1e-14 bits, while a floor of 1e-13 moves it by up to 4e-12 bits.
+_WEIGHT_FLOOR = 1e-16
+
+#: Terms (rows x points) the kernel reduces per block, 256 KiB of float64.
+#: On the pruned rule, of 2^12 .. 2^17, 2^15 and 2^16 ran the stretched
+#: 7^2 and 13^2 CQAM rows fastest (0.40 and 0.38 s; 2.28 and 2.35 s) and
+#: 2^12 slowest (0.58 s; 3.52 s).
 _BLOCK_TERMS = 1 << 15
 
 #: Per-thread scratch buffer for two blocks of the kernel's terms.  Kept
@@ -111,11 +123,18 @@ def _logsumexp_last(a: np.ndarray) -> np.ndarray:
 def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite rule in dim: nodes (K, dim), weights, |node|^2.
 
-    Cached, and read-only since every call shares the arrays.
+    For dim >= 2 only the nodes whose product weight is at least
+    _WEIGHT_FLOOR times the largest are kept (K = 2164 of 96^2, 1044 of
+    48^2); the 1-D rule keeps all its nodes.  Cached, and read-only since
+    every call shares the arrays.
     """
     t, w = _hermgauss(nodes)
     idx = np.indices([nodes] * dim).reshape(dim, -1).T
-    rule = t[idx], w[idx].prod(axis=1), np.square(t[idx]).sum(axis=1)
+    weights = w[idx].prod(axis=1)
+    if dim >= 2:
+        keep = weights >= _WEIGHT_FLOOR * weights.max()
+        idx, weights = idx[keep], weights[keep]
+    rule = t[idx], weights, np.square(t[idx]).sum(axis=1)
     for a in rule:
         a.flags.writeable = False
     return rule

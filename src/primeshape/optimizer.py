@@ -14,8 +14,8 @@ so gap + effective gain = potential gain by construction.
 
 One driver computes these for every scheme, described by its rate
 curve at (nu, quadrature nodes), its uniform baseline's curve, the
-default nu bracket and its channel (real, or complex with two real
-dimensions per use).  Three schemes are provided:
+entropy that caps its rate at each nu, the default nu bracket and its
+channel (real, or complex with two real dimensions per use).  Three schemes are provided:
 
 * time-sharing p-ASK: a fraction R_c of real-channel uses carries
   Maxwell-Boltzmann shaped symbols and the rest carries uniform symbols
@@ -44,7 +44,9 @@ bracket while gamma_A still falls at its upper edge.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
-`table` reports such a row as unreachable.  Every other ValueError is an
+`table` reports such a row as unreachable.  No rate exceeds the entropy
+of the scheme's prior, so a nu whose entropy ceiling lies below the
+target is infeasible without a solve.  Every other ValueError is an
 input error (a bad coding rate, node count or nu) and propagates.
 """
 
@@ -344,14 +346,17 @@ class _Scheme:
     """One shaping scheme as the driver `_optimize` sees it.
 
     curve(nu, nodes) and baseline(nodes) give the rate gamma -> bits per
-    channel use of the shaped scheme and of its uniform baseline; nu_max
-    is the default upper edge of the nu search; dimension names the
-    channel ("real" or "complex") a use of which the curves measure.
+    channel use of the shaped scheme and of its uniform baseline;
+    ceiling(nu) bounds curve(nu, ...) at every gamma by the entropy of
+    its prior; nu_max is the default upper edge of the nu search;
+    dimension names the channel ("real" or "complex") a use of which the
+    curves measure.
     """
 
     name: str
     curve: Callable[[float, int], Curve]
     baseline: Callable[[int], Curve]
+    ceiling: Callable[[float], float]
     nu_max: float
     dimension: Literal["real", "complex"]
     convention: str | None = None
@@ -381,6 +386,8 @@ def _optimize(
 
     def gamma_of_nu(nu_val: float, n: int) -> float:
         nonlocal last
+        if scheme.ceiling(nu_val) < solve_target - RATE_RESIDUAL_TOL:
+            return math.inf  # unreachable at any gamma: skip the solve
         try:
             last = snr_for_rate(scheme.curve(nu_val, n), solve_target, last)
         except UnreachableRateError:
@@ -477,9 +484,13 @@ def optimize_time_sharing(
         uniform = _real_curve(pts, unif, e_un, n)
         return lambda g: rc * shaped(g) + (1.0 - rc) * uniform(g)
 
+    def ceiling(nu_val: float) -> float:
+        shaped = mb_ask_prior(field, nu_val).entropy_bits()
+        return rc * shaped + (1.0 - rc) * math.log2(field.p)
+
     scheme = _Scheme(
         "time-sharing", curve, lambda n: _real_curve(pts, unif, e_unif, n),
-        2.0 / field.half, "real", convention,
+        ceiling, 2.0 / field.half, "real", convention,
     )
     return _optimize(
         scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
@@ -507,6 +518,7 @@ def optimize_shaped_ask(
 
     scheme = _Scheme(
         "shaped-ask-squared", curve, lambda n: _real_curve(pts, unif, e_unif, n),
+        lambda nu_val: mb_ask_prior(field, nu_val).entropy_bits(),
         2.0 / field.half, "real",
     )
     return _optimize(
@@ -547,7 +559,13 @@ def optimize_cqam(
         energy = float(np.mean(base.shells.radii**2))
         return _cqam_curve(base, base.priors, np.full(field.p, 1.0 / field.p), energy, n)
 
-    scheme = _Scheme("cqam", curve, baseline, 4.0 / float(radii[-1]) ** 2, "complex")
+    def ceiling(nu_val: float) -> float:  # shell entropy plus a uniform phase
+        shell = MaxwellBoltzmann.from_amplitudes(nu_val, radii)
+        return shell.entropy_bits() + math.log2(field.p)
+
+    scheme = _Scheme(
+        "cqam", curve, baseline, ceiling, 4.0 / float(radii[-1]) ** 2, "complex"
+    )
     return _optimize(
         scheme, field, coding_rate,
         nodes=nodes, search_nodes=search_nodes, nu=nu, nu_max=nu_max,

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from scipy.special import logsumexp
 
 from primeshape.awgn_mi import (
     ChannelSnr,
+    _rule,
     capacity_gamma,
     mi_complex_cqam,
     mi_complex_naive,
@@ -198,13 +200,18 @@ def mi_complex_points_oracle(
     return total
 
 
+@lru_cache(maxsize=None)
+def _cqam_geometry(p):
+    """The p^2-point CQAM the tables use: stretched where a reference exists."""
+    params = CqamParams(stretch=REFERENCE_STRETCH.get(p))
+    return (build_cqam_stretched if params.stretch else build_cqam)(Prime(p), params)
+
+
 def _shaped_cqam(p, nu):
     """p^2-point CQAM with a Maxwell-Boltzmann shell prior, and its shell PMF."""
-    field = Prime(p)
-    params = CqamParams(stretch=REFERENCE_STRETCH.get(p))
-    c = (build_cqam_stretched if params.stretch else build_cqam)(field, params)
+    c = _cqam_geometry(p)
     shell = MaxwellBoltzmann.from_amplitudes(nu, c.shells.radii)
-    return c.with_priors(cqam_prior(shell, field)), shell.probs
+    return c.with_priors(cqam_prior(shell, Prime(p))), shell.probs
 
 
 def test_complex_kernel_equals_oracle_on_grid():
@@ -228,6 +235,39 @@ def test_complex_kernel_equals_oracle_on_grid():
                     got = mi_complex_points(*args, **kw)
                     want = mi_complex_points_oracle(*args, **kw)
                     assert abs(got - want) < 1e-13, (p, nodes, sigma, kw.keys())
+
+
+@pytest.mark.parametrize("nodes, kept", [(16, 252), (24, 468), (48, 1044), (96, 2164)])
+def test_planar_rule_is_pruned_at_the_weight_floor(nodes, kept):
+    t, w, t2 = _rule(nodes, 2)
+    assert len(t) == len(w) == len(t2) == kept
+    assert w.min() >= 1e-16 * w.max()
+    # the dropped nodes' share of the weight mass, summed exactly
+    w1 = np.polynomial.hermite.hermgauss(nodes)[1]
+    full = np.outer(w1, w1).ravel()
+    dropped = math.fsum(np.concatenate([full, -w]))
+    assert 0.0 <= dropped < 1e-15 * math.fsum(full)
+
+
+def test_real_rule_is_not_pruned():
+    t, w, t2 = _rule(96, 1)
+    assert len(t) == len(w) == len(t2) == 96
+    npt.assert_array_equal(w, np.polynomial.hermite.hermgauss(96)[1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.floats(0.0, 0.3),
+    st.floats(math.log(0.03), math.log(3.0)),
+    st.sampled_from([16, 24, 48]),
+)
+def test_pruned_complex_kernel_matches_full_rule_oracle(p, nu, log_sigma, nodes):
+    c, shell_probs = _shaped_cqam(p, nu)
+    args = (c.points, c.priors, math.exp(log_sigma), nodes)
+    kw = {"condition_on": c.points[np.arange(p) * p], "condition_weights": shell_probs}
+    got = mi_complex_points(*args, **kw)
+    assert abs(got - mi_complex_points_oracle(*args, **kw)) < 1e-13
 
 
 def _random_complex_cases(count, seed):

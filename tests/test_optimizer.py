@@ -273,6 +273,25 @@ def test_nu_bracket_widening_reuses_its_solves(monkeypatch):
     assert widened <= 2 * counts["solves"]
 
 
+def test_entropy_ceiling_skips_unreachable_solves(monkeypatch):
+    # near nu_max the shaped symbols carry too little entropy for R_c = 9/10;
+    # those nu are scored unreachable without a solve, so none fails
+    counts = _count_solves(monkeypatch)
+    solve, unreachable = optimizer.snr_for_rate, []
+
+    def checked_solve(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except UnreachableRateError:
+            unreachable.append(args)
+            raise
+
+    monkeypatch.setattr(optimizer, "snr_for_rate", checked_solve)
+    optimize_time_sharing(Prime(7), Fraction(9, 10), convention="shaped", nodes=NODES)
+    assert counts["solves"] < 1 + counts["search"]
+    assert unreachable == []
+
+
 def _count_mi_calls(monkeypatch) -> list:
     calls = []
     for name in ("mi_complex_points", "mi_real_points"):
