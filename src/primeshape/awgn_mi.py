@@ -29,13 +29,25 @@ Gauss-Hermite quadrature", 2005): at 96 nodes it keeps 2164 of the
 9216, and the dropped ones carry under 1e-16 of the weight mass.  The
 1-D rule keeps all its nodes.
 
-For shell-uniform priors on a p-fold rotationally symmetric
-constellation, conditioning on one point per shell is exact (the output
-statistic is invariant under the rotation group), reducing the complex
-integral from p^2 conditional terms to p.  `mi_complex_naive` conditions
-on all p^2 points through the same kernel, so it checks the symmetry
-reduction only; the independent oracle for the kernel itself lives in
-the tests.
+Both kernels can restrict the outer expectation to representative
+points (`condition_on` with `condition_weights`), which is exact
+whenever the prior and the geometry share a symmetry group acting
+transitively on each orbit (the output statistic is invariant under
+it).  Two reductions use this:
+
+* p-fold: for shell-uniform priors on a p-fold rotationally symmetric
+  constellation, conditioning on one point per shell reduces the
+  complex integral from p^2 conditional terms to p.
+* mirror: for a real prior with equal mass on x and -x, the conditional
+  terms of x and -x are equal, since the Hermite rule is symmetric
+  under t -> -t.  Conditioning on the points x >= 0, each x > 0 with
+  twice its prior, halves the real integral's conditional terms.  The
+  optimizer folds every p-ASK curve this way.  It does not carry over to
+  CQAM, whose shells' phase offsets break the reflection.
+
+`mi_complex_naive` conditions on all p^2 points through the same kernel,
+so it checks the p-fold reduction only; the independent oracles for the
+kernel itself live in the tests.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -141,8 +153,8 @@ def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mi_points(
-    points: np.ndarray, priors: np.ndarray, sigma: float, nodes: int,
-    cond: np.ndarray, weights: np.ndarray,
+    points: np.ndarray, priors: np.ndarray, cond: np.ndarray, weights: np.ndarray,
+    sigma: float, nodes: int,
 ) -> float:
     """I(X; Y) in bits of points (P, dim) with priors, in noise of deviation
     sigma per real component, averaged over the conditioning points cond
@@ -178,11 +190,42 @@ def _mi_points(
     return float(np.dot(weights, integrand @ w) / math.pi ** (dim / 2))
 
 
+def _linear(x: np.ndarray) -> np.ndarray:
+    """Real values as an (n, 1) float array."""
+    return np.asarray(x, dtype=float)[:, None]
+
+
+def _planar(z: np.ndarray) -> np.ndarray:
+    """Complex values as an (n, 2) float view of their real and imaginary parts."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+
+
+def _kernel_args(
+    points: np.ndarray,
+    priors: np.ndarray,
+    condition_on: np.ndarray | None,
+    condition_weights: np.ndarray | None,
+    embed: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Points, priors, conditioning points and weights as `_mi_points` takes
+    them, points embedded in real components; by default every point is
+    conditioned on with its prior."""
+    if (condition_on is None) != (condition_weights is None):
+        raise ValueError("condition_on and condition_weights go together")
+    priors = np.asarray(priors, dtype=float)
+    if condition_on is None:
+        condition_on, condition_weights = points, priors
+    weights = np.asarray(condition_weights, dtype=float)
+    return embed(points), priors, embed(condition_on), weights
+
+
 def mi_real_points(
     points: np.ndarray,
     priors: np.ndarray,
     sigma: float,
     nodes: int = DEFAULT_NODES,
+    condition_on: np.ndarray | None = None,
+    condition_weights: np.ndarray | None = None,
 ) -> float:
     """I(X; Y) in bits for Y = X + N, N ~ Normal(0, sigma^2), X real finite.
 
@@ -191,15 +234,17 @@ def mi_real_points(
     points, priors : arrays of equal length; zero-prior points are allowed.
     sigma : noise standard deviation, positive and finite.
     nodes : Gauss-Hermite node count.
+    condition_on, condition_weights : given together, they restrict the
+        outer expectation to representative points, as in
+        `mi_complex_points`.  For priors with equal mass on x and -x,
+        the points x >= 0 with weights 2 * prior for x > 0 and prior at
+        x = 0 give the MI of full conditioning from half its terms (the
+        mirror reduction), equal up to rounding.
     """
-    points = np.asarray(points, dtype=float)[:, None]
-    priors = np.asarray(priors, dtype=float)
-    return _mi_points(points, priors, sigma, nodes, points, priors)
-
-
-def _planar(z: np.ndarray) -> np.ndarray:
-    """Complex values as an (n, 2) float view of their real and imaginary parts."""
-    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    return _mi_points(
+        *_kernel_args(points, priors, condition_on, condition_weights, _linear),
+        sigma, nodes,
+    )
 
 
 def mi_complex_points(
@@ -218,13 +263,10 @@ def mi_complex_points(
     representative points (exact whenever the prior and geometry share a
     symmetry group acting transitively on each orbit).
     """
-    if (condition_on is None) != (condition_weights is None):
-        raise ValueError("condition_on and condition_weights go together")
-    priors = np.asarray(priors, dtype=float)
-    if condition_on is None:
-        condition_on, condition_weights = points, priors
-    cond, weights = _planar(condition_on), np.asarray(condition_weights, dtype=float)
-    return _mi_points(_planar(points), priors, sigma, nodes, cond, weights)
+    return _mi_points(
+        *_kernel_args(points, priors, condition_on, condition_weights, _planar),
+        sigma, nodes,
+    )
 
 
 def _shell_priors(c: Constellation) -> np.ndarray:

@@ -422,9 +422,24 @@ def _optimize(
 
 
 def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) -> Curve:
-    """Real-channel MI at gamma = energy / (2 sigma^2)."""
+    """Real-channel MI of p-ASK at gamma = energy / (2 sigma^2).
+
+    The prior gives symbols s and -s the same mass on mirrored points,
+    so the MI is conditioned on the points x >= 0, each x > 0 with twice
+    its prior (the mirror reduction of `mi_real_points`).  Raises
+    ValueError when points or prior are not mirror-symmetric.
+    """
+    mirror = -np.arange(len(points)) % len(points)
+    if not (
+        np.array_equal(points[mirror], -points) and np.array_equal(probs[mirror], probs)
+    ):
+        raise ValueError("the p-ASK points and prior must be mirror-symmetric")
+    half = points >= 0.0
+    cond = points[half]
+    weights = np.where(cond > 0.0, 2.0, 1.0) * probs[half]
     return lambda gamma: mi_real_points(
-        points, probs, math.sqrt(energy / (2.0 * gamma)), n
+        points, probs, math.sqrt(energy / (2.0 * gamma)), n,
+        condition_on=cond, condition_weights=weights,
     )
 
 

@@ -30,8 +30,8 @@ from primeshape.constellations import (
     build_cqam,
     build_cqam_stretched,
 )
-from primeshape.field import Prime
-from primeshape.shaping import MaxwellBoltzmann, cqam_prior
+from primeshape.field import Prime, ask_amplitudes
+from primeshape.shaping import MaxwellBoltzmann, cqam_prior, mb_ask_prior
 
 
 def mi_real_quad(points, priors, sigma):
@@ -93,6 +93,18 @@ def test_mismatched_lengths_rejected():
     ):
         with pytest.raises(ValueError):
             mi_complex_points(pts + 0j, pri, 1.0, **kw)
+
+
+@pytest.mark.parametrize("kernel, embed", [(mi_real_points, float), (mi_complex_points, complex)])
+def test_conditioning_arguments_are_checked_alike(kernel, embed):
+    pts, pri = np.array([-1.0, 1.0], dtype=embed), np.array([0.5, 0.5])
+    for kw in ({"condition_on": pts}, {"condition_weights": pri}):
+        with pytest.raises(ValueError, match="condition_on and condition_weights go together"):
+            kernel(pts, pri, 1.0, **kw)
+    with pytest.raises(ValueError, match="every conditioning point a weight"):
+        kernel(pts, pri, 1.0, condition_on=pts, condition_weights=np.array([1.0]))
+    with pytest.raises(ValueError, match="every point needs a prior"):
+        kernel(pts, np.full(3, 1 / 3), 1.0)
 
 
 def test_shell_nonuniform_priors_rejected():
@@ -311,6 +323,35 @@ def test_real_kernel_equals_scipy_oracle_bit_for_bit():
         assert mi_real_points(pts, pri, sigma, nodes) == mi_real_points_scipy(
             pts, pri, sigma, nodes
         )
+
+
+def test_real_kernel_conditioned_on_every_point_equals_default_bit_for_bit():
+    for pts, pri, sigma, nodes in _random_real_cases(100, seed=7):
+        kw = {"condition_on": pts, "condition_weights": pri}
+        assert mi_real_points(pts, pri, sigma, nodes, **kw) == mi_real_points(
+            pts, pri, sigma, nodes
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.floats(0.0, 1.0),
+    st.floats(math.log(0.03), math.log(3.0)),
+    st.sampled_from([16, 48, 96]),
+)
+def test_mirror_folded_real_kernel_matches_full_conditioning(p, nu, log_sigma, nodes):
+    # a p-ASK prior gives x and -x the same mass: conditioning on x >= 0,
+    # each x > 0 with twice its prior, is exact up to rounding
+    pts = ask_amplitudes(Prime(p)).astype(float)
+    pri = mb_ask_prior(Prime(p), nu).probs
+    half = pts >= 0.0
+    kw = {
+        "condition_on": pts[half],
+        "condition_weights": np.where(pts[half] > 0.0, 2.0, 1.0) * pri[half],
+    }
+    args = (pts, pri, math.exp(log_sigma), nodes)
+    assert abs(mi_real_points(*args, **kw) - mi_real_points(*args)) < 1e-14
 
 
 def test_real_kernel_threads_agree_with_serial():

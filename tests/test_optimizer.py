@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -290,6 +291,39 @@ def test_entropy_ceiling_skips_unreachable_solves(monkeypatch):
     optimize_time_sharing(Prime(7), Fraction(9, 10), convention="shaped", nodes=NODES)
     assert counts["solves"] < 1 + counts["search"]
     assert unreachable == []
+
+
+def test_real_curve_rejects_a_prior_without_mirror_symmetry():
+    pts = np.arange(7.0) - 3.0  # p-ASK, though not in symbol order
+    prior = np.full(7, 1 / 7)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        optimizer._real_curve(pts, prior, 4.0, NODES)
+    pts = np.array([0.0, 1.0, 2.0, 3.0, -3.0, -2.0, -1.0])  # symbol order
+    assert optimizer._real_curve(pts, prior, 4.0, NODES)(1.0) > 0.0
+    tilted = prior * np.linspace(0.9, 1.1, 7)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        optimizer._real_curve(pts, tilted / tilted.sum(), 4.0, NODES)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        optimizer._real_curve(pts + 0.5, prior, 4.0, NODES)
+
+
+def test_real_curve_conditions_on_the_nonnegative_half(monkeypatch):
+    calls = []
+    kernel = optimizer.mi_real_points
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "mi_real_points", recorded)
+    optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=NODES, nu=0.1)
+    assert calls
+    for args, kwargs in calls:
+        npt.assert_array_equal(kwargs["condition_on"], [0.0, 1.0, 2.0, 3.0])
+        priors = args[1]
+        npt.assert_array_equal(
+            kwargs["condition_weights"], priors[:4] * [1.0, 2.0, 2.0, 2.0]
+        )
 
 
 def _count_mi_calls(monkeypatch) -> list:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from primeshape.constellations import build_cqam
 from primeshape.field import Prime
 from primeshape.pas import (
     CodeSpec,
+    _chi_square_99pct,
     PasFrame,
     empirical_distributions,
     encode,
@@ -238,8 +240,8 @@ def test_empirical_distributions_guards():
     "module", ["scipy.stats", "scipy.optimize", "concurrent.futures"]
 )
 def test_package_import_leaves_scipy_stats_unloaded(module):
-    # no module needs scipy.stats (empirical_distributions imports only
-    # scipy.special, itself) or scipy.optimize (the solver's Brent methods are
+    # no module needs scipy.stats (empirical_distributions computes its
+    # quantile without scipy) or scipy.optimize (the solver's Brent methods are
     # written out); table solves its rows in one loop, without a thread pool
     code = f"import sys, primeshape.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -250,7 +252,7 @@ def test_package_import_leaves_scipy_stats_unloaded(module):
 
 
 def test_pas_leaves_scipy_stats_unloaded(tmp_path):
-    # the chi-square quantile comes from scipy.special, not scipy.stats
+    # the chi-square quantile comes from the standard library, not scipy.stats
     report = tmp_path / "report.json"
     code = (
         "import sys; from primeshape.cli import main; "
@@ -263,6 +265,36 @@ def test_pas_leaves_scipy_stats_unloaded(tmp_path):
     )
     assert out.stdout.strip() == "0 False"
     assert report.exists()
+
+
+def test_pas_loads_no_scipy(tmp_path):
+    # the chi-square quantile is computed with the standard library
+    report = tmp_path / "report.json"
+    code = (
+        "import sys; from primeshape.cli import main; "
+        f"code = main(['pas', '-p', '5', '--frames', '200', '-o', {str(report)!r}]); "
+        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+    assert json.loads(report.read_text())["points"]["chi_square_99pct"] > 0.0
+
+
+def test_chi_square_quantile_matches_scipy():
+    # scipy is a test dependency only; the stdlib quantile holds to it within
+    # 3e-14 relative.  The gap grows with dof, as the rounding of the terms of
+    # dof/2 log x - x - lgamma(dof/2) does: it is 3.3e-15 up to dof 168
+    # (13^2 points) and 2.3e-14 at most, at dof 1651.
+    gammaincinv = pytest.importorskip("scipy.special").gammaincinv
+    dof = np.arange(1, 2000)
+    want = 2.0 * gammaincinv(dof / 2.0, 0.99)
+    got = np.array([_chi_square_99pct(int(d)) for d in dof])
+    np.testing.assert_allclose(got, want, rtol=3e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        _chi_square_99pct(0)
 
 
 def test_table_leaves_scipy_optimize_unloaded():
