@@ -21,8 +21,12 @@ operating SNRs).
 
 Real and complex alphabets share one kernel in real arithmetic: a
 complex point is two real components, and the tensor-product rule
-carries one factor per component.  The kernel reduces its
-(row, point) terms in fixed-size blocks in a per-thread scratch buffer.
+carries one factor per component.  The kernel builds its terms in
+fixed-size blocks in a per-thread scratch buffer, laid out points-major
+as (point, row): an alphabet has only 2 to 169 points, so a reduction
+over them runs across whole rows of the block, not along thousands of
+short ones.  Only the final sum is taken from a (row, point) copy, which
+keeps scipy's summation order and with it every bit of the result.
 The 2-D rule drops every node whose product weight is below
 _WEIGHT_FLOOR = 1e-16 of the largest (Jaeckel, "A note on multivariate
 Gauss-Hermite quadrature", 2005): at 96 nodes it keeps 2164 of the
@@ -73,10 +77,11 @@ _LN2 = math.log(2.0)
 #: under 1e-14 bits, while a floor of 1e-13 moves it by up to 4e-12 bits.
 _WEIGHT_FLOOR = 1e-16
 
-#: Terms (rows x points) the kernel reduces per block, 256 KiB of float64.
-#: On the pruned rule, of 2^12 .. 2^17, 2^15 and 2^16 ran the stretched
-#: 7^2 and 13^2 CQAM rows fastest (0.40 and 0.38 s; 2.28 and 2.35 s) and
-#: 2^12 slowest (0.58 s; 3.52 s).
+#: Terms (points x rows) the kernel reduces per block, 256 KiB of float64.
+#: On the pruned rule and the points-major layout, of 2^12 .. 2^17, 2^14
+#: to 2^17 ran the stretched 7^2 CQAM row in 0.28 to 0.33 s and 2^15 and
+#: 2^16 the 13^2 row fastest (1.88 and 1.82 s); 2^12 was slowest (0.46 s;
+#: 4.31 s).  Alternated, 2^15 and 2^16 stayed within 3% on both rows.
 _BLOCK_TERMS = 1 << 15
 
 #: Per-thread scratch buffer for two blocks of the kernel's terms.  Kept
@@ -112,23 +117,32 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _logsumexp_last(a: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis of a finite-maximum array, overwriting a.
+def _logsumexp_last(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """log sum exp over the first axis of a (points, rows) array whose
+    columns have finite maxima, overwriting a and the first a.size floats
+    of scratch.
 
-    The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17) step for
-    step: the maximal terms are counted apart and the rest summed through
-    log1p, so results agree to the last bit, without its full-size
-    temporaries.
+    The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17) over the
+    last axis of a C-ordered a.T, step for step: the maximal terms are
+    counted apart and the rest summed through log1p, so results agree to
+    the last bit, without its full-size temporaries.  The maximum, the
+    count of terms at it and the exponentials do not depend on the
+    order of the terms, so they run points-major, each reduction across
+    whole rows of a.  The sum does: numpy sums a contiguous last axis
+    pairwise, and along any other axis in sequence.  It is therefore taken
+    from a (rows, points) copy in scratch, over its last axis, as scipy's.
     """
-    # initial: an empty alphabet gives empty rows, not an error
-    a_max = a.max(axis=-1, keepdims=True, initial=-np.inf)
+    # initial: an empty alphabet gives empty columns, not an error
+    a_max = a.max(axis=0, initial=-np.inf)
     at_max = a == a_max
-    m = at_max.sum(axis=-1, keepdims=True, dtype=float)
+    m = at_max.sum(axis=0, dtype=float)
     a[at_max] = -np.inf
     np.exp(np.subtract(a, a_max, out=a), out=a)
+    terms = scratch[: a.size].reshape(a.shape[::-1])
+    np.copyto(terms, a.T)
     # scipy keeps s where s == 0; s / m is that same 0.0, since m >= 1
-    s = a.sum(axis=-1, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
+    s = terms.sum(axis=-1) / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 @lru_cache(maxsize=16)
@@ -180,12 +194,12 @@ def _mi_points(
         # log q(y) up to the common Gaussian normalizer, which cancels in the
         # ratio: log p_j - |y - x_j|^2 / (2 sigma^2), built one real
         # component at a time in the scratch buffer
-        a, b = buf[: 2 * len(yb) * len(points)].reshape(2, len(yb), len(points))
-        np.square(np.subtract(yb[:, :1], points[:, 0], out=a), out=a)
+        a, b = buf[: 2 * len(yb) * len(points)].reshape(2, len(points), len(yb))
+        np.square(np.subtract(yb[:, 0], points[:, :1], out=a), out=a)
         for d in range(1, dim):
-            a += np.square(np.subtract(yb[:, d, None], points[:, d], out=b), out=b)
-        np.subtract(logp, np.divide(a, 2.0 * sigma**2, out=a), out=a)
-        lse[i : i + rows] = _logsumexp_last(a)
+            a += np.square(np.subtract(yb[:, d], points[:, d, None], out=b), out=b)
+        np.subtract(logp[:, None], np.divide(a, 2.0 * sigma**2, out=a), out=a)
+        lse[i : i + rows] = _logsumexp_last(a, b)
     integrand = (-t2 - lse.reshape(len(cond), len(t))) / _LN2
     return float(np.dot(weights, integrand @ w) / math.pi ** (dim / 2))
 

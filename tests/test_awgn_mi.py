@@ -7,12 +7,13 @@ from functools import lru_cache
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 
 from primeshape.awgn_mi import (
     ChannelSnr,
+    _logsumexp_last,
     _rule,
     capacity_gamma,
     mi_complex_cqam,
@@ -323,6 +324,76 @@ def test_real_kernel_equals_scipy_oracle_bit_for_bit():
         assert mi_real_points(pts, pri, sigma, nodes) == mi_real_points_scipy(
             pts, pri, sigma, nodes
         )
+
+
+def mi_complex_points_scipy(
+    points, priors, sigma, nodes=96, condition_on=None, condition_weights=None
+):
+    """Oracle: the complex kernel on the same pruned rule, with full-size
+    (conditioning point, node, point) temporaries and scipy's logsumexp."""
+    points = np.asarray(points, dtype=complex)
+    priors = np.asarray(priors, dtype=float)
+    if condition_on is None:
+        condition_on, condition_weights = points, priors
+    cond = np.asarray(condition_on, dtype=complex)
+    keep = np.asarray(condition_weights, dtype=float) > 0.0
+    cond, weights = cond[keep], np.asarray(condition_weights, dtype=float)[keep]
+    t, w, t2 = _rule(nodes, 2)
+    shift = math.sqrt(2.0) * sigma * t
+    y_re = cond.real[:, None] + shift[:, 0]
+    y_im = cond.imag[:, None] + shift[:, 1]
+    d2 = (
+        (y_re[:, :, None] - points.real) ** 2 + (y_im[:, :, None] - points.imag) ** 2
+    ) / (2.0 * sigma**2)
+    logp = np.full(priors.shape, -np.inf)
+    logp[priors > 0.0] = np.log(priors[priors > 0.0])
+    lse = logsumexp(logp - d2, axis=2)
+    integrand = (-t2 - lse) / math.log(2.0)
+    return float(np.dot(weights, integrand @ w) / math.pi)
+
+
+def test_complex_kernel_equals_scipy_oracle_bit_for_bit():
+    cases = list(_random_complex_cases(60, seed=8))
+    # the optimizer's calls: shaped CQAM conditioned on one point per shell,
+    # and on every point; the oracle's temporaries stay under ~1e6 terms
+    for p, nu in ((3, 0.3), (5, 0.0), (7, 0.05), (13, 0.05)):
+        c, shell_probs = _shaped_cqam(p, nu)
+        reps = {"condition_on": c.points[np.arange(p) * p], "condition_weights": shell_probs}
+        for nodes in (16, 24, 48, 96):
+            for kw in (reps, {}):
+                conds = len(kw.get("condition_on", c.points))
+                if conds * len(_rule(nodes, 2)[0]) * p**2 <= 1.1e6:
+                    cases.append((c.points, c.priors, 0.3, nodes, *kw.values()))
+    assert len(cases) > 70
+    for case in cases:
+        assert mi_complex_points(*case) == mi_complex_points_scipy(*case)
+
+
+@st.composite
+def _points_major_terms(draw):
+    """(points, rows) log terms: few distinct values, so maxima tie often,
+    and rows of -inf, as zero-prior points give; every column keeps a
+    finite term."""
+    p, r = draw(st.integers(1, 13)), draw(st.integers(1, 16))
+    value = st.one_of(st.sampled_from([-2.0, 0.0, 0.5]), st.floats(-40.0, 40.0))
+    a = np.array(draw(st.lists(value, min_size=p * r, max_size=p * r))).reshape(p, r)
+    dead = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    dead[draw(st.integers(0, p - 1))] = False
+    a[dead] = -np.inf
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_points_major_terms())
+@example(np.array([[0.5, -3.0, 40.0]]))
+@example(np.array([[0.0, 1.0], [0.0, 1.0], [-np.inf, -np.inf], [0.0, -2.0]]))
+@example(np.tile([[0.5], [-np.inf], [0.5]], (5, 7)))
+def test_logsumexp_equals_scipy_bit_for_bit(a):
+    # scipy's reference is the C-ordered (rows, points) array the oracles
+    # build; its sum over a transposed view runs in another order
+    want = logsumexp(np.ascontiguousarray(a.T), axis=-1)
+    got = _logsumexp_last(a.copy(), np.empty(a.size))
+    assert np.array_equal(got, want)
 
 
 def test_real_kernel_conditioned_on_every_point_equals_default_bit_for_bit():

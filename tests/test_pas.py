@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +107,28 @@ def test_random_dense_column_weights():
     assert ((heavy.parity != 0).sum(axis=0) == 8).all()
     with pytest.raises(ValueError):
         CodeSpec.random_dense(P7, 12, 8, min_col_weight=9)
+
+
+def test_random_dense_columns_reach_a_source_symbol():
+    # a column without a nonzero on the source rows n/2 .. k-1 makes its
+    # parity symbol a function of the shaped shells alone
+    for p, n, k in ((5, 6, 4), (13, 6, 4), (7, 8, 5), (5, 10, 6)):
+        for seed in range(40):
+            code = CodeSpec.random_dense(Prime(p), n, k, seed=seed)
+            assert (code.parity[n // 2 :] != 0).any(axis=0).all(), (p, n, k, seed)
+
+
+def test_random_dense_parity_uniform_under_degenerate_shells():
+    # at nu = 100 every shell symbol is 0, so only the one source symbol per
+    # frame can make the parity uniform; seed 2 used to draw a column
+    # without it and read a gap of 0.40 (pas -p 5 --nu 100 --seed 2)
+    code = CodeSpec.random_dense(P5, 6, 4, seed=2)
+    cqam = build_cqam(P5)
+    prior = MaxwellBoltzmann.from_amplitudes(100.0, cqam.shells.radii)
+    frames, _ = generate_frames(code, cqam, prior, num_frames=2000, seed=2)
+    report = empirical_distributions(frames, cqam, min_frames=2000)
+    sigma = math.sqrt(0.2 * 0.8 / report["num_parity_symbols"])
+    assert report["parity"]["uniformity_gap"] < 6 * sigma
 
 
 def test_random_dense_deterministic():
