@@ -23,10 +23,11 @@ Real and complex alphabets share one kernel in real arithmetic: a
 complex point is two real components, and the tensor-product rule
 carries one factor per component.  The kernel builds its terms in
 fixed-size blocks in a per-thread scratch buffer, laid out points-major
-as (point, row): an alphabet has only 2 to 169 points, so a reduction
-over them runs across whole rows of the block, not along thousands of
-short ones.  Only the final sum is taken from a (row, point) copy, which
-keeps scipy's summation order and with it every bit of the result.
+as (point, row): a block has thousands of rows and the alphabets here at
+most 169 points, so a reduction over the points runs across whole rows
+of the block, not along thousands of short ones.  Only the final sum is
+taken from a (row, point) copy, which keeps scipy's summation order and
+with it every bit of the result.
 The 2-D rule drops every node whose product weight is below
 _WEIGHT_FLOOR = 1e-16 of the largest (Jaeckel, "A note on multivariate
 Gauss-Hermite quadrature", 2005): at 96 nodes it keeps 2164 of the

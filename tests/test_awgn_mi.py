@@ -335,9 +335,9 @@ def mi_complex_points_scipy(
     priors = np.asarray(priors, dtype=float)
     if condition_on is None:
         condition_on, condition_weights = points, priors
-    cond = np.asarray(condition_on, dtype=complex)
-    keep = np.asarray(condition_weights, dtype=float) > 0.0
-    cond, weights = cond[keep], np.asarray(condition_weights, dtype=float)[keep]
+    weights = np.asarray(condition_weights, dtype=float)
+    cond = np.asarray(condition_on, dtype=complex)[weights > 0.0]
+    weights = weights[weights > 0.0]
     t, w, t2 = _rule(nodes, 2)
     shift = math.sqrt(2.0) * sigma * t
     y_re = cond.real[:, None] + shift[:, 0]

@@ -120,8 +120,8 @@ def test_random_dense_columns_reach_a_source_symbol():
 
 def test_random_dense_parity_uniform_under_degenerate_shells():
     # at nu = 100 every shell symbol is 0, so only the one source symbol per
-    # frame can make the parity uniform; seed 2 used to draw a column
-    # without it and read a gap of 0.40 (pas -p 5 --nu 100 --seed 2)
+    # frame can make the parity uniform; seed 2's first draw has a column
+    # without it, whose parity symbol is constant (a gap of 0.40)
     code = CodeSpec.random_dense(P5, 6, 4, seed=2)
     cqam = build_cqam(P5)
     prior = MaxwellBoltzmann.from_amplitudes(100.0, cqam.shells.radii)
