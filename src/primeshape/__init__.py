@@ -38,11 +38,11 @@ from .optimizer import (
 )
 from .pas import (
     CodeSpec,
-    PasFrame,
     empirical_distributions,
     encode,
     generate_frames,
     map_frame,
+    split_frames,
 )
 from .shaping import (
     CompositionPlan,
@@ -68,7 +68,6 @@ __all__ = [
     "Constellation",
     "CqamParams",
     "MaxwellBoltzmann",
-    "PasFrame",
     "Prime",
     "ShapingSolution",
     "ShellStructure",
@@ -100,6 +99,7 @@ __all__ = [
     "optimize_shaped_ask",
     "optimize_time_sharing",
     "snr_for_rate",
+    "split_frames",
     "sum_distribution_convolve",
     "sum_distribution_dft",
     "uniformity_gap",

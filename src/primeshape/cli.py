@@ -47,7 +47,13 @@ from .optimizer import (
     optimize_shaped_ask,
     optimize_time_sharing,
 )
-from .pas import DEFAULT_DM_BLOCK, CodeSpec, empirical_distributions, generate_frames
+from .pas import (
+    DEFAULT_DM_BLOCK,
+    CodeSpec,
+    empirical_distributions,
+    generate_frames,
+    split_frames,
+)
 from .shaping import MaxwellBoltzmann
 from .sumdist import (
     NORMALIZATION_TOL,
@@ -78,6 +84,12 @@ def _provenance(args: argparse.Namespace) -> dict:
             }
         ),
     }
+
+
+def _header(provenance: dict, **extra: str) -> str:
+    """`# key: value` comment lines: the provenance, then any extra items."""
+    items = {**provenance, **extra}
+    return "".join(f"# {key}: {value}\n" for key, value in items.items())
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -152,10 +164,9 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
         _write_output(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         buf = io.StringIO()
-        for key, value in prov.items():
-            buf.write(f"# {key}: {value}\n")
-        buf.write(f"# num_factors: {len(factors)}\n")
-        buf.write(f"# uniformity_gap: {gap!r}\n")
+        buf.write(
+            _header(prov, num_factors=str(len(factors)), uniformity_gap=repr(gap))
+        )
         buf.write("symbol,probability\n")
         for k, pr in enumerate(result.probs):
             buf.write(f"{k},{float(pr)!r}\n")
@@ -178,11 +189,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     rho_out = float(c.shells.radii[-1])
 
     buf = io.StringIO()
-    for key, value in _provenance(args).items():
-        buf.write(f"# {key}: {value}\n")
-    buf.write(f"# rho_out: {rho_out!r}\n")
-    buf.write(f"# min_distance: {dmin!r}\n")
-    buf.write(f"# figure_of_merit: {merit!r}\n")
+    buf.write(
+        _header(
+            _provenance(args),
+            rho_out=repr(rho_out),
+            min_distance=repr(dmin),
+            figure_of_merit=repr(merit),
+        )
+    )
     buf.write("index,shell,re,im,prior\n")
     for idx, shell, re, im, prior in point_table(c):
         buf.write(f"{idx},{shell},{re!r},{im!r},{prior!r}\n")
@@ -271,13 +285,11 @@ def cmd_pas(args: argparse.Namespace) -> int:
         field, CqamParams(stretch=stretch)
     )
     shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, cqam.shells.radii)
-    frames, plan = generate_frames(
+    codewords, plan = generate_frames(
         code, cqam, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
     )
     target = np.array(plan.counts, dtype=float) / plan.block_length
-    report = empirical_distributions(
-        frames, cqam, shell_target=target, min_frames=min(args.frames, 10_000)
-    )
+    report = empirical_distributions(codewords, code, shell_target=target)
     report["code"] = {"n": n, "k": k, "coding_rate": str(rc), "seed": args.seed}
     report["matcher"] = {
         "block_length": plan.block_length,
@@ -285,19 +297,18 @@ def cmd_pas(args: argparse.Namespace) -> int:
         "input_length": plan.input_length(),
         "rate_bits_per_symbol": plan.rate_bits(),
     }
+    prov = _provenance(args)
     # frames first: an unwritable dump path then leaves no report behind
     if args.dump_frames:
+        shells, _, phases, points = split_frames(code, codewords)
         with open(args.dump_frames, "w") as fh:
-            for key, value in _provenance(args).items():
-                fh.write(f"# {key}: {value}\n")
+            fh.write(_header(prov))
             fh.write("frame,shell_symbols,phase_symbols,point_indices\n")
-            for i, frame in enumerate(frames):
-                fh.write(
-                    f"{i},{' '.join(map(str, frame.shell_symbols))},"
-                    f"{' '.join(map(str, frame.phase_symbols))},"
-                    f"{' '.join(map(str, frame.point_indices))}\n"
-                )
-    doc = {"provenance": _provenance(args), **report}
+            rows = zip(shells.tolist(), phases.tolist(), points.tolist())
+            for i, row in enumerate(rows):
+                cols = (" ".join(map(str, col)) for col in row)
+                fh.write(f"{i},{','.join(cols)}\n")
+    doc = {"provenance": prov, **report}
     _write_output(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 

@@ -118,22 +118,18 @@ def encode(code: CodeSpec, info: Sequence[int] | np.ndarray) -> np.ndarray:
     return np.concatenate([info, parity], axis=-1)
 
 
-@dataclass(frozen=True, slots=True)
-class PasFrame:
-    """One mapped frame: inputs, derived parity, and the point indices."""
+def split_frames(
+    code: CodeSpec, codewords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shell, parity, phase and point-index symbols of frame codewords.
 
-    dm_symbols: tuple[int, ...]
-    source_symbols: tuple[int, ...]
-    parity_symbols: tuple[int, ...]
-    point_indices: tuple[int, ...]
-
-    @property
-    def shell_symbols(self) -> tuple[int, ...]:
-        return self.dm_symbols
-
-    @property
-    def phase_symbols(self) -> tuple[int, ...]:
-        return self.source_symbols + self.parity_symbols
+    codewords is one codeword [shells | source | parity] or a
+    (frames, n) array of them; the phases are [source | parity] and
+    point index = shell * p + phase.  Each result keeps the leading axes.
+    """
+    half = code.n // 2
+    shells, phases = codewords[..., :half], codewords[..., half:]
+    return shells, codewords[..., code.k:], phases, shells * code.field.p + phases
 
 
 def map_frame(
@@ -141,12 +137,13 @@ def map_frame(
     cqam: Constellation,
     dm_out: Sequence[int],
     src: Sequence[int],
-) -> PasFrame:
+) -> np.ndarray:
     """Assemble one frame from matcher output and uniform source symbols.
 
     dm_out must hold n/2 shell symbols and src the k - n/2 source
-    symbols; distinct inputs yield distinct frames (the frame embeds
-    both verbatim).
+    symbols.  Returns the frame's codeword [dm_out | src | parity] (see
+    `split_frames`); distinct inputs yield distinct frames (the frame
+    embeds both verbatim).
     """
     p = code.field.p
     if code.n % 2:
@@ -162,18 +159,7 @@ def map_frame(
         raise ValueError(
             f"need {code.k - half} source symbols per frame, got {len(src)}"
         )
-    shells = np.asarray(dm_out, dtype=np.int64)
-    source = np.asarray(src, dtype=np.int64)
-    codeword = encode(code, np.concatenate([shells, source]))
-    parity = codeword[code.k:]
-    phases = np.concatenate([source, parity])
-    indices = shells * p + phases
-    return PasFrame(
-        dm_symbols=tuple(int(s) for s in dm_out),
-        source_symbols=tuple(int(s) for s in src),
-        parity_symbols=tuple(int(s) for s in parity),
-        point_indices=tuple(int(i) for i in indices),
-    )
+    return encode(code, np.concatenate([dm_out, src]))
 
 
 def generate_frames(
@@ -183,13 +169,14 @@ def generate_frames(
     num_frames: int,
     seed: int,
     dm_block: int = DEFAULT_DM_BLOCK,
-) -> tuple[list[PasFrame], CompositionPlan]:
+) -> tuple[np.ndarray, CompositionPlan]:
     """Run the full chain: matcher blocks feed frames, source is uniform.
 
     The matcher block length dm_block is independent of the code length;
     shaped symbols are buffered across frame boundaries.  Returns the
-    frames and the composition plan actually used (its counts/N are the
-    exact shell distribution of full blocks).
+    (num_frames, n) int64 codewords of the frames (see `split_frames`)
+    and the composition plan actually used (its counts/N are the exact
+    shell distribution of full blocks).
     """
     if num_frames < 1:
         raise ValueError("need at least one frame")
@@ -204,15 +191,12 @@ def generate_frames(
     while len(shaped) < need:
         u = rng.integers(0, p, size=d).tolist() if d else []
         shaped.extend(ccdm_encode(plan, u))
-    src_len = code.k - half
-    src_all = rng.integers(0, p, size=(num_frames, src_len))
-    frames = [
-        map_frame(
-            code, cqam, shaped[i * half:(i + 1) * half], src_all[i].tolist()
-        )
-        for i in range(num_frames)
-    ]
-    return frames, plan
+    shells = np.array(shaped[:need], dtype=np.int64).reshape(num_frames, half)
+    src_all = rng.integers(0, p, size=(num_frames, code.k - half))
+    codewords = np.empty((num_frames, code.n), dtype=np.int64)
+    for i in range(num_frames):
+        codewords[i] = map_frame(code, cqam, shells[i], src_all[i])
+    return codewords, plan
 
 
 #: The standard normal distribution's 0.99 quantile.
@@ -276,21 +260,20 @@ def _chi_square_99pct(dof: int) -> float:
 
 
 def empirical_distributions(
-    frames: Sequence[PasFrame],
-    cqam: Constellation,
+    codewords: np.ndarray,
+    code: CodeSpec,
     shell_target: Sequence[float] | None = None,
-    min_frames: int = 10_000,
 ) -> dict:
     """Measure the symbol statistics a chain actually produced.
 
+    codewords are the (frames, n) codewords of `generate_frames`.
     Reports the parity PMF with its uniformity gap, the shell PMF
     against shell_target (default: the empirical shell marginal), and a
     chi-square statistic of the per-point counts against the product
     law target_shell x uniform-phase, with the 0.99 quantile for
     reference.  The statistic and its degrees of freedom cover the
     points with a positive expected count; a point the frames use but
-    the target excludes is rejected.  Fewer than min_frames frames is
-    rejected as statistically meaningless.
+    the target excludes is rejected.
 
     The quantile assumes that the n/2 points of a frame are independent.
     Their phases, however, are linear in the frame's shell symbols and
@@ -300,18 +283,8 @@ def empirical_distributions(
     ``pas -p 5 --nu 100 --frames 2000 --seed 1`` reads 26.3 against a
     quantile of 13.3.
     """
-    if len(frames) < min_frames:
-        raise ValueError(
-            f"need at least {min_frames} frames for stable statistics, "
-            f"got {len(frames)}"
-        )
-    if cqam.shells is None:
-        raise ValueError("constellation has no shell structure")
-    p = cqam.shells.num_shells
-
-    parity = np.concatenate([np.array(f.parity_symbols, dtype=int) for f in frames])
-    shells = np.concatenate([np.array(f.dm_symbols, dtype=int) for f in frames])
-    points = np.concatenate([np.array(f.point_indices, dtype=int) for f in frames])
+    p = code.field.p
+    shells, parity, _, points = (a.ravel() for a in split_frames(code, codewords))
 
     parity_pmf = np.bincount(parity, minlength=p) / parity.size
     shell_pmf = np.bincount(shells, minlength=p) / shells.size
@@ -334,7 +307,7 @@ def empirical_distributions(
     dof = int(used.sum()) - 1
 
     return {
-        "num_frames": len(frames),
+        "num_frames": len(codewords),
         "num_parity_symbols": int(parity.size),
         "num_points": int(points.size),
         "parity": {

@@ -10,6 +10,7 @@ from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
 from primeshape.constellations import Stretch
 from primeshape.field import Prime
+from primeshape.pas import CodeSpec
 from primeshape.shaping import CompositionPlan, MaxwellBoltzmann
 from primeshape.sumdist import SymbolDistribution
 
@@ -314,8 +315,17 @@ def test_pas_dump_frames(tmp_path, capsys):
     lines = [l for l in dump.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "frame,shell_symbols,phase_symbols,point_indices"
     assert len(lines) == 121
-    first = lines[1].split(",")
-    assert len(first[1].split()) == 3  # n/2 shell symbols for n = 6
+    # default rate 2/3 and seed 1: n = 6, k = 4, so each frame carries 3
+    # shells and 3 phases, [1 source symbol | 2 parity symbols]
+    code = CodeSpec.random_dense(Prime(5), 6, 4, seed=1)
+    for i, line in enumerate(lines[1:]):
+        frame, *cols = line.split(",")
+        assert int(frame) == i
+        shells, phases, points = (np.array(c.split(), dtype=np.int64) for c in cols)
+        assert shells.shape == phases.shape == (3,)
+        assert np.array_equal(points, shells * 5 + phases)
+        info = np.concatenate([shells, phases[:1]])
+        assert np.array_equal(phases[1:], info @ code.parity % 5)
 
 
 @pytest.mark.parametrize("p, nu, dof", [(13, "0.1", 155), (7, "0.2", 41)])

@@ -4,19 +4,22 @@ import os
 import subprocess
 import sys
 
+import types
+
 import numpy as np
 import pytest
 
+import primeshape
 from primeshape.constellations import build_cqam
 from primeshape.field import Prime
 from primeshape.pas import (
     CodeSpec,
     _chi_square_99pct,
-    PasFrame,
     empirical_distributions,
     encode,
     generate_frames,
     map_frame,
+    split_frames,
 )
 from primeshape.shaping import MaxwellBoltzmann
 
@@ -125,8 +128,8 @@ def test_random_dense_parity_uniform_under_degenerate_shells():
     code = CodeSpec.random_dense(P5, 6, 4, seed=2)
     cqam = build_cqam(P5)
     prior = MaxwellBoltzmann.from_amplitudes(100.0, cqam.shells.radii)
-    frames, _ = generate_frames(code, cqam, prior, num_frames=2000, seed=2)
-    report = empirical_distributions(frames, cqam, min_frames=2000)
+    codewords, _ = generate_frames(code, cqam, prior, num_frames=2000, seed=2)
+    report = empirical_distributions(codewords, code)
     sigma = math.sqrt(0.2 * 0.8 / report["num_parity_symbols"])
     assert report["parity"]["uniformity_gap"] < 6 * sigma
 
@@ -147,40 +150,39 @@ def test_map_frame_structure():
     cqam = build_cqam(P5)
     dm = [4, 0, 2]
     src = [3]
-    frame = map_frame(code, cqam, dm, src)
-    assert frame.shell_symbols == (4, 0, 2)
-    assert frame.source_symbols == (3,)
-    assert len(frame.parity_symbols) == 2
+    word = map_frame(code, cqam, dm, src)
+    # the frame is the codeword of [shells | source]
+    assert word.dtype == np.int64
+    assert word.tolist() == encode(code, dm + src).tolist()
+    shells, parity, phases, points = split_frames(code, word)
+    assert shells.tolist() == [4, 0, 2]
+    assert parity.tolist() == word[4:].tolist()
     # phases = [source | parity], indices = shell*p + phase
-    assert frame.phase_symbols == (3,) + frame.parity_symbols
-    expected = [s * 5 + q for s, q in zip(dm, frame.phase_symbols)]
-    assert list(frame.point_indices) == expected
-    # parity must agree with a direct encoder call
-    word = encode(code, dm + src)
-    assert frame.parity_symbols == tuple(word[4:].tolist())
+    assert phases.tolist() == [3] + parity.tolist()
+    assert points.tolist() == [s * 5 + q for s, q in zip(dm, phases.tolist())]
 
 
 def test_map_frame_zero_inputs():
     code = _toy_code()
     cqam = build_cqam(P5)
-    frame = map_frame(code, cqam, [0, 0, 0], [0])
-    assert frame.point_indices == (0, 0, 0)
+    word = map_frame(code, cqam, [0, 0, 0], [0])
+    assert split_frames(code, word)[3].tolist() == [0, 0, 0]
 
 
 def test_map_frame_injective_on_sample():
     code = _toy_code()
     cqam = build_cqam(P5)
     rng = np.random.default_rng(7)
-    seen = set()
+    inputs, rows = set(), set()
     for _ in range(200):
         dm = rng.integers(0, 5, size=3).tolist()
         src = rng.integers(0, 5, size=1).tolist()
-        frame = map_frame(code, cqam, dm, src)
-        key = (frame.dm_symbols, frame.source_symbols)
-        assert key not in seen or True  # duplicates of inputs are allowed
-        seen.add((key, frame.point_indices))
-    # distinct inputs never collide in (inputs -> indices) pairs
-    assert len({k for k, _ in seen}) == len(seen)
+        word = map_frame(code, cqam, dm, src)
+        inputs.add((*dm, *src))
+        rows.add(tuple(split_frames(code, word)[3].tolist()))
+    assert len(inputs) > 100  # the sample repeats few inputs
+    # distinct (dm, src) inputs give distinct point-index rows
+    assert len(rows) == len(inputs)
 
 
 def test_map_frame_rejects_bad_shapes():
@@ -212,15 +214,16 @@ def _chain_pieces():
 
 def test_generate_frames_shapes_and_determinism():
     code, cqam, prior = _chain_pieces()
-    frames, plan = generate_frames(code, cqam, prior, num_frames=40, seed=3)
-    assert len(frames) == 40
-    assert all(isinstance(f, PasFrame) for f in frames)
-    assert all(len(f.point_indices) == 3 for f in frames)
+    codewords, plan = generate_frames(code, cqam, prior, num_frames=40, seed=3)
+    assert codewords.shape == (40, 6)
+    assert codewords.dtype == np.int64
+    # every row is a codeword of the code
+    assert np.array_equal(encode(code, codewords[:, :4]), codewords)
     assert plan.block_length == 64  # default matcher block length
     again, _ = generate_frames(code, cqam, prior, num_frames=40, seed=3)
-    assert frames == again
+    assert np.array_equal(codewords, again)
     other, _ = generate_frames(code, cqam, prior, num_frames=40, seed=4)
-    assert frames != other
+    assert not np.array_equal(codewords, other)
 
 
 def test_generate_frames_rejects_empty():
@@ -233,11 +236,9 @@ def test_chain_statistics():
     # moderate run: parity near-uniform, shells near the matcher's
     # composition, and the product-law chi-square inside its 99% quantile
     code, cqam, prior = _chain_pieces()
-    frames, plan = generate_frames(code, cqam, prior, num_frames=4000, seed=12)
+    codewords, plan = generate_frames(code, cqam, prior, num_frames=4000, seed=12)
     target = [c / plan.block_length for c in plan.counts]
-    report = empirical_distributions(
-        frames, cqam, shell_target=target, min_frames=4000
-    )
+    report = empirical_distributions(codewords, code, shell_target=target)
     assert report["num_points"] == 12000
     assert report["parity"]["uniformity_gap"] < 0.02
     assert report["shells"]["max_abs_dev"] < 0.02
@@ -248,15 +249,24 @@ def test_chain_statistics():
 
 def test_empirical_distributions_guards():
     code, cqam, prior = _chain_pieces()
-    frames, _ = generate_frames(code, cqam, prior, num_frames=50, seed=1)
+    codewords, _ = generate_frames(code, cqam, prior, num_frames=50, seed=1)
     with pytest.raises(ValueError):
-        empirical_distributions(frames, cqam)  # default min_frames=10000
-    with pytest.raises(ValueError):
-        empirical_distributions(frames, cqam, shell_target=[0.5, 0.5], min_frames=10)
+        empirical_distributions(codewords, code, shell_target=[0.5, 0.5])
     with pytest.raises(ValueError):
         empirical_distributions(
-            frames, cqam, shell_target=[1.0, 0.0, 0.0, 0.0, 0.0], min_frames=10
+            codewords, code, shell_target=[1.0, 0.0, 0.0, 0.0, 0.0]
         )
+
+
+def test_all_lists_the_public_names():
+    # a name removed from the package must leave __all__ too, and vice versa
+    public = {
+        name
+        for name, value in vars(primeshape).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(primeshape.__all__)) == len(primeshape.__all__)
+    assert set(primeshape.__all__) == public | {"__version__"}
 
 
 @pytest.mark.parametrize(
