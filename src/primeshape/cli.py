@@ -46,6 +46,7 @@ from .optimizer import (
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
+    provenance_header,
 )
 from .pas import (
     DEFAULT_DM_BLOCK,
@@ -84,12 +85,6 @@ def _provenance(args: argparse.Namespace) -> dict:
             }
         ),
     }
-
-
-def _header(provenance: dict, **extra: str) -> str:
-    """`# key: value` comment lines: the provenance, then any extra items."""
-    items = {**provenance, **extra}
-    return "".join(f"# {key}: {value}\n" for key, value in items.items())
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -165,7 +160,9 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
     else:
         buf = io.StringIO()
         buf.write(
-            _header(prov, num_factors=str(len(factors)), uniformity_gap=repr(gap))
+            provenance_header(
+                prov, num_factors=str(len(factors)), uniformity_gap=repr(gap)
+            )
         )
         buf.write("symbol,probability\n")
         for k, pr in enumerate(result.probs):
@@ -190,7 +187,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
     buf = io.StringIO()
     buf.write(
-        _header(
+        provenance_header(
             _provenance(args),
             rho_out=repr(rho_out),
             min_distance=repr(dmin),
@@ -302,7 +299,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
     if args.dump_frames:
         shells, _, phases, points = split_frames(code, codewords)
         with open(args.dump_frames, "w") as fh:
-            fh.write(_header(prov))
+            fh.write(provenance_header(prov))
             fh.write("frame,shell_symbols,phase_symbols,point_indices\n")
             rows = zip(shells.tolist(), phases.tolist(), points.tolist())
             for i, row in enumerate(rows):

@@ -634,6 +634,15 @@ def _format_cell(key: str, value: object) -> str:
     return str(value)
 
 
+def provenance_header(provenance: Mapping, **extra: str) -> str:
+    """`# key: value` comment lines: the provenance, then any extra items.
+
+    Every file the tool writes opens with them.
+    """
+    items = {**provenance, **extra}
+    return "".join(f"# {key}: {value}\n" for key, value in items.items())
+
+
 def emit_table(
     rows: Iterable[ShapingSolution | Mapping],
     fmt: str = "csv",
@@ -663,11 +672,8 @@ def emit_table(
         return json.dumps(doc, indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unknown table format {fmt!r}")
-    lines = []
-    if provenance is not None:
-        for key, value in provenance.items():
-            lines.append(f"# {key}: {value}")
-    lines.append(",".join(columns))
+    lines = [",".join(columns)]
     for rec in records:
         lines.append(",".join(_format_cell(c, rec.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    header = "" if provenance is None else provenance_header(provenance)
+    return header + "\n".join(lines) + "\n"

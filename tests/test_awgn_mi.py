@@ -168,17 +168,25 @@ def test_zero_prior_points_are_ignored():
     npt.assert_allclose(a, b, atol=1e-12)
 
 
-def mi_real_points_scipy(points, priors, sigma, nodes=96):
-    """Oracle: the real kernel with full-size temporaries and scipy's logsumexp."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+def mi_real_points_scipy(
+    points, priors, sigma, nodes=96, condition_on=None, condition_weights=None,
+    full_rule=False,
+):
+    """Oracle: the real kernel with full-size (conditioning point, node,
+    point) temporaries and scipy's logsumexp, on the same pruned rule, or
+    with full_rule on every node of hermgauss."""
+    t, w = np.polynomial.hermite.hermgauss(nodes) if full_rule else _rule(nodes, 1)[:2]
+    t = t.reshape(-1)
+    if condition_on is None:
+        condition_on, condition_weights = points, priors
+    active = condition_weights > 0.0
     logp = np.full(priors.shape, -np.inf)
     logp[priors > 0.0] = np.log(priors[priors > 0.0])
-    active = np.flatnonzero(priors > 0.0)
-    y = points[active, None] + math.sqrt(2.0) * sigma * t[None, :]
+    y = condition_on[active, None] + math.sqrt(2.0) * sigma * t[None, :]
     d2 = (y[:, :, None] - points[None, None, :]) ** 2 / (2.0 * sigma**2)
     lse = logsumexp(logp[None, None, :] - d2, axis=2)
     integrand = (-t[None, :] ** 2 - lse) / math.log(2.0)
-    return float(np.dot(priors[active], integrand @ w) / math.sqrt(math.pi))
+    return float(np.dot(condition_weights[active], integrand @ w) / math.sqrt(math.pi))
 
 
 def mi_complex_points_oracle(
@@ -250,22 +258,20 @@ def test_complex_kernel_equals_oracle_on_grid():
                     assert abs(got - want) < 1e-13, (p, nodes, sigma, kw.keys())
 
 
-@pytest.mark.parametrize("nodes, kept", [(16, 252), (24, 468), (48, 1044), (96, 2164)])
-def test_planar_rule_is_pruned_at_the_weight_floor(nodes, kept):
-    t, w, t2 = _rule(nodes, 2)
-    assert len(t) == len(w) == len(t2) == kept
+@pytest.mark.parametrize(
+    "dim, nodes, kept",
+    [(1, 16, 16), (1, 24, 24), (1, 48, 36), (1, 96, 52)]
+    + [(2, 16, 252), (2, 24, 468), (2, 48, 1044), (2, 96, 2164)],
+)
+def test_rule_is_pruned_at_the_weight_floor(dim, nodes, kept):
+    t, w, t2 = _rule(nodes, dim)
+    assert t.shape == (kept, dim) and len(w) == len(t2) == kept
     assert w.min() >= 1e-16 * w.max()
     # the dropped nodes' share of the weight mass, summed exactly
     w1 = np.polynomial.hermite.hermgauss(nodes)[1]
-    full = np.outer(w1, w1).ravel()
+    full = np.prod(np.meshgrid(*[w1] * dim), axis=0).ravel()
     dropped = math.fsum(np.concatenate([full, -w]))
     assert 0.0 <= dropped < 1e-15 * math.fsum(full)
-
-
-def test_real_rule_is_not_pruned():
-    t, w, t2 = _rule(96, 1)
-    assert len(t) == len(w) == len(t2) == 96
-    npt.assert_array_equal(w, np.polynomial.hermite.hermgauss(96)[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -281,6 +287,27 @@ def test_pruned_complex_kernel_matches_full_rule_oracle(p, nu, log_sigma, nodes)
     kw = {"condition_on": c.points[np.arange(p) * p], "condition_weights": shell_probs}
     got = mi_complex_points(*args, **kw)
     assert abs(got - mi_complex_points_oracle(*args, **kw)) < 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.floats(0.0, 0.3),
+    st.floats(math.log(0.03), math.log(3.0)),
+    st.sampled_from([16, 24, 48, 96]),
+)
+def test_pruned_real_kernel_matches_full_rule_oracle(p, nu, log_sigma, nodes):
+    # the optimizer's calls: a p-ASK prior folded onto x >= 0
+    pts = ask_amplitudes(Prime(p)).astype(float)
+    pri = mb_ask_prior(Prime(p), nu).probs
+    half = pts >= 0.0
+    kw = {
+        "condition_on": pts[half],
+        "condition_weights": np.where(pts[half] > 0.0, 2.0, 1.0) * pri[half],
+    }
+    args = (pts, pri, math.exp(log_sigma), nodes)
+    got = mi_real_points(*args, **kw)
+    assert abs(got - mi_real_points_scipy(*args, **kw, full_rule=True)) < 1e-13
 
 
 def _random_complex_cases(count, seed):
