@@ -73,9 +73,10 @@ DEFAULT_NODES = 96
 
 _LN2 = math.log(2.0)
 
-#: Smallest tensor-rule weight, relative to the largest, that a rule keeps.  The dropped nodes carry under 1e-16 of the
-#: weight mass, so a float64 sum loses nothing it could hold: MI moves by
-#: under 1e-14 bits, while a floor of 1e-13 moves it by up to 4e-12 bits.
+#: Smallest tensor-rule weight, relative to the largest, that a rule keeps.
+#: The dropped nodes carry under 1e-16 of the weight mass, so a float64 sum
+#: loses nothing it could hold: MI moves by under 1e-14 bits, while a floor
+#: of 1e-13 moves the 2-D rule's MI by up to 4e-12 bits.
 _WEIGHT_FLOOR = 1e-16
 
 #: Terms (points x rows) the kernel reduces per block, 256 KiB of float64.

@@ -635,10 +635,7 @@ def _format_cell(key: str, value: object) -> str:
 
 
 def provenance_header(provenance: Mapping, **extra: str) -> str:
-    """`# key: value` comment lines: the provenance, then any extra items.
-
-    Every file the tool writes opens with them.
-    """
+    """`# key: value` comment lines: the provenance, then any extra items."""
     items = {**provenance, **extra}
     return "".join(f"# {key}: {value}\n" for key, value in items.items())
 
