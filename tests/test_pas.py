@@ -284,6 +284,22 @@ def test_package_import_leaves_scipy_stats_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
+def test_pas_leaves_scipy_stats_unloaded(tmp_path):
+    # the chi-square quantile comes from the standard library, not scipy.stats
+    report = tmp_path / "report.json"
+    code = (
+        "import sys; from primeshape.cli import main; "
+        f"code = main(['pas', '-p', '5', '--frames', '200', '-o', {str(report)!r}]); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+    assert report.exists()
+
+
 def test_pas_loads_no_scipy(tmp_path):
     # the chi-square quantile is computed with the standard library, so no
     # scipy module is loaded, scipy.stats among them
