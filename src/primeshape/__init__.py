@@ -8,13 +8,7 @@ optimization, and systematic shaping chains.
 
 __version__ = "0.1.0"
 
-from .awgn_mi import (
-    ChannelSnr,
-    capacity_gamma,
-    mi_complex_cqam,
-    mi_complex_naive,
-    mi_real,
-)
+from .awgn_mi import capacity_gamma
 from .constellations import (
     Constellation,
     CqamParams,
@@ -30,7 +24,6 @@ from .field import Prime, ask_amplitudes, is_prime
 from .optimizer import (
     ShapingSolution,
     UnreachableRateError,
-    emit_table,
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
@@ -55,14 +48,12 @@ from .shaping import (
 )
 from .sumdist import (
     SymbolDistribution,
-    sum_distribution_convolve,
     sum_distribution_dft,
     uniformity_gap,
 )
 
 __all__ = [
     "__version__",
-    "ChannelSnr",
     "CodeSpec",
     "CompositionPlan",
     "Constellation",
@@ -83,7 +74,6 @@ __all__ = [
     "ccdm_decode",
     "ccdm_encode",
     "cqam_prior",
-    "emit_table",
     "empirical_distributions",
     "encode",
     "figure_of_merit",
@@ -91,16 +81,12 @@ __all__ = [
     "is_prime",
     "map_frame",
     "mb_ask_prior",
-    "mi_complex_cqam",
-    "mi_complex_naive",
-    "mi_real",
     "min_distance",
     "optimize_cqam",
     "optimize_shaped_ask",
     "optimize_time_sharing",
     "snr_for_rate",
     "split_frames",
-    "sum_distribution_convolve",
     "sum_distribution_dft",
     "uniformity_gap",
 ]

@@ -8,7 +8,8 @@ Subcommands:
 * pas         run a shaping chain and report empirical statistics
 
 Every file the tool writes starts with a provenance header (tool
-version, the full parameter set, and the numeric tolerances in force).
+version, the full parameter set, and the numeric tolerances in force);
+`_csv` and `_json` write every output.
 Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence.
 """
 
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .constellations import (
     build_cqam_stretched,
     figure_of_merit,
     min_distance,
-    point_table,
 )
 from .field import Prime
 from .optimizer import (
@@ -42,11 +43,9 @@ from .optimizer import (
     NU_REL_TOL,
     RATE_RESIDUAL_TOL,
     UnreachableRateError,
-    emit_table,
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
-    provenance_header,
 )
 from .pas import (
     DEFAULT_DM_BLOCK,
@@ -85,6 +84,26 @@ def _provenance(args: argparse.Namespace) -> dict:
             }
         ),
     }
+
+
+def _csv(
+    args: argparse.Namespace,
+    columns: Sequence[str],
+    rows: Iterable[Iterable[object]],
+    **extra: object,
+) -> str:
+    """CSV text: the provenance and `extra` as `# key: value` lines, the
+    header, then one line per row with each value's str() as its cell."""
+    items = {**_provenance(args), **extra}
+    lines = [f"# {key}: {value}" for key, value in items.items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json(args: argparse.Namespace, doc: dict) -> str:
+    """JSON text of `doc` after its provenance, indented by 2."""
+    return json.dumps({"provenance": _provenance(args), **doc}, indent=2) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -130,6 +149,8 @@ def _parse_pmf(field: Prime, values: list[float]) -> SymbolDistribution:
 
 def cmd_sum_dist(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     factors: list[SymbolDistribution] = []
     for spec in args.factor or []:
         factors.append(_parse_pmf(field, [float(v) for v in spec.split(",")]))
@@ -147,27 +168,21 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
 
     result = sum_distribution_dft(factors)
     gap = uniformity_gap(result)
-    prov = _provenance(args)
     if args.format == "json":
         doc = {
-            "provenance": prov,
             "p": field.p,
             "num_factors": len(factors),
             "pmf": result.probs.tolist(),
             "uniformity_gap": gap,
         }
-        _write_output(json.dumps(doc, indent=2) + "\n", args.output)
+        text = _json(args, doc)
     else:
-        buf = io.StringIO()
-        buf.write(
-            provenance_header(
-                prov, num_factors=str(len(factors)), uniformity_gap=repr(gap)
-            )
+        rows = enumerate(result.probs.tolist())
+        text = _csv(
+            args, ("symbol", "probability"), rows,
+            num_factors=len(factors), uniformity_gap=gap,
         )
-        buf.write("symbol,probability\n")
-        for k, pr in enumerate(result.probs):
-            buf.write(f"{k},{float(pr)!r}\n")
-        _write_output(buf.getvalue(), args.output)
+    _write_output(text, args.output)
     return 0
 
 
@@ -185,19 +200,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     merit = figure_of_merit(c)
     rho_out = float(c.shells.radii[-1])
 
-    buf = io.StringIO()
-    buf.write(
-        provenance_header(
-            _provenance(args),
-            rho_out=repr(rho_out),
-            min_distance=repr(dmin),
-            figure_of_merit=repr(merit),
-        )
+    points = enumerate(zip(c.points.tolist(), c.priors.tolist()))
+    rows = ((i, i // field.p, x.real, x.imag, prior) for i, (x, prior) in points)
+    text = _csv(
+        args, ("index", "shell", "re", "im", "prior"), rows,
+        rho_out=rho_out, min_distance=dmin, figure_of_merit=merit,
     )
-    buf.write("index,shell,re,im,prior\n")
-    for idx, shell, re, im, prior in point_table(c):
-        buf.write(f"{idx},{shell},{re!r},{im!r},{prior!r}\n")
-    _write_output(buf.getvalue(), args.output)
+    _write_output(text, args.output)
     if args.output and args.output != "-":
         print(
             f"p={field.p}: {c.size} points, rho_out={rho_out:.6f}, "
@@ -209,6 +218,33 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
+
+
+#: Leading table columns, in order; each optional column follows them
+#: when any row has it.
+TABLE_COLUMNS = (
+    "p",
+    "Rc",
+    "target_rate",
+    "potential_gain_db",
+    "gap_db",
+    "effective_gain_db",
+    "nu_star",
+    "gamma_A_db",
+)
+EXTRA_COLUMNS = ("scheme", "convention", "gamma_cap_db", "gamma_unif_db", "status")
+
+
+def _table_cell(column: str, value: object) -> object:
+    """A table value as its CSV cell: dB to 3 decimals, nu* and the target
+    rate to 6, a missing value empty.  JSON keeps full precision."""
+    if value is None:
+        return ""
+    if column.endswith("_db"):
+        return f"{value:.3f}"
+    if column in ("nu_star", "target_rate"):
+        return f"{value:.6f}"
+    return value
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -228,10 +264,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     def solve(scheme: str, optimize, p: int, rc: Fraction, **kwargs) -> None:
         """Append optimize's solution at (p, rc), or an unreachable-rate row."""
         try:
-            rows.append(optimize(Prime(p), rc, **kwargs))
+            row = asdict(optimize(Prime(p), rc, **kwargs))
         except UnreachableRateError as exc:
             label = {"scheme": scheme, "p": p, "Rc": str(rc)}
             rows.append({**label, "status": f"unreachable: {exc}"})
+        else:
+            row["Rc"] = str(row.pop("coding_rate"))
+            rows.append({**row, "status": "ok"})
 
     if args.mode == "time-sharing":
         conventions = (
@@ -252,7 +291,13 @@ def cmd_table(args: argparse.Namespace) -> int:
                 solve("cqam", optimize_cqam, p, rc, params=params,
                       nodes=args.nodes, search_nodes=args.search_nodes)
 
-    text = emit_table(rows, fmt=args.format, provenance=_provenance(args))
+    extra = [c for c in EXTRA_COLUMNS if any(c in row for row in rows)]
+    columns = [*TABLE_COLUMNS, *extra]
+    if args.format == "json":
+        text = _json(args, {"columns": columns, "rows": rows})
+    else:
+        cells = ([_table_cell(c, row.get(c)) for c in columns] for row in rows)
+        text = _csv(args, columns, cells)
     _write_output(text, args.output)
     return 0
 
@@ -283,7 +328,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
     )
     shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, cqam.shells.radii)
     codewords, plan = generate_frames(
-        code, cqam, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
+        code, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
     )
     target = np.array(plan.counts, dtype=float) / plan.block_length
     report = empirical_distributions(codewords, code, shell_target=target)
@@ -294,19 +339,18 @@ def cmd_pas(args: argparse.Namespace) -> int:
         "input_length": plan.input_length(),
         "rate_bits_per_symbol": plan.rate_bits(),
     }
-    prov = _provenance(args)
     # frames first: an unwritable dump path then leaves no report behind
     if args.dump_frames:
         shells, _, phases, points = split_frames(code, codewords)
+        frames = zip(shells.tolist(), phases.tolist(), points.tolist())
+        rows = (
+            (i, *(" ".join(map(str, col)) for col in frame))
+            for i, frame in enumerate(frames)
+        )
+        columns = ("frame", "shell_symbols", "phase_symbols", "point_indices")
         with open(args.dump_frames, "w") as fh:
-            fh.write(provenance_header(prov))
-            fh.write("frame,shell_symbols,phase_symbols,point_indices\n")
-            rows = zip(shells.tolist(), phases.tolist(), points.tolist())
-            for i, row in enumerate(rows):
-                cols = (" ".join(map(str, col)) for col in row)
-                fh.write(f"{i},{','.join(cols)}\n")
-    doc = {"provenance": prov, **report}
-    _write_output(json.dumps(doc, indent=2) + "\n", args.output)
+            fh.write(_csv(args, columns, rows))
+    _write_output(_json(args, report), args.output)
     return 0
 
 

@@ -245,13 +245,3 @@ def figure_of_merit(c: Constellation) -> float:
     dmin = min_distance(c)
     energy = float(np.mean(np.abs(c.points) ** 2))
     return math.log2(c.size) * dmin**2 / energy
-
-
-def point_table(c: Constellation) -> list[tuple[int, int | None, float, float, float]]:
-    """Rows (index, shell, re, im, prior) for CSV export."""
-    rows = []
-    p = c.shells.num_shells if c.shells is not None else None
-    for i, (x, pr) in enumerate(zip(c.points, c.priors)):
-        shell = i // p if p is not None else None
-        rows.append((i, shell, float(x.real), float(x.imag), float(pr)))
-    return rows

@@ -55,9 +55,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -585,92 +585,3 @@ def optimize_cqam(
         scheme, field, coding_rate,
         nodes=nodes, search_nodes=search_nodes, nu=nu, nu_max=nu_max,
     )
-
-
-# ---------------------------------------------------------------------------
-# table assembly
-# ---------------------------------------------------------------------------
-
-#: Leading report columns, in emission order.
-TABLE_COLUMNS = (
-    "p",
-    "Rc",
-    "target_rate",
-    "potential_gain_db",
-    "gap_db",
-    "effective_gain_db",
-    "nu_star",
-    "gamma_A_db",
-)
-
-EXTRA_COLUMNS = ("scheme", "convention", "gamma_cap_db", "gamma_unif_db", "status")
-
-_DB_FIELDS = {
-    "potential_gain_db",
-    "gap_db",
-    "effective_gain_db",
-    "gamma_A_db",
-    "gamma_cap_db",
-    "gamma_unif_db",
-}
-
-
-def solution_record(sol: ShapingSolution) -> dict:
-    """Flatten a solution into the report-column dictionary."""
-    rec = asdict(sol)
-    rec["Rc"] = str(sol.coding_rate)
-    del rec["coding_rate"]
-    rec["status"] = "ok"
-    return rec
-
-
-def _format_cell(key: str, value: object) -> str:
-    if value is None:
-        return ""
-    if key in _DB_FIELDS:
-        return f"{value:.3f}"
-    if key in ("nu_star", "target_rate"):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def provenance_header(provenance: Mapping, **extra: str) -> str:
-    """`# key: value` comment lines: the provenance, then any extra items."""
-    items = {**provenance, **extra}
-    return "".join(f"# {key}: {value}\n" for key, value in items.items())
-
-
-def emit_table(
-    rows: Iterable[ShapingSolution | Mapping],
-    fmt: str = "csv",
-    provenance: Mapping | None = None,
-) -> str:
-    """Render rows as CSV (dB columns rounded to 3 decimals) or JSON.
-
-    JSON keeps full precision; comparisons should always use unrounded
-    values, rounding is applied at report time only.  Mapping rows pass
-    through untouched except for column alignment, which lets callers
-    interleave failure markers (e.g. unreachable-rate rows).
-    """
-    records = []
-    for row in rows:
-        records.append(
-            solution_record(row) if isinstance(row, ShapingSolution) else dict(row)
-        )
-    columns = list(TABLE_COLUMNS) + [
-        c for c in EXTRA_COLUMNS if any(c in r for r in records)
-    ]
-    if fmt == "json":
-        import json
-
-        doc: dict = {"columns": columns, "rows": records}
-        if provenance is not None:
-            doc = {"provenance": dict(provenance), **doc}
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown table format {fmt!r}")
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_format_cell(c, rec.get(c)) for c in columns))
-    header = "" if provenance is None else provenance_header(provenance)
-    return header + "\n".join(lines) + "\n"

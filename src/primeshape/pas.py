@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constellations import Constellation
 from .field import Prime
 from .shaping import CompositionPlan, MaxwellBoltzmann, ccdm_encode
 
@@ -134,7 +133,6 @@ def split_frames(
 
 def map_frame(
     code: CodeSpec,
-    cqam: Constellation,
     dm_out: Sequence[int],
     src: Sequence[int],
 ) -> np.ndarray:
@@ -145,13 +143,8 @@ def map_frame(
     `split_frames`); distinct inputs yield distinct frames (the frame
     embeds both verbatim).
     """
-    p = code.field.p
     if code.n % 2:
         raise ValueError("frame mapping needs an even code length")
-    if cqam.size != p * p:
-        raise ValueError(
-            f"constellation has {cqam.size} points, expected {p * p}"
-        )
     half = code.n // 2
     if len(dm_out) != half:
         raise ValueError(f"need {half} matcher symbols per frame, got {len(dm_out)}")
@@ -164,7 +157,6 @@ def map_frame(
 
 def generate_frames(
     code: CodeSpec,
-    cqam: Constellation,
     shell_prior: MaxwellBoltzmann,
     num_frames: int,
     seed: int,
@@ -195,7 +187,7 @@ def generate_frames(
     src_all = rng.integers(0, p, size=(num_frames, code.k - half))
     codewords = np.empty((num_frames, code.n), dtype=np.int64)
     for i in range(num_frames):
-        codewords[i] = map_frame(code, cqam, shells[i], src_all[i])
+        codewords[i] = map_frame(code, shells[i], src_all[i])
     return codewords, plan
 
 

@@ -8,8 +8,9 @@ import pytest
 from primeshape import cli
 from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
-from primeshape.constellations import Stretch
+from primeshape.constellations import Stretch, build_cqam
 from primeshape.field import Prime
+from primeshape.optimizer import ShapingSolution, UnreachableRateError
 from primeshape.pas import CodeSpec
 from primeshape.shaping import CompositionPlan, MaxwellBoltzmann
 from primeshape.sumdist import SymbolDistribution
@@ -86,6 +87,21 @@ def test_sum_dist_rejects_bad_pmf(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("repeat", ["0", "-3"])
+def test_sum_dist_rejects_repeat_below_one(capsys, repeat):
+    # a repeat below 1 would drop the given factors and leave the uniform one
+    code, out, err = _run(
+        capsys,
+        [
+            "sum-dist", "-p", "5", "--factor", "0.5,0.2,0.1,0.1,0.1",
+            "--repeat", repeat, "--uniform-factor",
+        ],
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "--repeat" in err
+    assert out == ""
+
+
 def test_sum_dist_rejects_composite_modulus(capsys):
     code, _, err = _run(
         capsys, ["sum-dist", "-p", "6", "--factor", "0.5,0.1,0.1,0.1,0.1,0.1"]
@@ -114,6 +130,19 @@ def test_construct_csv(capsys):
     radii = [np.hypot(float(r[2]), float(r[3])) for r in rows if r[1] == "0"]
     assert np.allclose(radii, 1.0)
     assert np.allclose([float(r[4]) for r in rows], 1 / 25)
+
+
+def test_construct_point_row_layout(capsys):
+    # row i is point i of the constellation, on shell i // p
+    code, out, _ = _run(capsys, ["construct", "-p", "5"])
+    assert code == 0
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    idx, shell, re, im, prior = data[1 + 7].split(",")
+    assert idx == "7" and shell == "1"
+    assert float(prior) == pytest.approx(1 / 25)
+    np.testing.assert_allclose(
+        float(re) + 1j * float(im), build_cqam(Prime(5)).points[7], atol=1e-15
+    )
 
 
 def test_construct_stretch_and_file_output(tmp_path, capsys):
@@ -263,6 +292,93 @@ def test_table_non_convergence_exits_3(monkeypatch, capsys):
     assert code == 3
     assert "error: SNR bisection did not converge" in err
     assert out == ""
+
+
+TABLE_HEAD = [
+    "p", "Rc", "target_rate", "potential_gain_db", "gap_db",
+    "effective_gain_db", "nu_star", "gamma_A_db",
+]
+
+
+def _fake_time_sharing(field, rc, convention, nodes):
+    """A fixed solution in place of a solve; Rc = 1 is unreachable."""
+    if rc == 1:
+        raise UnreachableRateError("rate too high")
+    return ShapingSolution(
+        scheme="time-sharing",
+        p=field.p,
+        coding_rate=rc,
+        target_rate=1.871,
+        nu_star=0.236,
+        gamma_A_db=8.25,
+        gamma_cap_db=7.92,
+        gamma_unif_db=8.74,
+        gap_db=0.3325,
+        potential_gain_db=0.817,
+        effective_gain_db=0.4846,
+        convention=convention,
+    )
+
+
+def _fake_table(monkeypatch, capsys, *argv):
+    monkeypatch.setattr(cli, "optimize_time_sharing", _fake_time_sharing)
+    code, out, err = _run(capsys, ["table", "-p", "7", "--rc", "2/3", *argv])
+    assert code == 0, err
+    return out
+
+
+def test_table_csv_layout(monkeypatch, capsys):
+    lines = _fake_table(monkeypatch, capsys, "--convention", "shaped").splitlines()
+    header = lines[-2].split(",")
+    assert header[:8] == TABLE_HEAD
+    row = dict(zip(header, lines[-1].split(",")))
+    assert row["p"] == "7" and row["Rc"] == "2/3"
+    # dB to 3 decimals, nu* and the target rate to 6
+    assert row["potential_gain_db"] == "0.817" and row["gap_db"] == "0.333"
+    assert row["gamma_A_db"] == "8.250" and row["gamma_unif_db"] == "8.740"
+    assert row["nu_star"] == "0.236000" and row["target_rate"] == "1.871000"
+    assert row["scheme"] == "time-sharing" and row["convention"] == "shaped"
+    assert row["status"] == "ok"
+
+
+def test_table_json_keeps_full_precision(monkeypatch, capsys):
+    doc = json.loads(_fake_table(monkeypatch, capsys, "--format", "json"))
+    assert doc["provenance"]["command"] == "table"
+    assert doc["columns"][:8] == TABLE_HEAD
+    [row] = doc["rows"]
+    assert row["gap_db"] == 0.3325 and row["effective_gain_db"] == 0.4846
+    assert row["Rc"] == "2/3" and row["status"] == "ok"
+    assert "coding_rate" not in row
+
+
+def test_table_csv_unreachable_row_has_empty_cells(monkeypatch, capsys):
+    lines = _fake_table(monkeypatch, capsys, "--rc", "1").splitlines()
+    header = lines[-3].split(",")
+    ok, unreachable = (dict(zip(header, l.split(","))) for l in lines[-2:])
+    assert ok["status"] == "ok"
+    assert unreachable["p"] == "7" and unreachable["Rc"] == "1"
+    assert unreachable["scheme"] == "time-sharing"
+    assert unreachable["status"] == "unreachable: rate too high"
+    empty = [c for c in header if c not in ("p", "Rc", "scheme", "status")]
+    assert [unreachable[c] for c in empty] == [""] * len(empty)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum-dist", "-p", "3", "--factor", "0.6,0.3,0.1", "-o", "{dir}/out.csv"],
+        ["construct", "-p", "5", "-o", "{dir}/out.csv"],
+        ["table", "-p", "7", "--rc", "1", "--nodes", "16", "-o", "{dir}/out.csv"],
+        ["pas", "-p", "5", "--frames", "20", "-o", "{dir}/report.json",
+         "--dump-frames", "{dir}/out.csv"],
+    ],
+    ids=["sum-dist", "construct", "table", "pas-dump"],
+)
+def test_csv_starts_with_tool_line(tmp_path, capsys, argv):
+    code, _, err = _run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+    assert code == 0, err
+    first = (tmp_path / "out.csv").read_text().splitlines()[0]
+    assert first == f"# tool: primeshape {cli.__version__}"
 
 
 def test_table_output_file(tmp_path, capsys):

@@ -13,7 +13,6 @@ from primeshape.constellations import (
     build_cqam_stretched,
     figure_of_merit,
     min_distance,
-    point_table,
 )
 from primeshape.field import Prime
 
@@ -228,13 +227,3 @@ def test_duplicate_points_rejected():
         min_distance(c)
     with pytest.raises(ValueError):
         figure_of_merit(c)
-
-
-def test_point_table_layout():
-    c = build_cqam(Prime(5))
-    rows = point_table(c)
-    assert len(rows) == 25
-    idx, shell, re, im, prior = rows[7]
-    assert idx == 7 and shell == 1
-    assert prior == pytest.approx(1 / 25)
-    npt.assert_allclose(re + 1j * im, c.points[7], atol=1e-15)

@@ -13,14 +13,11 @@ from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
 from primeshape.optimizer import (
     LOG_GAMMA_TOL,
-    ShapingSolution,
     UnreachableRateError,
-    emit_table,
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
     snr_for_rate,
-    solution_record,
 )
 
 # reduced node counts keep unit tests fast; the resulting dB shifts are far
@@ -440,63 +437,3 @@ def test_stretched_cqam_packs_shells_once(monkeypatch):
     assert [np.array_equal(g.points, base.points) for g in geoms] == [True, False]
     assert np.array_equal(geoms[1].points, stretched.points)
     assert np.array_equal(geoms[1].shells.radii, stretched.shells.radii)
-
-
-# ---------------------------------------------------------------------------
-# table assembly
-# ---------------------------------------------------------------------------
-
-
-def _fake_solution() -> ShapingSolution:
-    return ShapingSolution(
-        scheme="time-sharing",
-        p=7,
-        coding_rate=Fraction(2, 3),
-        target_rate=1.871,
-        nu_star=0.236,
-        gamma_A_db=8.25,
-        gamma_cap_db=7.92,
-        gamma_unif_db=8.74,
-        gap_db=0.3325,
-        potential_gain_db=0.817,
-        effective_gain_db=0.4846,
-        convention="shaped",
-    )
-
-
-def test_emit_table_csv_layout():
-    text = emit_table([_fake_solution()], fmt="csv", provenance={"tool": "t 1.0"})
-    lines = text.strip().splitlines()
-    assert lines[0] == "# tool: t 1.0"
-    header = lines[1].split(",")
-    assert header[:8] == [
-        "p", "Rc", "target_rate", "potential_gain_db", "gap_db",
-        "effective_gain_db", "nu_star", "gamma_A_db",
-    ]
-    row = lines[2].split(",")
-    assert row[0] == "7" and row[1] == "2/3"
-    assert row[3] == "0.817" and row[4] == "0.333"  # dB rounded to 3 decimals
-
-
-def test_emit_table_empty_and_json():
-    assert emit_table([], fmt="csv").strip().startswith("p,Rc")
-    import json
-
-    doc = json.loads(emit_table([_fake_solution()], fmt="json"))
-    assert doc["rows"][0]["gap_db"] == 0.3325  # JSON keeps full precision
-    with pytest.raises(ValueError):
-        emit_table([], fmt="tsv")
-
-
-def test_emit_table_passes_marker_rows_through():
-    text = emit_table(
-        [{"p": 7, "Rc": "2/3", "status": "unreachable: rate too high"}], fmt="csv"
-    )
-    assert "unreachable: rate too high" in text
-
-
-def test_solution_record_columns():
-    rec = solution_record(_fake_solution())
-    assert rec["Rc"] == "2/3"
-    assert rec["status"] == "ok"
-    assert "coding_rate" not in rec

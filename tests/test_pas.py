@@ -128,7 +128,7 @@ def test_random_dense_parity_uniform_under_degenerate_shells():
     code = CodeSpec.random_dense(P5, 6, 4, seed=2)
     cqam = build_cqam(P5)
     prior = MaxwellBoltzmann.from_amplitudes(100.0, cqam.shells.radii)
-    codewords, _ = generate_frames(code, cqam, prior, num_frames=2000, seed=2)
+    codewords, _ = generate_frames(code, prior, num_frames=2000, seed=2)
     report = empirical_distributions(codewords, code)
     sigma = math.sqrt(0.2 * 0.8 / report["num_parity_symbols"])
     assert report["parity"]["uniformity_gap"] < 6 * sigma
@@ -147,10 +147,9 @@ def test_random_dense_deterministic():
 
 def test_map_frame_structure():
     code = _toy_code()
-    cqam = build_cqam(P5)
     dm = [4, 0, 2]
     src = [3]
-    word = map_frame(code, cqam, dm, src)
+    word = map_frame(code, dm, src)
     # the frame is the codeword of [shells | source]
     assert word.dtype == np.int64
     assert word.tolist() == encode(code, dm + src).tolist()
@@ -164,20 +163,18 @@ def test_map_frame_structure():
 
 def test_map_frame_zero_inputs():
     code = _toy_code()
-    cqam = build_cqam(P5)
-    word = map_frame(code, cqam, [0, 0, 0], [0])
+    word = map_frame(code, [0, 0, 0], [0])
     assert split_frames(code, word)[3].tolist() == [0, 0, 0]
 
 
 def test_map_frame_injective_on_sample():
     code = _toy_code()
-    cqam = build_cqam(P5)
     rng = np.random.default_rng(7)
     inputs, rows = set(), set()
     for _ in range(200):
         dm = rng.integers(0, 5, size=3).tolist()
         src = rng.integers(0, 5, size=1).tolist()
-        word = map_frame(code, cqam, dm, src)
+        word = map_frame(code, dm, src)
         inputs.add((*dm, *src))
         rows.add(tuple(split_frames(code, word)[3].tolist()))
     assert len(inputs) > 100  # the sample repeats few inputs
@@ -187,17 +184,13 @@ def test_map_frame_injective_on_sample():
 
 def test_map_frame_rejects_bad_shapes():
     code = _toy_code()
-    cqam5 = build_cqam(P5)
-    cqam7 = build_cqam(P7)
     with pytest.raises(ValueError):
-        map_frame(code, cqam7, [0, 0, 0], [0])  # wrong constellation size
+        map_frame(code, [0, 0], [0])  # too few matcher symbols
     with pytest.raises(ValueError):
-        map_frame(code, cqam5, [0, 0], [0])  # too few matcher symbols
-    with pytest.raises(ValueError):
-        map_frame(code, cqam5, [0, 0, 0], [])  # too few source symbols
+        map_frame(code, [0, 0, 0], [])  # too few source symbols
     odd = CodeSpec(P5, 5, 3, np.zeros((3, 2), dtype=int))
     with pytest.raises(ValueError):
-        map_frame(odd, cqam5, [0, 0], [0])  # odd frame length
+        map_frame(odd, [0, 0], [0])  # odd frame length
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +200,35 @@ def test_map_frame_rejects_bad_shapes():
 
 def _chain_pieces():
     code = CodeSpec.random_dense(P5, 6, 4, seed=0)
-    cqam = build_cqam(P5)
-    prior = MaxwellBoltzmann.from_amplitudes(0.15, cqam.shells.radii)
-    return code, cqam, prior
+    prior = MaxwellBoltzmann.from_amplitudes(0.15, build_cqam(P5).shells.radii)
+    return code, prior
 
 
 def test_generate_frames_shapes_and_determinism():
-    code, cqam, prior = _chain_pieces()
-    codewords, plan = generate_frames(code, cqam, prior, num_frames=40, seed=3)
+    code, prior = _chain_pieces()
+    codewords, plan = generate_frames(code, prior, num_frames=40, seed=3)
     assert codewords.shape == (40, 6)
     assert codewords.dtype == np.int64
     # every row is a codeword of the code
     assert np.array_equal(encode(code, codewords[:, :4]), codewords)
     assert plan.block_length == 64  # default matcher block length
-    again, _ = generate_frames(code, cqam, prior, num_frames=40, seed=3)
+    again, _ = generate_frames(code, prior, num_frames=40, seed=3)
     assert np.array_equal(codewords, again)
-    other, _ = generate_frames(code, cqam, prior, num_frames=40, seed=4)
+    other, _ = generate_frames(code, prior, num_frames=40, seed=4)
     assert not np.array_equal(codewords, other)
 
 
 def test_generate_frames_rejects_empty():
-    code, cqam, prior = _chain_pieces()
+    code, prior = _chain_pieces()
     with pytest.raises(ValueError):
-        generate_frames(code, cqam, prior, num_frames=0, seed=1)
+        generate_frames(code, prior, num_frames=0, seed=1)
 
 
 def test_chain_statistics():
     # moderate run: parity near-uniform, shells near the matcher's
     # composition, and the product-law chi-square inside its 99% quantile
-    code, cqam, prior = _chain_pieces()
-    codewords, plan = generate_frames(code, cqam, prior, num_frames=4000, seed=12)
+    code, prior = _chain_pieces()
+    codewords, plan = generate_frames(code, prior, num_frames=4000, seed=12)
     target = [c / plan.block_length for c in plan.counts]
     report = empirical_distributions(codewords, code, shell_target=target)
     assert report["num_points"] == 12000
@@ -248,8 +240,8 @@ def test_chain_statistics():
 
 
 def test_empirical_distributions_guards():
-    code, cqam, prior = _chain_pieces()
-    codewords, _ = generate_frames(code, cqam, prior, num_frames=50, seed=1)
+    code, prior = _chain_pieces()
+    codewords, _ = generate_frames(code, prior, num_frames=50, seed=1)
     with pytest.raises(ValueError):
         empirical_distributions(codewords, code, shell_target=[0.5, 0.5])
     with pytest.raises(ValueError):
@@ -284,36 +276,37 @@ def test_package_import_leaves_scipy_stats_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
-def test_pas_leaves_scipy_stats_unloaded(tmp_path):
-    # the chi-square quantile comes from the standard library, not scipy.stats
-    report = tmp_path / "report.json"
+@pytest.fixture(scope="module")
+def pas_run(tmp_path_factory):
+    """One `pas -p 5 --frames 200` in a fresh process: its exit code, the
+    scipy modules it loaded, and the path of its report."""
+    report = tmp_path_factory.mktemp("pas") / "report.json"
     code = (
-        "import sys; from primeshape.cli import main; "
+        "import json, sys; from primeshape.cli import main; "
         f"code = main(['pas', '-p', '5', '--frames', '200', '-o', {str(report)!r}]); "
-        "print(code, 'scipy.stats' in sys.modules)"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "print(json.dumps({'code': code, 'scipy': scipy}))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "0 False"
-    assert report.exists()
+    return {**json.loads(out.stdout), "report": report}
 
 
-def test_pas_loads_no_scipy(tmp_path):
+def test_pas_leaves_scipy_stats_unloaded(pas_run):
+    # the chi-square quantile comes from the standard library, not scipy.stats
+    assert pas_run["code"] == 0
+    assert "scipy.stats" not in pas_run["scipy"]
+    assert pas_run["report"].exists()
+
+
+def test_pas_loads_no_scipy(pas_run):
     # the chi-square quantile is computed with the standard library, so no
     # scipy module is loaded, scipy.stats among them
-    report = tmp_path / "report.json"
-    code = (
-        "import sys; from primeshape.cli import main; "
-        f"code = main(['pas', '-p', '5', '--frames', '200', '-o', {str(report)!r}]); "
-        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0 False"
+    assert pas_run["code"] == 0
+    assert pas_run["scipy"] == []
+    report = pas_run["report"]
     assert report.exists()
     assert json.loads(report.read_text())["points"]["chi_square_99pct"] > 0.0
 
