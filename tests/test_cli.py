@@ -347,6 +347,11 @@ def test_table_json_keeps_full_precision(monkeypatch, capsys):
     assert doc["columns"][:8] == TABLE_HEAD
     [row] = doc["rows"]
     assert row["gap_db"] == 0.3325 and row["effective_gain_db"] == 0.4846
+
+
+def test_table_json_record_columns(monkeypatch, capsys):
+    doc = json.loads(_fake_table(monkeypatch, capsys, "--format", "json"))
+    [row] = doc["rows"]
     assert row["Rc"] == "2/3" and row["status"] == "ok"
     assert "coding_rate" not in row
 
