@@ -32,7 +32,6 @@ from .constellations import (
     CqamParams,
     Stretch,
     build_cqam,
-    build_cqam_stretched,
     figure_of_merit,
     min_distance,
 )
@@ -194,8 +193,7 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
     stretch = _resolve_stretch(args, None)
-    params = CqamParams(phase_steps=args.phase_steps, stretch=stretch)
-    c = (build_cqam_stretched if stretch else build_cqam)(field, params)
+    c = build_cqam(field, CqamParams(phase_steps=args.phase_steps, stretch=stretch))
     dmin = min_distance(c)
     merit = figure_of_merit(c)
     rho_out = float(c.shells.radii[-1])
@@ -316,16 +314,13 @@ def cmd_pas(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"block length {n} incompatible with coding rate {rc}"
             )
-        k = n * rc.numerator // rc.denominator
     else:
         n = rc.denominator if rc.denominator % 2 == 0 else 2 * rc.denominator
-        k = n * rc.numerator // rc.denominator
+    k = n * rc.numerator // rc.denominator
     code = CodeSpec.random_dense(field, n, k, seed=args.seed)
 
     stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(field.p))
-    cqam = (build_cqam_stretched if stretch else build_cqam)(
-        field, CqamParams(stretch=stretch)
-    )
+    cqam = build_cqam(field, CqamParams(stretch=stretch))
     shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, cqam.shells.radii)
     codewords, plan = generate_frames(
         code, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
@@ -348,8 +343,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
             for i, frame in enumerate(frames)
         )
         columns = ("frame", "shell_symbols", "phase_symbols", "point_indices")
-        with open(args.dump_frames, "w") as fh:
-            fh.write(_csv(args, columns, rows))
+        _write_output(_csv(args, columns, rows), args.dump_frames)
     _write_output(_json(args, report), args.output)
     return 0
 
@@ -390,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ct = sub.add_parser("construct", help="build a p^2-point CQAM constellation")
     ct.add_argument("-p", "--prime", type=int, required=True)
-    ct.add_argument(
-        "--stretch",
-        nargs=2,
-        type=float,
-        metavar=("RHO_MAX", "BETA"),
-        help="stretch shell radii to rho_max with exponent beta",
-    )
     ct.add_argument("--phase-steps", type=int, default=DEFAULT_PHASE_STEPS)
     ct.add_argument("-o", "--output", help="points CSV path (default stdout)")
     ct.set_defaults(func=cmd_construct, no_stretch=False)
@@ -417,17 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="time-averaged",
         help="energy normalization of the time-sharing rate terms "
         "('shaped' reproduces the reference table)",
-    )
-    tb_stretch = tb.add_mutually_exclusive_group()
-    tb_stretch.add_argument(
-        "--stretch",
-        nargs=2,
-        type=float,
-        metavar=("RHO_MAX", "BETA"),
-        help="override the CQAM stretch for all listed primes",
-    )
-    tb_stretch.add_argument(
-        "--no-stretch", action="store_true", help="force unstretched CQAM"
     )
     tb.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     tb.add_argument(
@@ -452,15 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--frames", type=int, default=20_000)
     ps.add_argument("--seed", type=int, default=1)
-    ps_stretch = ps.add_mutually_exclusive_group()
-    ps_stretch.add_argument(
-        "--stretch", nargs=2, type=float, metavar=("RHO_MAX", "BETA")
-    )
-    ps_stretch.add_argument("--no-stretch", action="store_true")
     ps.add_argument("-o", "--output", help="report JSON path (default stdout)")
-    ps.add_argument("--dump-frames", help="also dump per-frame symbols as CSV")
+    ps.add_argument(
+        "--dump-frames", help="also dump per-frame symbols as CSV ('-' for stdout)"
+    )
     ps.set_defaults(func=cmd_pas)
 
+    # table and pas default to REFERENCE_STRETCH, so only they take --no-stretch
+    for sp in (ct, tb, ps):
+        stretch = sp.add_mutually_exclusive_group()
+        stretch.add_argument(
+            "--stretch",
+            nargs=2,
+            type=float,
+            metavar=("RHO_MAX", "BETA"),
+            help="stretch shell radii to rho_max with exponent beta",
+        )
+        if sp is not ct:
+            stretch.add_argument(
+                "--no-stretch", action="store_true", help="force unstretched CQAM"
+            )
     return parser
 
 

@@ -28,7 +28,7 @@ better energy profile under shaped (nonuniform) shell priors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -62,9 +62,10 @@ DEFAULT_PHASE_STEPS = 4096
 
 @dataclass(frozen=True, slots=True)
 class CqamParams:
-    """Construction parameters for build_cqam / build_cqam_stretched.
+    """Construction parameters for build_cqam.
 
-    phase_steps is the size of the uniform phase grid on [-pi/p, pi/p].
+    phase_steps is the size of the uniform phase grid on [-pi/p, pi/p];
+    stretch, when set, re-radiuses the packed shells.
     """
 
     phase_steps: int = DEFAULT_PHASE_STEPS
@@ -103,8 +104,9 @@ class ShellStructure:
 class Constellation:
     """A finite point set in the complex plane with point priors.
 
-    The centroid must vanish (zero-mean signaling); point index i*p + l
-    addresses phase l of shell i when shell structure is present.
+    The points must be finite and their centroid must vanish (zero-mean
+    signaling); point index i*p + l addresses phase l of shell i when
+    shell structure is present.
     """
 
     points: np.ndarray = dataclass_field(repr=False)
@@ -118,9 +120,11 @@ class Constellation:
             raise ValueError("points and priors must be 1-D with equal length")
         if points.shape[0] < 1:
             raise ValueError("constellation must be nonempty")
-        if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(points)):
+            raise ValueError("constellation points must be finite")
+        if not (np.all(priors >= 0.0) and abs(priors.sum() - 1.0) <= 1e-12):
             raise ValueError("priors must be a normalized PMF")
-        if abs(points.sum()) > GEOMETRY_TOL * max(1.0, np.abs(points).max()):
+        if not abs(points.sum()) <= GEOMETRY_TOL * max(1.0, np.abs(points).max()):
             raise ValueError("constellation centroid must be zero")
         if self.shells is not None:
             p = self.shells.num_shells
@@ -200,25 +204,30 @@ def _assemble(radii: np.ndarray, phases: np.ndarray, p: int) -> Constellation:
 
 
 def build_cqam(field: Prime, params: CqamParams | None = None) -> Constellation:
-    """Construct the p^2-point CQAM constellation with uniform priors."""
+    """Construct the p^2-point CQAM constellation with uniform priors.
+
+    Its shell radii follow params.stretch when that is set; the phase
+    offsets are those of the unstretched packing either way.
+    """
     params = params or CqamParams()
-    if params.stretch is not None:
-        raise ValueError("build_cqam does not apply a stretch; use build_cqam_stretched")
     if field.p == 2:
         raise ValueError("CQAM construction requires an odd prime")
     radii, phases = _pack_shells(field, params)
-    return _assemble(radii, phases, field.p)
+    return _stretched(_assemble(radii, phases, field.p), params.stretch)
 
 
 def build_cqam_stretched(field: Prime, params: CqamParams) -> Constellation:
-    """CQAM with stretched shell radii and the unstretched phase offsets."""
+    """build_cqam for parameters that set a stretch; raises ValueError otherwise."""
     if params.stretch is None:
         raise ValueError("build_cqam_stretched requires stretch parameters")
-    return _stretched(build_cqam(field, replace(params, stretch=None)), params.stretch)
+    return build_cqam(field, params)
 
 
-def _stretched(c: Constellation, stretch: Stretch) -> Constellation:
-    """Re-radius a packed CQAM by the stretch law, keeping its phase offsets."""
+def _stretched(c: Constellation, stretch: Stretch | None) -> Constellation:
+    """Re-radius a packed CQAM by the stretch law, keeping its phase offsets;
+    c itself when `stretch` is None."""
+    if stretch is None:
+        return c
     p = c.shells.num_shells
     frac = np.arange(p) / (p - 1)
     radii = 1.0 + (stretch.rho_max - 1.0) * frac**stretch.beta

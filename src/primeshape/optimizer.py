@@ -33,12 +33,13 @@ channel (real, or complex with two real dimensions per use).  Three schemes are 
   on the complex channel; the uniform baseline is the unstretched
   construction under uniform priors.
 
-The uniform p-ASK baseline serves both ASK schemes.  Both searches are
-Brent's methods (Brent, Algorithms for Minimization without Derivatives,
-1973).  A gamma solve finds the root of rate(e^t) - target in
-t = log gamma to LOG_GAMMA_TOL, warm-started from a nearby gamma: the
-baseline from gamma_cap, each nu from the previous nu's gamma, and the
-re-solve at `nodes` from the gamma found at `search_nodes`.  The nu
+One builder serves both ASK schemes, full shaping being time sharing
+with every channel use shaped; both share the uniform p-ASK baseline.
+Both searches are Brent's methods (Brent, Algorithms for Minimization
+without Derivatives, 1973).  A gamma solve finds the root of
+rate(e^t) - target in t = log gamma to LOG_GAMMA_TOL, warm-started from
+a nearby gamma: the baseline from gamma_cap, each nu from the previous
+nu's gamma, and the re-solve at `nodes` from the gamma found at `search_nodes`.  The nu
 search is a bounded minimization on [0, nu_max] that doubles the
 bracket while gamma_A still falls at its upper edge.
 
@@ -458,10 +459,40 @@ def _cqam_curve(
     )
 
 
-def _uniform_ask(field: Prime) -> tuple[np.ndarray, np.ndarray, float]:
-    """p-ASK points, the uniform prior and its mean symbol energy."""
+def _ask_scheme(
+    name: str, field: Prime, share: float, convention: Convention | None
+) -> _Scheme:
+    """p-ASK with MB(nu) symbols on a fraction `share` of channel uses.
+
+    The other uses carry uniform symbols; `convention` sets how the two
+    rate terms share energy at a common gamma (see module docstring).
+    At share = 1 (full shaping) the uniform term is dropped, so a solve
+    evaluates one MI per gamma, and both conventions give the shaped
+    prior its own energy.
+    """
     p = field.p
-    return build_ask(field).points.real, np.full(p, 1.0 / p), (p * p - 1.0) / 12.0
+    pts, unif = build_ask(field).points.real, np.full(p, 1.0 / p)
+    e_unif = (p * p - 1.0) / 12.0
+
+    def curve(nu_val: float, n: int) -> Curve:
+        prior = mb_ask_prior(field, nu_val)
+        e_sh, e_un = ask_energy(prior), e_unif
+        if convention == "time-averaged":
+            e_sh = e_un = share * e_sh + (1.0 - share) * e_unif
+        shaped = _real_curve(pts, prior.probs, e_sh, n)
+        if share == 1.0:
+            return shaped
+        uniform = _real_curve(pts, unif, e_un, n)
+        return lambda g: share * shaped(g) + (1.0 - share) * uniform(g)
+
+    def ceiling(nu_val: float) -> float:
+        shaped = mb_ask_prior(field, nu_val).entropy_bits()
+        return share * shaped + (1.0 - share) * math.log2(p)
+
+    return _Scheme(
+        name, curve, lambda n: _real_curve(pts, unif, e_unif, n),
+        ceiling, 2.0 / field.half, "real", convention,
+    )
 
 
 def optimize_time_sharing(
@@ -485,28 +516,8 @@ def optimize_time_sharing(
     """
     if convention not in ("shaped", "time-averaged"):
         raise ValueError(f"unknown energy convention {convention!r}")
-    rc = float(Fraction(coding_rate))
-    pts, unif, e_unif = _uniform_ask(field)
-
-    def curve(nu_val: float, n: int) -> Curve:
-        prior = mb_ask_prior(field, nu_val)
-        e_sh = ask_energy(prior)
-        if convention == "shaped":
-            e_un = e_unif
-        else:
-            e_sh = e_un = rc * e_sh + (1.0 - rc) * e_unif
-        shaped = _real_curve(pts, prior.probs, e_sh, n)
-        uniform = _real_curve(pts, unif, e_un, n)
-        return lambda g: rc * shaped(g) + (1.0 - rc) * uniform(g)
-
-    def ceiling(nu_val: float) -> float:
-        shaped = mb_ask_prior(field, nu_val).entropy_bits()
-        return rc * shaped + (1.0 - rc) * math.log2(field.p)
-
-    scheme = _Scheme(
-        "time-sharing", curve, lambda n: _real_curve(pts, unif, e_unif, n),
-        ceiling, 2.0 / field.half, "real", convention,
-    )
+    share = float(Fraction(coding_rate))
+    scheme = _ask_scheme("time-sharing", field, share, convention)
     return _optimize(
         scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
     )
@@ -525,17 +536,7 @@ def optimize_shaped_ask(
     Two independent such dimensions form the square (p-ASK)^2 reference
     constellation; per-real-dimension figures equal the complex ones.
     """
-    pts, unif, e_unif = _uniform_ask(field)
-
-    def curve(nu_val: float, n: int) -> Curve:
-        prior = mb_ask_prior(field, nu_val)
-        return _real_curve(pts, prior.probs, ask_energy(prior), n)
-
-    scheme = _Scheme(
-        "shaped-ask-squared", curve, lambda n: _real_curve(pts, unif, e_unif, n),
-        lambda nu_val: mb_ask_prior(field, nu_val).entropy_bits(),
-        2.0 / field.half, "real",
-    )
+    scheme = _ask_scheme("shaped-ask-squared", field, 1.0, None)
     return _optimize(
         scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
     )
@@ -562,7 +563,7 @@ def optimize_cqam(
     """
     params = params or CqamParams()
     base = build_cqam(field, replace(params, stretch=None))
-    geom = _stretched(base, params.stretch) if params.stretch else base
+    geom = _stretched(base, params.stretch)
     radii = geom.shells.radii
 
     def curve(nu_val: float, n: int) -> Curve:

@@ -196,22 +196,16 @@ _NORMAL_99PCT = 2.3263478740408408
 
 
 def _gamma_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a, x > 0.
+    """Regularized upper incomplete gamma Q(a, x) for a > 0 and x > a + 1.
 
-    Below x = a + 1 it is 1 - P(a, x) by P's power series, else the
-    continued fraction for Q by the modified Lentz method (Numerical
-    Recipes, 3rd ed., sec. 6.2), each summed to machine precision.
+    The continued fraction for Q by the modified Lentz method (Numerical
+    Recipes, 3rd ed., sec. 6.2), summed to machine precision.  It
+    converges fast only for x > a + 1, the domain _chi_square_99pct
+    keeps to: its Newton iterates start above a + 1 and stay at or
+    above the root.
     """
     eps = sys.float_info.epsilon
     front = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        n = a
-        while term > total * eps:
-            n += 1.0
-            term *= x / n
-            total += term
-        return 1.0 - front * total
     tiny = sys.float_info.min / eps
     b = x + 1.0 - a
     c, d = 1.0 / tiny, 1.0 / b

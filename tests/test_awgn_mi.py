@@ -224,8 +224,7 @@ def mi_complex_points_oracle(
 @lru_cache(maxsize=None)
 def _cqam_geometry(p):
     """The p^2-point CQAM the tables use: stretched where a reference exists."""
-    params = CqamParams(stretch=REFERENCE_STRETCH.get(p))
-    return (build_cqam_stretched if params.stretch else build_cqam)(Prime(p), params)
+    return build_cqam(Prime(p), CqamParams(stretch=REFERENCE_STRETCH.get(p)))
 
 
 def _shaped_cqam(p, nu):

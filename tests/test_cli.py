@@ -8,7 +8,7 @@ import pytest
 from primeshape import cli
 from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
-from primeshape.constellations import Stretch, build_cqam
+from primeshape.constellations import Constellation, Stretch, build_cqam
 from primeshape.field import Prime
 from primeshape.optimizer import ShapingSolution, UnreachableRateError
 from primeshape.pas import CodeSpec
@@ -260,8 +260,10 @@ def test_table_invalid_node_count_exits_2(capsys, argv, message):
         (["--mode", "cqam", "-p", "2", "--rc", "2/3"], "requires an odd prime"),
         (["-p", "7", "--rc", "1/3"], "coding rate 1/3 outside [1/2, 1]"),
         (["-p", "7", "--rc", "0"], "coding rate 0 outside [1/2, 1]"),
+        (["-p", "7", "--rc", "1/0"], "cannot parse coding rate '1/0'"),
+        (["-p", "7", "--rc", "abc"], "cannot parse coding rate 'abc'"),
     ],
-    ids=["composite", "even", "rc=1/3", "rc=0"],
+    ids=["composite", "even", "rc=1/3", "rc=0", "rc=1/0", "rc=abc"],
 )
 def test_table_invalid_input_exits_2(capsys, argv, message):
     # input errors end the command; only an unreachable rate becomes a row
@@ -449,6 +451,27 @@ def test_pas_dump_frames(tmp_path, capsys):
         assert np.array_equal(phases[1:], info @ code.parity % 5)
 
 
+def test_pas_dump_frames_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # '-' names stdout for --dump-frames as it does for -o
+    monkeypatch.chdir(tmp_path)
+    argv = ["pas", "-p", "5", "--frames", "30", "--dm-block", "16"]
+    code, out, _ = _run(capsys, [*argv, "--dump-frames", "-", "-o", "r.json"])
+    assert code == 0
+    assert not (tmp_path / "-").exists()
+    assert json.loads((tmp_path / "r.json").read_text())["num_frames"] == 30
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "frame,shell_symbols,phase_symbols,point_indices"
+    assert len(lines) == 31
+
+
+def test_pas_block_n_sets_code_length(capsys):
+    code, out, err = _run(
+        capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "12", "--frames", "50"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["code"] == {"n": 12, "k": 8, "coding_rate": "2/3", "seed": 1}
+
+
 @pytest.mark.parametrize("p, nu, dof", [(13, "0.1", 155), (7, "0.2", 41)])
 def test_pas_near_optimal_nu_leaves_a_shell_empty(capsys, p, nu, dof):
     # the 64-symbol matcher block gives the outermost shell a count of 0, so
@@ -519,11 +542,13 @@ def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
         lambda x: CompositionPlan.from_distribution(Prime(3), [x, 0.5, 0.5], 8),
         lambda x: mi_real_points(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), x),
         lambda x: mi_complex_points(np.array([-1.0, 1.0j]), np.array([0.5, 0.5]), x),
+        lambda x: Constellation([1.0, -1.0], [x, 0.5]),
+        lambda x: Constellation([1.0, x], [0.5, 0.5]),
     ],
     ids=[
         "construct", "sum-dist", "table", "pas", "rho_max", "beta", "SymbolDistribution",
         "MaxwellBoltzmann", "from_amplitudes", "from_distribution", "mi_real_points",
-        "mi_complex_points",
+        "mi_complex_points", "Constellation-prior", "Constellation-point",
     ],
 )
 def test_nonfinite_input_rejected(capsys, x, case):

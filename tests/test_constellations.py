@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import (
     Constellation,
     CqamParams,
@@ -40,10 +41,23 @@ def test_constellation_invariants():
         Constellation(np.array([1.0, -1.0]), np.array([0.6, 0.6]))  # bad priors
 
 
-def test_build_cqam_refuses_stretch_params():
-    with pytest.raises(ValueError):
-        build_cqam(Prime(5), CqamParams(stretch=Stretch(4.8, 0.76)))
-    with pytest.raises(ValueError):
+def test_build_cqam_applies_stretch_params():
+    # build_cqam builds the geometry params describe, stretched or not;
+    # build_cqam_stretched is the entry that insists on a stretch
+    for p in (7, 13):
+        params = CqamParams(stretch=REFERENCE_STRETCH[p])
+        c = build_cqam(Prime(p), params)
+        ref = build_cqam_stretched(Prime(p), params)
+        npt.assert_array_equal(c.points, ref.points)
+        npt.assert_array_equal(c.shells.radii, ref.shells.radii)
+        npt.assert_array_equal(c.shells.phases, ref.shells.phases)
+        # the stretch law on the unstretched packing's phase offsets
+        law, phases = params.stretch, build_cqam(Prime(p)).shells.phases
+        rho = 1.0 + (law.rho_max - 1.0) * (np.arange(p) / (p - 1)) ** law.beta
+        angles = 2.0 * np.pi * np.arange(p) / p + phases[:, None]
+        expected = (rho[:, None] * np.exp(1j * angles)).ravel()
+        npt.assert_allclose(c.points, expected, atol=1e-13)
+    with pytest.raises(ValueError, match="requires stretch"):
         build_cqam_stretched(Prime(5), CqamParams())
 
 

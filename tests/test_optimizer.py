@@ -57,12 +57,19 @@ def test_snr_for_rate_unreachable_target():
     with pytest.raises(ValueError) as exc:
         snr_for_rate(rate_fn, -1.0)
     assert not isinstance(exc.value, UnreachableRateError)
+    # so is a target the curve already exceeds at GAMMA_MIN
+    with pytest.raises(ValueError, match="arbitrarily small gamma") as exc:
+        snr_for_rate(lambda g: 3.0, 2.0)
+    assert not isinstance(exc.value, UnreachableRateError)
 
 
 def test_snr_for_rate_non_convergence():
     # a step curve jumps over the target, so no gamma meets the tolerance
     with pytest.raises(RuntimeError, match="did not converge"):
         snr_for_rate(lambda g: 0.0 if g < 1.0 else 2.0, 1.0)
+    # a non-finite rate is a numerical failure (exit 3), not an input error
+    with pytest.raises(RuntimeError, match="did not converge: rate nan"):
+        snr_for_rate(lambda g: math.nan, 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
