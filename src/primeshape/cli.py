@@ -142,7 +142,7 @@ def _parse_pmf(field: Prime, values: list[float]) -> SymbolDistribution:
         )
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"factor sums to {total!r}, expected 1 within 1e-9")
+        raise ValueError(f"factor sums to {float(total)!r}, expected 1 within 1e-9")
     return SymbolDistribution(field, probs / total)
 
 

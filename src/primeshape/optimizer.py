@@ -12,10 +12,14 @@ nu is R(gamma; nu), and a target rate R_t fixed by the coding rate
 
 so gap + effective gain = potential gain by construction.
 
-One driver computes these for every scheme, described by its rate
-curve at (nu, quadrature nodes), its uniform baseline's curve, the
-entropy that caps its rate at each nu, the default nu bracket and its
-channel (real, or complex with two real dimensions per use).  Three schemes are provided:
+One driver computes these for every scheme, described by its prior
+family (the MB prior at each nu), its rate curve at (prior, quadrature
+nodes), its uniform baseline's curve, the share of a channel use's
+symbols that the prior fills (the rest are uniform), the default nu
+bracket and its channel (real, or complex with two real dimensions per
+use).  The driver builds one prior per nu and derives from it the
+entropy that caps the rate at every gamma: share H(prior) plus the
+uniform symbols' bits.  Three schemes are provided:
 
 * time-sharing p-ASK: a fraction R_c of real-channel uses carries
   Maxwell-Boltzmann shaped symbols and the rest carries uniform symbols
@@ -30,8 +34,10 @@ channel (real, or complex with two real dimensions per use).  Three schemes are 
   (reported per real dimension), the natural square-constellation
   benchmark for CQAM.
 * CQAM: p^2-point circular constellations with MB-shaped shell priors
-  on the complex channel; the uniform baseline is the unstretched
-  construction under uniform priors.
+  and a uniform phase on the complex channel; the uniform baseline is
+  the unstretched construction under uniform priors.  Its rates are
+  `awgn_mi.mi_complex_cqam`'s, the p-fold reduction that the tests hold
+  to the full conditional sum of `mi_complex_naive`.
 
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.
@@ -46,7 +52,7 @@ bracket while gamma_A still falls at its upper edge.
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
 `table` reports such a row as unreachable.  No rate exceeds the entropy
-of the scheme's prior, so a nu whose entropy ceiling lies below the
+of a channel use's symbols, so a nu whose entropy ceiling lies below the
 target is infeasible without a solve.  Every other ValueError is an
 input error (a bad coding rate, node count or nu) and propagates.
 """
@@ -64,9 +70,10 @@ import numpy as np
 
 from .awgn_mi import (
     DEFAULT_NODES,
+    ChannelSnr,
     _rule,
     capacity_gamma,
-    mi_complex_points,
+    mi_complex_cqam,
     mi_real_points,
 )
 from .constellations import (
@@ -346,18 +353,22 @@ Curve = Callable[[float], float]  # gamma -> bits per channel use
 class _Scheme:
     """One shaping scheme as the driver `_optimize` sees it.
 
-    curve(nu, nodes) and baseline(nodes) give the rate gamma -> bits per
-    channel use of the shaped scheme and of its uniform baseline;
-    ceiling(nu) bounds curve(nu, ...) at every gamma by the entropy of
-    its prior; nu_max is the default upper edge of the nu search;
-    dimension names the channel ("real" or "complex") a use of which the
-    curves measure.
+    prior(nu) is the shaped prior at nu; curve(prior, nodes) and
+    baseline(nodes) give the rate gamma -> bits per channel use of the
+    shaped scheme and of its uniform baseline.  The prior fills a
+    fraction `share` of a use's symbols and uniform symbols the rest,
+    which add `uniform_bits` per use; share H(prior) + uniform_bits, the
+    entropy of a use, caps curve(prior, ...) at every gamma.  nu_max is the default upper edge
+    of the nu search; dimension names the channel ("real" or "complex")
+    a use of which the curves measure.
     """
 
     name: str
-    curve: Callable[[float, int], Curve]
+    prior: Callable[[float], MaxwellBoltzmann]
+    curve: Callable[[MaxwellBoltzmann, int], Curve]
     baseline: Callable[[int], Curve]
-    ceiling: Callable[[float], float]
+    share: float
+    uniform_bits: float
     nu_max: float
     dimension: Literal["real", "complex"]
     convention: str | None = None
@@ -387,10 +398,12 @@ def _optimize(
 
     def gamma_of_nu(nu_val: float, n: int) -> float:
         nonlocal last
-        if scheme.ceiling(nu_val) < solve_target - RATE_RESIDUAL_TOL:
+        prior = scheme.prior(nu_val)
+        ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
+        if ceiling < solve_target - RATE_RESIDUAL_TOL:
             return math.inf  # unreachable at any gamma: skip the solve
         try:
-            last = snr_for_rate(scheme.curve(nu_val, n), solve_target, last)
+            last = snr_for_rate(scheme.curve(prior, n), solve_target, last)
         except UnreachableRateError:
             return math.inf
         return last
@@ -444,21 +457,6 @@ def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) ->
     )
 
 
-def _cqam_curve(
-    c: Constellation, probs: np.ndarray, shell_probs: np.ndarray, energy: float, n: int
-) -> Curve:
-    """Complex-channel MI of a shelled constellation at gamma = energy / (2 sigma^2).
-
-    Each shell carries `shell_probs` split evenly over its phases, so the
-    MI is conditioned on one point per shell.
-    """
-    reps = c.points[np.arange(c.shells.num_shells) * c.shells.num_shells]
-    return lambda gamma: mi_complex_points(
-        c.points, probs, math.sqrt(energy / (2.0 * gamma)), n,
-        condition_on=reps, condition_weights=shell_probs,
-    )
-
-
 def _ask_scheme(
     name: str, field: Prime, share: float, convention: Convention | None
 ) -> _Scheme:
@@ -474,8 +472,7 @@ def _ask_scheme(
     pts, unif = build_ask(field).points.real, np.full(p, 1.0 / p)
     e_unif = (p * p - 1.0) / 12.0
 
-    def curve(nu_val: float, n: int) -> Curve:
-        prior = mb_ask_prior(field, nu_val)
+    def curve(prior: MaxwellBoltzmann, n: int) -> Curve:
         e_sh, e_un = ask_energy(prior), e_unif
         if convention == "time-averaged":
             e_sh = e_un = share * e_sh + (1.0 - share) * e_unif
@@ -485,13 +482,32 @@ def _ask_scheme(
         uniform = _real_curve(pts, unif, e_un, n)
         return lambda g: share * shaped(g) + (1.0 - share) * uniform(g)
 
-    def ceiling(nu_val: float) -> float:
-        shaped = mb_ask_prior(field, nu_val).entropy_bits()
-        return share * shaped + (1.0 - share) * math.log2(p)
+    return _Scheme(
+        name, lambda nu: mb_ask_prior(field, nu), curve,
+        lambda n: _real_curve(pts, unif, e_unif, n), share,
+        (1.0 - share) * math.log2(p), 2.0 / field.half, "real", convention,
+    )
+
+
+def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
+    """p^2-CQAM with MB(nu) shell priors, each shell's phases uniform.
+
+    The shaped curves run on the geometry of `params` (stretched when
+    params.stretch is set), the uniform baseline on the unstretched
+    construction; every rate is `mi_complex_cqam`'s.
+    """
+    base = build_cqam(field, replace(params, stretch=None))
+    geom = _stretched(base, params.stretch)
+    radii = geom.shells.radii
+
+    def rate(c: Constellation, n: int) -> Curve:
+        return lambda gamma: mi_complex_cqam(c, ChannelSnr(gamma, "complex"), n)
 
     return _Scheme(
-        name, curve, lambda n: _real_curve(pts, unif, e_unif, n),
-        ceiling, 2.0 / field.half, "real", convention,
+        "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),
+        lambda prior, n: rate(geom.with_priors(cqam_prior(prior, field)), n),
+        lambda n: rate(base, n), 1.0, math.log2(field.p),
+        4.0 / float(radii[-1]) ** 2, "complex",
     )
 
 
@@ -561,28 +577,7 @@ def optimize_cqam(
     The nu search runs at `search_nodes` and the returned operating
     points are re-solved at `nodes`.
     """
-    params = params or CqamParams()
-    base = build_cqam(field, replace(params, stretch=None))
-    geom = _stretched(base, params.stretch)
-    radii = geom.shells.radii
-
-    def curve(nu_val: float, n: int) -> Curve:
-        shell = MaxwellBoltzmann.from_amplitudes(nu_val, radii)
-        energy = float(np.dot(shell.probs, radii**2))
-        return _cqam_curve(geom, cqam_prior(shell, field), shell.probs, energy, n)
-
-    def baseline(n: int) -> Curve:
-        energy = float(np.mean(base.shells.radii**2))
-        return _cqam_curve(base, base.priors, np.full(field.p, 1.0 / field.p), energy, n)
-
-    def ceiling(nu_val: float) -> float:  # shell entropy plus a uniform phase
-        shell = MaxwellBoltzmann.from_amplitudes(nu_val, radii)
-        return shell.entropy_bits() + math.log2(field.p)
-
-    scheme = _Scheme(
-        "cqam", curve, baseline, ceiling, 4.0 / float(radii[-1]) ** 2, "complex"
-    )
     return _optimize(
-        scheme, field, coding_rate,
+        _cqam_scheme(field, params or CqamParams()), field, coding_rate,
         nodes=nodes, search_nodes=search_nodes, nu=nu, nu_max=nu_max,
     )

@@ -75,26 +75,21 @@ class CodeSpec:
         n: int,
         k: int,
         seed: int = 0,
-        min_col_weight: int | None = None,
     ) -> "CodeSpec":
         """Draw P uniformly over F_p^(k x (n-k)), resampling any column
-        with fewer than min_col_weight (default ceil(k/2)) nonzeros or,
-        when k > n/2, with no nonzero on the source rows n/2 .. k-1.
+        with fewer than ceil(k/2) nonzeros or, when k > n/2, with no
+        nonzero on the source rows n/2 .. k-1.
 
         Dense columns are what pushes each parity symbol's distribution
         to uniform; see the module docstring.  A column that misses every
         uniform source symbol is a function of the shaped shell symbols
         alone, and no density makes its parity symbol uniform.
         """
-        if min_col_weight is None:
-            min_col_weight = -(-k // 2)
-        if min_col_weight > k:
-            raise ValueError("min_col_weight cannot exceed k")
         rng = np.random.default_rng(seed)
         parity = rng.integers(0, field.p, size=(k, n - k))
         for _ in range(1000):
             nonzero = parity != 0
-            weak = nonzero.sum(axis=0) < min_col_weight
+            weak = nonzero.sum(axis=0) < -(-k // 2)
             if k > n // 2:
                 weak |= ~nonzero[n // 2 :].any(axis=0)
             if not weak.any():
@@ -248,13 +243,13 @@ def _chi_square_99pct(dof: int) -> float:
 def empirical_distributions(
     codewords: np.ndarray,
     code: CodeSpec,
-    shell_target: Sequence[float] | None = None,
+    shell_target: Sequence[float],
 ) -> dict:
     """Measure the symbol statistics a chain actually produced.
 
     codewords are the (frames, n) codewords of `generate_frames`.
     Reports the parity PMF with its uniformity gap, the shell PMF
-    against shell_target (default: the empirical shell marginal), and a
+    against shell_target (the matcher's composition, in `pas`), and a
     chi-square statistic of the per-point counts against the product
     law target_shell x uniform-phase, with the 0.99 quantile for
     reference.  The statistic and its degrees of freedom cover the
@@ -274,12 +269,9 @@ def empirical_distributions(
 
     parity_pmf = np.bincount(parity, minlength=p) / parity.size
     shell_pmf = np.bincount(shells, minlength=p) / shells.size
-    if shell_target is None:
-        target = shell_pmf
-    else:
-        target = np.asarray(shell_target, dtype=float)
-        if target.shape != (p,):
-            raise ValueError(f"shell target must have {p} entries")
+    target = np.asarray(shell_target, dtype=float)
+    if target.shape != (p,):
+        raise ValueError(f"shell target must have {p} entries")
 
     if not np.all(np.isfinite(target) & (target >= 0.0)):
         raise ValueError("shell target must be finite and nonnegative")

@@ -53,7 +53,7 @@ class SymbolDistribution:
             raise ValueError("PMF entries must be nonnegative numbers")
         total = probs.sum()
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError(f"PMF sums to {total!r}, expected 1")
+            raise ValueError(f"PMF sums to {float(total)!r}, expected 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 

@@ -557,6 +557,8 @@ def test_nonfinite_input_rejected(capsys, x, case):
         code, _, err = _run(capsys, [arg.format(x=x) for arg in case])
         assert code == 2
         assert x in err or "finite" in err
+        if case[0] == "sum-dist":
+            assert f"factor sums to {x}," in err  # a plain float, not np.float64(...)
     else:
         with pytest.raises(ValueError):
             case(float(x))

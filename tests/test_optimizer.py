@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshape import constellations, optimizer
+from primeshape import awgn_mi, constellations, optimizer
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import CqamParams, Stretch
 from primeshape.field import Prime
@@ -332,7 +332,7 @@ def test_real_curve_conditions_on_the_nonnegative_half(monkeypatch):
 
 def _count_mi_calls(monkeypatch) -> list:
     calls = []
-    for name in ("mi_complex_points", "mi_real_points"):
+    for name in ("mi_complex_cqam", "mi_real_points"):
         kernel = getattr(optimizer, name)
 
         def counted(*args, _kernel=kernel, **kwargs):
@@ -423,18 +423,19 @@ def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):
     packs, geoms = [], []
-    pack, cqam_curve = constellations._pack_shells, optimizer._cqam_curve
+    pack, mi_cqam = constellations._pack_shells, optimizer.mi_complex_cqam
 
     def counted_pack(*args, **kwargs):
         packs.append(args)
         return pack(*args, **kwargs)
 
-    def recorded_curve(c, *args, **kwargs):
-        geoms.append(c)
-        return cqam_curve(c, *args, **kwargs)
+    def recorded_mi(c, *args, **kwargs):
+        if not geoms or geoms[-1] is not c:  # one entry per curve
+            geoms.append(c)
+        return mi_cqam(c, *args, **kwargs)
 
     monkeypatch.setattr(constellations, "_pack_shells", counted_pack)
-    monkeypatch.setattr(optimizer, "_cqam_curve", recorded_curve)
+    monkeypatch.setattr(optimizer, "mi_complex_cqam", recorded_mi)
     params = CqamParams(stretch=Stretch(4.8, 0.76))
     optimize_cqam(Prime(7), Fraction(2, 3), params, nodes=16, nu=0.1)
     assert len(packs) == 1
@@ -444,3 +445,50 @@ def test_stretched_cqam_packs_shells_once(monkeypatch):
     assert [np.array_equal(g.points, base.points) for g in geoms] == [True, False]
     assert np.array_equal(geoms[1].points, stretched.points)
     assert np.array_equal(geoms[1].shells.radii, stretched.shells.radii)
+
+
+def test_cqam_rates_go_through_mi_complex_cqam(monkeypatch):
+    # every complex kernel call of a CQAM row comes from the certified
+    # p-fold path, which test_acceptance holds to mi_complex_naive
+    calls, kernel_calls = [], []
+    mi_cqam, kernel = optimizer.mi_complex_cqam, awgn_mi.mi_complex_points
+
+    def recorded_mi(c, snr, nodes):
+        calls.append((snr.dimension, nodes))
+        return mi_cqam(c, snr, nodes)
+
+    def counted_kernel(*args, **kwargs):
+        kernel_calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "mi_complex_cqam", recorded_mi)
+    monkeypatch.setattr(awgn_mi, "mi_complex_points", counted_kernel)
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=16)
+    assert calls and len(kernel_calls) == len(calls)
+    assert {dim for dim, _ in calls} == {"complex"}
+    assert {nodes for _, nodes in calls} == {16, 24}
+
+
+SCHEMES = {
+    "ts-shaped": lambda: optimizer._ask_scheme("ts", Prime(7), 2 / 3, "shaped"),
+    "ts-time-averaged": lambda: optimizer._ask_scheme(
+        "ts", Prime(7), 2 / 3, "time-averaged"
+    ),
+    "ask-full": lambda: optimizer._ask_scheme("ask", Prime(7), 1.0, None),
+    "cqam": lambda: optimizer._cqam_scheme(Prime(5), CqamParams()),
+    "cqam-stretched": lambda: optimizer._cqam_scheme(
+        Prime(5), CqamParams(stretch=Stretch(3.0, 0.8))
+    ),
+}
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_scheme_ceiling_is_its_high_snr_rate(name, nu):
+    # at high SNR every symbol is decoded, so the rate reaches the entropy
+    # of a use's symbols: the ceiling the driver derives from the prior
+    scheme = SCHEMES[name]()
+    prior = scheme.prior(nu)
+    ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
+    rate = scheme.curve(prior, 24)(1e8)
+    assert -1e-10 < ceiling - rate < 1e-6  # below it, up to rounding

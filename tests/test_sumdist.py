@@ -27,8 +27,8 @@ def test_pmf_validation():
     f5 = Prime(5)
     with pytest.raises(ValueError):
         SymbolDistribution(f5, [0.5, 0.5, 0.0, 0.0])  # wrong length
-    with pytest.raises(ValueError):
-        SymbolDistribution(f5, [0.5, 0.6, 0.0, 0.0, 0.0])  # sums to 1.1
+    with pytest.raises(ValueError, match=r"PMF sums to 1\.1, expected 1"):
+        SymbolDistribution(f5, [0.5, 0.6, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SymbolDistribution(f5, [1.2, -0.2, 0.0, 0.0, 0.0])  # negative entry
 
