@@ -51,9 +51,12 @@ it).  Two reductions use this:
   optimizer folds every p-ASK curve this way.  It does not carry over to
   CQAM, whose shells' phase offsets break the reflection.
 
-`mi_complex_naive` conditions on all p^2 points through the same kernel,
-so it checks the p-fold reduction only; the independent oracles for the
-kernel itself live in the tests.
+`mi_complex_cqam` applies the p-fold reduction to a shell-structured
+constellation, and it is the path by which the optimizer evaluates every
+CQAM rate.  `mi_complex_naive` conditions on all p^2 points through the
+same kernel and is its oracle in the tests, so it checks the p-fold
+reduction only; the independent oracles for the kernel itself live in
+the tests.
 """
 
 from __future__ import annotations
@@ -319,7 +322,8 @@ def mi_complex_cqam(
     """I(X; Y) of a shell-structured complex constellation, shell-uniform priors.
 
     Exploits the p-fold rotational symmetry: one conditional term per
-    shell, weighted by the shell prior.
+    shell, weighted by the shell prior.  Every CQAM rate of the
+    optimizer is this function's; `mi_complex_naive` is its oracle.
     """
     sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
     shell_pri = _shell_priors(c)

@@ -358,9 +358,9 @@ class _Scheme:
     shaped scheme and of its uniform baseline.  The prior fills a
     fraction `share` of a use's symbols and uniform symbols the rest,
     which add `uniform_bits` per use; share H(prior) + uniform_bits, the
-    entropy of a use, caps curve(prior, ...) at every gamma.  nu_max is the default upper edge
-    of the nu search; dimension names the channel ("real" or "complex")
-    a use of which the curves measure.
+    entropy of a use, caps curve(prior, ...) at every gamma.  nu_max is
+    the default upper edge of the nu search; dimension names the channel
+    ("real" or "complex") a use of which the curves measure.
     """
 
     name: str
