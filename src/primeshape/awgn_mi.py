@@ -51,6 +51,14 @@ it).  Two reductions use this:
   optimizer folds every p-ASK curve this way.  It does not carry over to
   CQAM, whose shells' phase offsets break the reflection.
 
+With `slope=True` the kernels also return d I / d ln gamma at fixed
+signal energy, which I-MMSE (Guo, Shamai and Verdu, 2005) gives as
+mmse / (2 sigma^2) nats.  Each block forms the posterior mean E[X|y]
+from the weights its log-sum-exp already holds, with one more product,
+and the mmse is averaged over the same rule and conditioning points as
+the rate, so both reductions carry over.  The rate stays bit for bit
+the one returned without it.
+
 `mi_complex_cqam` applies the p-fold reduction to a shell-structured
 constellation, and it is the path by which the optimizer evaluates every
 CQAM rate.  `mi_complex_naive` conditions on all p^2 points through the
@@ -122,10 +130,13 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _logsumexp_last(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _logsumexp_last(
+    a: np.ndarray, scratch: np.ndarray, keep_weights: bool = False
+) -> np.ndarray:
     """log sum exp over the first axis of a (points, rows) array whose
     columns have finite maxima, overwriting a and the first a.size floats
-    of scratch.
+    of scratch.  With keep_weights, a is left holding every weight
+    exp(a - max), the maximal terms' 1.0 included.
 
     The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17) over the
     last axis of a C-ordered a.T, step for step: the maximal terms are
@@ -145,6 +156,8 @@ def _logsumexp_last(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.exp(np.subtract(a, a_max, out=a), out=a)
     terms = scratch[: a.size].reshape(a.shape[::-1])
     np.copyto(terms, a.T)
+    if keep_weights:
+        a[at_max] = 1.0
     # scipy keeps s where s == 0; s / m is that same 0.0, since m >= 1
     s = terms.sum(axis=-1) / m
     return np.log1p(s) + np.log(m) + a_max
@@ -172,11 +185,18 @@ def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _mi_points(
     points: np.ndarray, priors: np.ndarray, cond: np.ndarray, weights: np.ndarray,
-    sigma: float, nodes: int,
-) -> float:
+    sigma: float, nodes: int, slope: bool = False,
+) -> float | tuple[float, float]:
     """I(X; Y) in bits of points (P, dim) with priors, in noise of deviation
     sigma per real component, averaged over the conditioning points cond
     (C, dim) with the given weights.
+
+    With slope, also d I / d ln gamma in bits at fixed signal energy: by
+    I-MMSE (Guo, Shamai and Verdu, IEEE Trans. IT, 2005) it is
+    mmse / (2 sigma^2) nats, mmse = E |X - E[X|Y]|^2 summed over the real
+    components.  Each block forms the posterior mean E[X|y] from the
+    weights exp(a - max) its log-sum-exp leaves behind, and mmse is
+    averaged over the same rule and conditioning points as I.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -193,6 +213,12 @@ def _mi_points(
     if buf.size < 2 * rows * len(points):
         buf = _scratch.buf = np.empty(2 * max(_BLOCK_TERMS, len(points)))
     lse = np.empty(len(y))
+    if slope:
+        # the components of each point and a row of ones: one product gives
+        # the posterior mean's numerator and its normalizer
+        moments = np.vstack([points.T, np.ones(len(points))])
+        x = np.repeat(cond, len(t), axis=0)
+        sq_err = np.empty(len(y))
     for i in range(0, len(y), rows):
         yb = y[i : i + rows]
         # log q(y) up to the common Gaussian normalizer, which cancels in the
@@ -203,9 +229,17 @@ def _mi_points(
         for d in range(1, dim):
             a += np.square(np.subtract(yb[:, d], points[:, d, None], out=b), out=b)
         np.subtract(logp[:, None], np.divide(a, 2.0 * sigma**2, out=a), out=a)
-        lse[i : i + rows] = _logsumexp_last(a, b)
+        lse[i : i + rows] = _logsumexp_last(a, b, keep_weights=slope)
+        if slope:
+            m = moments @ a
+            err = x[i : i + rows].T - m[:dim] / m[dim]
+            sq_err[i : i + rows] = np.square(err, out=err).sum(axis=0)
     integrand = (-t2 - lse.reshape(len(cond), len(t))) / _LN2
-    return float(np.dot(weights, integrand @ w) / math.pi ** (dim / 2))
+    bits = float(np.dot(weights, integrand @ w) / math.pi ** (dim / 2))
+    if not slope:
+        return bits
+    mmse = np.dot(weights, sq_err.reshape(len(cond), len(t)) @ w) / math.pi ** (dim / 2)
+    return bits, float(mmse / (2.0 * sigma**2 * _LN2))
 
 
 def _linear(x: np.ndarray) -> np.ndarray:
@@ -244,7 +278,9 @@ def mi_real_points(
     nodes: int = DEFAULT_NODES,
     condition_on: np.ndarray | None = None,
     condition_weights: np.ndarray | None = None,
-) -> float:
+    *,
+    slope: bool = False,
+) -> float | tuple[float, float]:
     """I(X; Y) in bits for Y = X + N, N ~ Normal(0, sigma^2), X real finite.
 
     Parameters
@@ -258,10 +294,13 @@ def mi_real_points(
         the points x >= 0 with weights 2 * prior for x > 0 and prior at
         x = 0 give the MI of full conditioning from half its terms (the
         mirror reduction), equal up to rounding.
+    slope : if true, return (bits, d bits / d ln gamma), the slope at
+        fixed signal energy from the I-MMSE relation; the bits are the
+        float returned without it.
     """
     return _mi_points(
         *_kernel_args(points, priors, condition_on, condition_weights, _linear),
-        sigma, nodes,
+        sigma, nodes, slope,
     )
 
 
@@ -272,18 +311,21 @@ def mi_complex_points(
     nodes: int = DEFAULT_NODES,
     condition_on: np.ndarray | None = None,
     condition_weights: np.ndarray | None = None,
-) -> float:
+    *,
+    slope: bool = False,
+) -> float | tuple[float, float]:
     """I(X; Y) in bits for a complex alphabet in circular noise.
 
     sigma is the per-real-component deviation (noise power N_0 = 2 sigma^2).
     By default every positive-prior point contributes a conditional term;
     condition_on/condition_weights restrict the outer expectation to
     representative points (exact whenever the prior and geometry share a
-    symmetry group acting transitively on each orbit).
+    symmetry group acting transitively on each orbit).  slope is as in
+    `mi_real_points`.
     """
     return _mi_points(
         *_kernel_args(points, priors, condition_on, condition_weights, _planar),
-        sigma, nodes,
+        sigma, nodes, slope,
     )
 
 
@@ -317,13 +359,14 @@ def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> fl
 
 
 def mi_complex_cqam(
-    c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES
-) -> float:
+    c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES, *, slope: bool = False
+) -> float | tuple[float, float]:
     """I(X; Y) of a shell-structured complex constellation, shell-uniform priors.
 
     Exploits the p-fold rotational symmetry: one conditional term per
     shell, weighted by the shell prior.  Every CQAM rate of the
     optimizer is this function's; `mi_complex_naive` is its oracle.
+    With slope, returns (bits, d bits / d ln gamma), as `mi_real_points`.
     """
     sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
     shell_pri = _shell_priors(c)
@@ -331,7 +374,7 @@ def mi_complex_cqam(
     reps = c.points[np.arange(p) * p]
     return mi_complex_points(
         c.points, c.priors, sigma, nodes,
-        condition_on=reps, condition_weights=shell_pri,
+        condition_on=reps, condition_weights=shell_pri, slope=slope,
     )
 
 

@@ -41,13 +41,16 @@ uniform symbols' bits.  Three schemes are provided:
 
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.
-Both searches are Brent's methods (Brent, Algorithms for Minimization
-without Derivatives, 1973).  A gamma solve finds the root of
-rate(e^t) - target in t = log gamma to LOG_GAMMA_TOL, warm-started from
-a nearby gamma: the baseline from gamma_cap, each nu from the previous
-nu's gamma, and the re-solve at `nodes` from the gamma found at `search_nodes`.  The nu
-search is a bounded minimization on [0, nu_max] that doubles the
-bracket while gamma_A still falls at its upper edge.
+Every curve returns its rate with the slope d rate / d log gamma, which
+the I-MMSE relation gives the MI kernel exactly and a time-sharing mix
+carries by linearity.  A gamma solve finds the root of rate(e^t) -
+target in t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method
+on that slope, warm-started from a nearby gamma: the baseline from
+gamma_cap, each nu from the previous nu's gamma, and the re-solve at
+`nodes` from the gamma found at `search_nodes`.  The nu search is a
+bounded Brent minimization (Brent, Algorithms for Minimization without
+Derivatives, 1973) on [0, nu_max] that doubles the bracket while
+gamma_A still falls at its upper edge.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -60,7 +63,6 @@ input error (a bad coding rate, node count or nu) and propagates.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -86,8 +88,9 @@ from .constellations import (
 from .field import Prime
 from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 
-#: Width in log gamma at which the Brent SNR solve stops: the crossing
-#: lies within this of the returned log gamma (about 4e-8 dB).
+#: Accuracy in log gamma of the SNR solve: it stops on a Newton step of
+#: at most a quarter of this, or on a bracket narrower than this, so the
+#: crossing lies within it of the returned log gamma (about 4e-8 dB).
 LOG_GAMMA_TOL = 1e-8
 
 #: Largest |rate - target| in bits accepted at a converged SNR solve; a
@@ -103,10 +106,6 @@ DEFAULT_SEARCH_NODES = 48
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
 GAMMA_MIN, GAMMA_MAX = 1e-300, 1e15
 
-#: First step in log gamma away from the bracket hint; later steps at
-#: least double until the rate crosses the target.
-_BRACKET_STEP = 0.1
-
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 Convention = Literal["shaped", "time-averaged"]
@@ -121,105 +120,77 @@ class UnreachableRateError(ValueError):
 
 
 def snr_for_rate(
-    rate_fn: Callable[[float], float], target: float, hint: float | None = None
+    rate_fn: Callable[[float], tuple[float, float]],
+    target: float,
+    hint: float | None = None,
 ) -> float:
     """Invert a monotone rate curve: the gamma where rate crosses target.
 
-    Steps out from log `hint` (default gamma = 1) in growing steps till
-    the rate crosses the target, then finds the crossing by Brent's
-    method on t = log gamma, to LOG_GAMMA_TOL in t.  A hint near the
-    crossing, such as the gamma of a neighbouring solve, saves rate
-    evaluations; it does not change the result beyond that tolerance.  Raises
+    rate_fn(gamma) returns (bits, d bits / d ln gamma).  A safeguarded
+    Newton method on t = log gamma (rtsafe, Numerical Recipes, 3rd ed.,
+    sec. 9.4) starts at log `hint` (default gamma = 1) and keeps a sign
+    bracket within [log GAMMA_MIN, log GAMMA_MAX].  Where the Newton step
+    leaves the bracket, or the slope is not positive and finite, it
+    evaluates the range end the crossing lies toward while that end is
+    untried, and bisects the bracket once both ends are known.  It stops
+    once a Newton step is at most LOG_GAMMA_TOL / 4, or the bracket is
+    narrower than LOG_GAMMA_TOL.  A hint near the crossing, such as the
+    gamma of a neighbouring solve, saves rate evaluations; it does not
+    change the result beyond that tolerance.  Raises
     UnreachableRateError when the target exceeds the rate at GAMMA_MAX,
-    ValueError for a nonpositive target or one reached at GAMMA_MIN, and
-    RuntimeError when the converged rate misses the target by more than
+    ValueError for a nonpositive target, a hint that is not positive or
+    a target reached at GAMMA_MIN, and RuntimeError for a non-finite
+    rate or when the converged rate misses the target by more than
     RATE_RESIDUAL_TOL bits (the curve jumps over it).
     """
     if target <= 0.0:
         raise ValueError("target rate must be positive")
+    if hint is not None and not hint > 0.0:
+        raise ValueError(f"SNR hint must be positive, got {hint}")
     t_min, t_max = math.log(GAMMA_MIN), math.log(GAMMA_MAX)
-    a = min(max(math.log(1.0 if hint is None else hint), t_min), t_max)
-
-    def f(t: float) -> float:
-        rate = rate_fn(math.exp(t))
+    t = min(max(math.log(1.0 if hint is None else hint), t_min), t_max)
+    # the crossing lies in [lo, hi]; f_lo < 0 < f_hi once an end is tried
+    lo, hi, f_lo, f_hi = t_min, t_max, None, None
+    while True:
+        rate, slope = rate_fn(math.exp(t))
         if not math.isfinite(rate):
             raise RuntimeError(
                 f"SNR solve did not converge: rate {rate} at gamma = {math.exp(t):.6g}"
             )
-        return rate - target
-
-    fa = f(a)
-    step = _BRACKET_STEP if fa < 0.0 else -_BRACKET_STEP
-    b, fb = a, fa
-    while (fb < 0.0) == (fa < 0.0) and fb != 0.0:
-        if fb < 0.0 and b == t_max:
-            raise UnreachableRateError(
-                f"target rate {target:.6f} is unreachable for this scheme"
-            )
-        if fb > 0.0 and b == t_min:
-            raise ValueError("target rate reached at arbitrarily small gamma")
-        a, fa = b, fb
-        b = min(max(b + step, t_min), t_max)
-        fb = f(b)
-        # double the step, or go past the secant root if that lies further
-        slope = (fb - fa) / (b - a)
-        reach = abs(fb / slope) if slope > 0.0 else 0.0
-        step = math.copysign(max(2.0 * abs(step), 1.5 * reach), step)
-    t, residual = _brent_root(f, a, fa, b, fb)
-    if abs(residual) > RATE_RESIDUAL_TOL:
+        f = rate - target
+        if f < 0.0:
+            if t == t_max:
+                raise UnreachableRateError(
+                    f"target rate {target:.6f} is unreachable for this scheme"
+                )
+            lo, f_lo = t, f
+        elif f > 0.0:
+            if t == t_min:
+                raise ValueError("target rate reached at arbitrarily small gamma")
+            hi, f_hi = t, f
+        else:
+            break
+        step = -f / slope if 0.0 < slope < math.inf else math.nan
+        if abs(step) <= 0.25 * LOG_GAMMA_TOL:
+            t += step
+            break
+        if lo < t + step < hi:
+            t += step
+        elif f_lo is None:
+            t = t_min
+        elif f_hi is None:
+            t = t_max
+        elif hi - lo < LOG_GAMMA_TOL:
+            t, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+            break
+        else:
+            t = 0.5 * (lo + hi)
+    if abs(f) > RATE_RESIDUAL_TOL:
         raise RuntimeError(
             f"SNR solve did not converge: rate misses the target by "
-            f"{abs(residual):.3g} bits at gamma = {math.exp(t):.6g}"
+            f"{abs(f):.3g} bits at gamma = {math.exp(t):.6g}"
         )
     return math.exp(t)
-
-
-def _brent_root(
-    f: Callable[[float], float], a: float, fa: float, b: float, fb: float
-) -> tuple[float, float]:
-    """Root of f bracketed by [a, b] (fa, fb of opposite sign or zero).
-
-    Brent's method (Algorithms for Minimization without Derivatives,
-    1973, ch. 4): inverse quadratic or secant steps, bisection whenever
-    they would not shrink the bracket fast enough.  Once the bracket is
-    LOG_GAMMA_TOL wide, returns the secant root inside it and the
-    smaller |f| of its two ends.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * LOG_GAMMA_TOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            # a secant through the final bracket, which holds the root
-            t = b if fb == 0.0 or fc == fb else b - fb * (c - b) / (fc - fb)
-            return t, fb
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
 
 
 def _brent_minimize(
@@ -346,7 +317,8 @@ def _check_coding_rate(coding_rate: Fraction) -> Fraction:
     return coding_rate
 
 
-Curve = Callable[[float], float]  # gamma -> bits per channel use
+#: gamma -> (bits per channel use, d bits / d ln gamma)
+Curve = Callable[[float], tuple[float, float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,13 +326,14 @@ class _Scheme:
     """One shaping scheme as the driver `_optimize` sees it.
 
     prior(nu) is the shaped prior at nu; curve(prior, nodes) and
-    baseline(nodes) give the rate gamma -> bits per channel use of the
-    shaped scheme and of its uniform baseline.  The prior fills a
-    fraction `share` of a use's symbols and uniform symbols the rest,
-    which add `uniform_bits` per use; share H(prior) + uniform_bits, the
-    entropy of a use, caps curve(prior, ...) at every gamma.  nu_max is
-    the default upper edge of the nu search; dimension names the channel
-    ("real" or "complex") a use of which the curves measure.
+    baseline(nodes) give the `Curve` of the shaped scheme and of its
+    uniform baseline: gamma -> (bits per channel use, d bits / d ln
+    gamma).  The prior fills a fraction `share` of a use's symbols and
+    uniform symbols the rest, which add `uniform_bits` per use; share
+    H(prior) + uniform_bits, the entropy of a use, caps curve(prior, ...)
+    at every gamma.  nu_max is the default upper edge of the nu search;
+    dimension names the channel ("real" or "complex") a use of which the
+    curves measure.
     """
 
     name: str
@@ -436,7 +409,7 @@ def _optimize(
 
 
 def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) -> Curve:
-    """Real-channel MI of p-ASK at gamma = energy / (2 sigma^2).
+    """Real-channel MI of p-ASK and its slope at gamma = energy / (2 sigma^2).
 
     The prior gives symbols s and -s the same mass on mirrored points,
     so the MI is conditioned on the points x >= 0, each x > 0 with twice
@@ -453,7 +426,7 @@ def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) ->
     weights = np.where(cond > 0.0, 2.0, 1.0) * probs[half]
     return lambda gamma: mi_real_points(
         points, probs, math.sqrt(energy / (2.0 * gamma)), n,
-        condition_on=cond, condition_weights=weights,
+        condition_on=cond, condition_weights=weights, slope=True,
     )
 
 
@@ -480,7 +453,12 @@ def _ask_scheme(
         if share == 1.0:
             return shaped
         uniform = _real_curve(pts, unif, e_un, n)
-        return lambda g: share * shaped(g) + (1.0 - share) * uniform(g)
+
+        def mixed(g: float) -> tuple[float, float]:
+            (r_sh, s_sh), (r_un, s_un) = shaped(g), uniform(g)
+            return share * r_sh + (1.0 - share) * r_un, share * s_sh + (1.0 - share) * s_un
+
+        return mixed
 
     return _Scheme(
         name, lambda nu: mb_ask_prior(field, nu), curve,
@@ -501,7 +479,7 @@ def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
     radii = geom.shells.radii
 
     def rate(c: Constellation, n: int) -> Curve:
-        return lambda gamma: mi_complex_cqam(c, ChannelSnr(gamma, "complex"), n)
+        return lambda g: mi_complex_cqam(c, ChannelSnr(g, "complex"), n, slope=True)
 
     return _Scheme(
         "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),

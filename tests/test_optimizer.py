@@ -31,24 +31,32 @@ NODES = 48
 # ---------------------------------------------------------------------------
 
 
+# Each rate_fn returns (bits, d bits / d ln gamma), as the solver takes it.
+
+
+def _capacity(g):
+    # 0.5 log2(1 + 2 gamma) = target has the root gamma = (4^target - 1) / 2
+    return 0.5 * math.log2(1.0 + 2.0 * g), g / ((1.0 + 2.0 * g) * math.log(2.0))
+
+
 def test_snr_for_rate_inverts_gaussian_capacity():
-    rate_fn = lambda g: 0.5 * math.log2(1.0 + 2.0 * g)
+    rate_fn = _capacity
     for target in (0.25, 0.5, 1.871, 3.0):
         g = snr_for_rate(rate_fn, target)
-        assert abs(rate_fn(g) - target) < 1e-9
+        assert abs(rate_fn(g)[0] - target) < 1e-9
 
 
 def test_snr_for_rate_near_asymptote():
     # saturating curve: target close below the supremum still converges
-    rate_fn = lambda g: 2.0 * (1.0 - math.exp(-g))
+    rate_fn = lambda g: (2.0 * (1.0 - math.exp(-g)), 2.0 * g * math.exp(-g))
     g = snr_for_rate(rate_fn, 1.9999)
-    assert abs(rate_fn(g) - 1.9999) < 1e-9
+    assert abs(rate_fn(g)[0] - 1.9999) < 1e-9
 
 
 def test_snr_for_rate_unreachable_target():
     # 1/(1+g) stays positive over the whole bracket range, so the supremum
     # is genuinely unattainable (unlike exp(-g), which underflows to zero)
-    rate_fn = lambda g: 2.0 - 1.0 / (1.0 + g)
+    rate_fn = lambda g: (2.0 - 1.0 / (1.0 + g), g / (1.0 + g) ** 2)
     with pytest.raises(UnreachableRateError):
         snr_for_rate(rate_fn, 2.0)
     with pytest.raises(UnreachableRateError):
@@ -59,28 +67,79 @@ def test_snr_for_rate_unreachable_target():
     assert not isinstance(exc.value, UnreachableRateError)
     # so is a target the curve already exceeds at GAMMA_MIN
     with pytest.raises(ValueError, match="arbitrarily small gamma") as exc:
-        snr_for_rate(lambda g: 3.0, 2.0)
+        snr_for_rate(lambda g: (3.0, 0.0), 2.0)
     assert not isinstance(exc.value, UnreachableRateError)
 
 
 def test_snr_for_rate_non_convergence():
-    # a step curve jumps over the target, so no gamma meets the tolerance
+    # a step curve jumps over the target, so no gamma meets the tolerance;
+    # its slope is 0 wherever it is defined
     with pytest.raises(RuntimeError, match="did not converge"):
-        snr_for_rate(lambda g: 0.0 if g < 1.0 else 2.0, 1.0)
+        snr_for_rate(lambda g: (0.0 if g < 1.0 else 2.0, 0.0), 1.0)
     # a non-finite rate is a numerical failure (exit 3), not an input error
     with pytest.raises(RuntimeError, match="did not converge: rate nan"):
-        snr_for_rate(lambda g: math.nan, 1.0)
+        snr_for_rate(lambda g: (math.nan, math.nan), 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.floats(0.01, 10.0), st.floats(-8.0, 12.0))
 def test_snr_for_rate_matches_closed_form_from_any_hint(target, log10_hint):
-    # 0.5 log2(1 + 2 gamma) = target has the root gamma = (4^target - 1) / 2
-    rate_fn = lambda g: 0.5 * math.log2(1.0 + 2.0 * g)
+    rate_fn = _capacity
     root = (4.0**target - 1.0) / 2.0
     for hint in (10.0**log10_hint, root):
         g = snr_for_rate(rate_fn, target, hint)
         assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize("hint", [math.nan, 0.0, -1.0, -math.inf])
+def test_snr_for_rate_rejects_a_hint_that_is_not_positive(hint):
+    calls = []
+    with pytest.raises(ValueError, match="SNR hint must be positive") as exc:
+        snr_for_rate(lambda g: calls.append(g) or _capacity(g), 1.0, hint)
+    assert not isinstance(exc.value, UnreachableRateError)
+    assert calls == []
+
+
+def test_snr_for_rate_clamps_an_infinite_hint_to_gamma_max():
+    calls = []
+    g = snr_for_rate(lambda g: calls.append(g) or _capacity(g), 1.0, math.inf)
+    assert calls[0] == pytest.approx(optimizer.GAMMA_MAX, rel=1e-14)
+    assert abs(math.log(g) - math.log(1.5)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize("target", [0.01, 0.5, 1.871, 10.0])
+def test_snr_for_rate_from_a_hint_on_the_root_evaluates_once(target):
+    calls = []
+    root = (4.0**target - 1.0) / 2.0
+    g = snr_for_rate(lambda g: calls.append(g) or _capacity(g), target, root)
+    assert calls == [pytest.approx(root, rel=1e-14)]
+    assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize("log10_hint", [-8.0, 0.0, 12.0])
+@pytest.mark.parametrize("target", [0.01, 1.871, 10.0])
+def test_snr_for_rate_bisects_past_a_wrong_sign_slope(target, log10_hint):
+    # the slope's sign is flipped, so no Newton step is taken: bisection
+    # alone must still reach the closed-form root
+    rate_fn = lambda g: (_capacity(g)[0], -_capacity(g)[1])
+    root = (4.0**target - 1.0) / 2.0
+    g = snr_for_rate(rate_fn, target, 10.0**log10_hint)
+    assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize("hint", [None, 1e-200, math.inf])
+def test_snr_for_rate_range_ends_raise_their_own_errors(hint):
+    # the rate saturates below the target: Newton heads past GAMMA_MAX,
+    # where the rate is tried and found short
+    saturating = lambda g: (2.0 * (1.0 - math.exp(-g)), 2.0 * g * math.exp(-g))
+    with pytest.raises(UnreachableRateError, match="unreachable"):
+        snr_for_rate(saturating, 2.5, hint)
+    # the rate never falls below 1 bit: Newton heads past GAMMA_MIN, where
+    # the target is already exceeded
+    floored = lambda g: (1.0 + _capacity(g)[0], _capacity(g)[1])
+    with pytest.raises(ValueError, match="arbitrarily small gamma") as exc:
+        snr_for_rate(floored, 0.5, hint)
+    assert not isinstance(exc.value, UnreachableRateError)
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -303,7 +362,7 @@ def test_real_curve_rejects_a_prior_without_mirror_symmetry():
     with pytest.raises(ValueError, match="mirror-symmetric"):
         optimizer._real_curve(pts, prior, 4.0, NODES)
     pts = np.array([0.0, 1.0, 2.0, 3.0, -3.0, -2.0, -1.0])  # symbol order
-    assert optimizer._real_curve(pts, prior, 4.0, NODES)(1.0) > 0.0
+    assert optimizer._real_curve(pts, prior, 4.0, NODES)(1.0)[0] > 0.0
     tilted = prior * np.linspace(0.9, 1.1, 7)
     with pytest.raises(ValueError, match="mirror-symmetric"):
         optimizer._real_curve(pts, tilted / tilted.sum(), 4.0, NODES)
@@ -330,6 +389,26 @@ def test_real_curve_conditions_on_the_nonnegative_half(monkeypatch):
         )
 
 
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    st.sampled_from(["shaped", "time-averaged"]),
+    st.sampled_from([Fraction(2, 3), Fraction(4, 5)]),
+    st.floats(0.0, 0.3),
+    st.floats(math.log(0.5), math.log(2.0)),
+)
+def test_time_sharing_slope_is_central_difference(convention, rc, nu, log_gamma):
+    # the mix carries its terms' I-MMSE slopes by linearity; at these gamma
+    # the 7-ASK noise deviation is at least half the ASK spacing, where
+    # the kernel's slope matches its own rates to 1e-7 (see test_awgn_mi)
+    scheme = optimizer._ask_scheme("ts", Prime(7), float(rc), convention)
+    h = 1e-4
+    for curve in (scheme.curve(scheme.prior(nu), 96), scheme.baseline(96)):
+        _, slope = curve(math.exp(log_gamma))
+        up, down = curve(math.exp(log_gamma + h))[0], curve(math.exp(log_gamma - h))[0]
+        diff = (up - down) / (2.0 * h)
+        assert abs(slope - diff) <= 1e-6 * diff
+
+
 def _count_mi_calls(monkeypatch) -> list:
     calls = []
     for name in ("mi_complex_cqam", "mi_real_points"):
@@ -346,13 +425,13 @@ def _count_mi_calls(monkeypatch) -> list:
 def test_cqam_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    assert 0 < len(calls) <= 150
+    assert 0 < len(calls) <= 45
 
 
 def test_time_sharing_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_time_sharing(Prime(13), Fraction(19, 20), convention="shaped")
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 110
 
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))
@@ -453,9 +532,9 @@ def test_cqam_rates_go_through_mi_complex_cqam(monkeypatch):
     calls, kernel_calls = [], []
     mi_cqam, kernel = optimizer.mi_complex_cqam, awgn_mi.mi_complex_points
 
-    def recorded_mi(c, snr, nodes):
+    def recorded_mi(c, snr, nodes, **kwargs):
         calls.append((snr.dimension, nodes))
-        return mi_cqam(c, snr, nodes)
+        return mi_cqam(c, snr, nodes, **kwargs)
 
     def counted_kernel(*args, **kwargs):
         kernel_calls.append(args)
@@ -490,5 +569,5 @@ def test_scheme_ceiling_is_its_high_snr_rate(name, nu):
     scheme = SCHEMES[name]()
     prior = scheme.prior(nu)
     ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
-    rate = scheme.curve(prior, 24)(1e8)
+    rate, _ = scheme.curve(prior, 24)(1e8)
     assert -1e-10 < ceiling - rate < 1e-6  # below it, up to rounding
