@@ -186,17 +186,22 @@ def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _mi_points(
     points: np.ndarray, priors: np.ndarray, cond: np.ndarray, weights: np.ndarray,
     sigma: float, nodes: int, slope: bool = False,
-) -> float | tuple[float, float]:
+) -> float | tuple[float, float, np.ndarray]:
     """I(X; Y) in bits of points (P, dim) with priors, in noise of deviation
     sigma per real component, averaged over the conditioning points cond
     (C, dim) with the given weights.
 
-    With slope, also d I / d ln gamma in bits at fixed signal energy: by
-    I-MMSE (Guo, Shamai and Verdu, IEEE Trans. IT, 2005) it is
-    mmse / (2 sigma^2) nats, mmse = E |X - E[X|Y]|^2 summed over the real
-    components.  Each block forms the posterior mean E[X|y] from the
-    weights exp(a - max) its log-sum-exp leaves behind, and mmse is
-    averaged over the same rule and conditioning points as I.
+    With slope, returns (bits, d I / d ln gamma, divergences).  The slope,
+    in bits at fixed signal energy, is by I-MMSE (Guo, Shamai and Verdu,
+    IEEE Trans. IT, 2005) mmse / (2 sigma^2) nats, mmse = E |X - E[X|Y]|^2
+    summed over the real components.  Each block forms the posterior mean
+    E[X|y] from the weights exp(a - max) its log-sum-exp leaves behind,
+    and mmse is averaged over the same rule and conditioning points as I.
+    divergences[c] = D(p(y|cond[c]) || p(y)) in bits, the rule's integral
+    that I averages with the weights, and 0.0 where a weight is 0.  Since
+    d I / d P(x) = D(p(y|x) || p(y)) - log e (Blahut, IEEE Trans. IT,
+    1972), they give the rate's derivative along any change of the prior
+    that keeps its symmetry.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -214,11 +219,7 @@ def _mi_points(
         buf = _scratch.buf = np.empty(2 * max(_BLOCK_TERMS, len(points)))
     lse = np.empty(len(y))
     if slope:
-        # the components of each point and a row of ones: one product gives
-        # the posterior mean's numerator and its normalizer
-        moments = np.vstack([points.T, np.ones(len(points))])
-        x = np.repeat(cond, len(t), axis=0)
-        sq_err = np.empty(len(y))
+        mean = np.empty((dim, len(y)))  # E[X|y] of every row, component-major
     for i in range(0, len(y), rows):
         yb = y[i : i + rows]
         # log q(y) up to the common Gaussian normalizer, which cancels in the
@@ -231,15 +232,17 @@ def _mi_points(
         np.subtract(logp[:, None], np.divide(a, 2.0 * sigma**2, out=a), out=a)
         lse[i : i + rows] = _logsumexp_last(a, b, keep_weights=slope)
         if slope:
-            m = moments @ a
-            err = x[i : i + rows].T - m[:dim] / m[dim]
-            sq_err[i : i + rows] = np.square(err, out=err).sum(axis=0)
+            np.divide(points.T @ a, a.sum(axis=0), out=mean[:, i : i + rows])
     integrand = (-t2 - lse.reshape(len(cond), len(t))) / _LN2
-    bits = float(np.dot(weights, integrand @ w) / math.pi ** (dim / 2))
+    div = integrand @ w
+    bits = float(np.dot(weights, div) / math.pi ** (dim / 2))
     if not slope:
         return bits
-    mmse = np.dot(weights, sq_err.reshape(len(cond), len(t)) @ w) / math.pi ** (dim / 2)
-    return bits, float(mmse / (2.0 * sigma**2 * _LN2))
+    err = mean.reshape(dim, len(cond), len(t)) - cond.T[:, :, None]
+    mmse = np.dot(weights, np.square(err, out=err).sum(axis=0) @ w) / math.pi ** (dim / 2)
+    divergences = np.zeros(len(keep))
+    divergences[keep] = div / math.pi ** (dim / 2)
+    return bits, float(mmse / (2.0 * sigma**2 * _LN2)), divergences
 
 
 def _linear(x: np.ndarray) -> np.ndarray:

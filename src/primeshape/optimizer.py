@@ -42,15 +42,23 @@ uniform symbols' bits.  Three schemes are provided:
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.
 Every curve returns its rate with the slope d rate / d log gamma, which
-the I-MMSE relation gives the MI kernel exactly and a time-sharing mix
-carries by linearity.  A gamma solve finds the root of rate(e^t) -
-target in t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method
-on that slope, warm-started from a nearby gamma: the baseline from
-gamma_cap, each nu from the previous nu's gamma, and the re-solve at
-`nodes` from the gamma found at `search_nodes`.  The nu search is a
-bounded Brent minimization (Brent, Algorithms for Minimization without
-Derivatives, 1973) on [0, nu_max] that doubles the bracket while
-gamma_A still falls at its upper edge.
+the I-MMSE relation gives the MI kernel exactly, and with the rate's
+derivative in nu at fixed gamma.  That one is exact too: the kernel
+returns each conditioning point's divergence D(p(y|x) || p(y)), which is
+d I / d P(x) up to a constant (Blahut, IEEE Trans. IT, 1972), so the MB
+prior's closed-form P' = -P (a^2 - E) weights them, and the noise moves
+with the energy E at fixed gamma, which costs the slope times
+d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
+by linearity.  A gamma solve finds the root of rate(e^t) - target in
+t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
+slope, warm-started from a nearby gamma: the baseline from gamma_cap,
+the first nu from gamma_unif, and the re-solve at `nodes` from the gamma
+found at `search_nodes`.  Holding the rate at the target gives the
+gradient d ln gamma_A / d nu = -(d rate / d nu) / (d rate / d ln gamma)
+from a solve's last evaluation.  The nu search is a safeguarded secant
+method on that gradient, from the bracket [0, nu_max], that starts each
+solve from the nearest solved nu moved along its gradient and doubles
+the bracket while gamma_A still falls at its upper edge.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -97,7 +105,10 @@ LOG_GAMMA_TOL = 1e-8
 #: larger residual means the curve jumps over the target.
 RATE_RESIDUAL_TOL = 1e-7
 
-#: Relative width at which the Brent nu search terminates.
+#: Relative width, to the upper edge of its bracket, of the secant step (or
+#: the bracket) on which the nu search stops.  The search solves at that
+#: step's end, which lies far closer to nu*, since the secant converges
+#: superlinearly: every table row moved by under 1e-11 dB at 2.5e-6.
 NU_REL_TOL = 1e-4
 
 #: Default Gauss-Hermite node count per real dimension of the CQAM nu search.
@@ -105,8 +116,6 @@ DEFAULT_SEARCH_NODES = 48
 
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
 GAMMA_MIN, GAMMA_MAX = 1e-300, 1e15
-
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 Convention = Literal["shaped", "time-averaged"]
 
@@ -120,16 +129,21 @@ class UnreachableRateError(ValueError):
 
 
 def snr_for_rate(
-    rate_fn: Callable[[float], tuple[float, float]],
+    rate_fn: Callable[[float], tuple[float, ...]],
     target: float,
     hint: float | None = None,
 ) -> float:
     """Invert a monotone rate curve: the gamma where rate crosses target.
 
-    rate_fn(gamma) returns (bits, d bits / d ln gamma).  A safeguarded
+    rate_fn(gamma) returns (bits, d bits / d ln gamma), and may return
+    more entries after those, which the solve ignores.  A safeguarded
     Newton method on t = log gamma (rtsafe, Numerical Recipes, 3rd ed.,
     sec. 9.4) starts at log `hint` (default gamma = 1) and keeps a sign
-    bracket within [log GAMMA_MIN, log GAMMA_MAX].  Where the Newton step
+    bracket within [log GAMMA_MIN, log GAMMA_MAX].  While the upper end
+    is untried, a Newton step up that is more than half the last one
+    (the curve saturates slowly, as 1 / gamma does) is at least doubled
+    from the last step taken, so an unreachable target costs a few
+    evaluations, not one per unit of log gamma.  Where the Newton step
     leaves the bracket, or the slope is not positive and finite, it
     evaluates the range end the crossing lies toward while that end is
     untried, and bisects the bracket once both ends are known.  It stops
@@ -151,8 +165,9 @@ def snr_for_rate(
     t = min(max(math.log(1.0 if hint is None else hint), t_min), t_max)
     # the crossing lies in [lo, hi]; f_lo < 0 < f_hi once an end is tried
     lo, hi, f_lo, f_hi = t_min, t_max, None, None
+    newton, up = 0.0, 0.0  # the last Newton step, and the last step taken
     while True:
-        rate, slope = rate_fn(math.exp(t))
+        rate, slope = rate_fn(math.exp(t))[:2]
         if not math.isfinite(rate):
             raise RuntimeError(
                 f"SNR solve did not converge: rate {rate} at gamma = {math.exp(t):.6g}"
@@ -174,8 +189,12 @@ def snr_for_rate(
         if abs(step) <= 0.25 * LOG_GAMMA_TOL:
             t += step
             break
+        # Newton steps toward an untried upper end that do not halve: a curve
+        # that saturates slowly, so each such step at least doubles the last
+        slow = f_hi is None and step > 0.5 * newton > 0.0
+        newton, step = step, max(step, 2.0 * up) if slow else step
         if lo < t + step < hi:
-            t += step
+            t, up = t + step, step
         elif f_lo is None:
             t = t_min
         elif f_hi is None:
@@ -193,100 +212,77 @@ def snr_for_rate(
     return math.exp(t)
 
 
-def _brent_minimize(
-    f: Callable[[float], float], a: float, b: float
+def _minimize_nu(
+    f: Callable[[float, float | None], tuple[float, float]], nu_max: float
 ) -> tuple[float, float]:
-    """Minimum of a unimodal f on [a, b] by Brent's method; ties move toward 0.
+    """Minimize gamma_A over nu >= 0 by a safeguarded secant method on
+    h(nu) = d ln gamma_A / d nu, from the bracket [0, nu_max].
 
-    Parabolic steps through the three best points, golden-section steps
-    when a parabola would not shrink the bracket fast enough (Brent,
-    1973, ch. 5).  Starts from b / 2 and stops when the bracket around
-    the best point is NU_REL_TOL * b wide.
+    f(nu, hint) solves gamma_A at nu from the SNR hint (None while no nu is
+    solved) and returns (gamma_A, h); gamma_A is inf where the target is
+    unreachable, and such a nu counts as h > 0.  The search keeps a sign
+    bracket, h < 0 at lo and h >= 0 at hi, an untried end counting as
+    such.  It starts at nu_max / 2 and steps to the secant root of h
+    through the last two feasible nu.  A secant root beyond an untried
+    end evaluates that end; any other outside the bracket, or a missing
+    one, bisects it.  Each solve starts from the nearest solved nu:
+    gamma_near exp(h_near (nu - nu_near)).  Once a secant step is at most
+    NU_REL_TOL times the upper edge, the search solves at its end and
+    stops; it also stops on a bracket narrower than that.  An upper edge
+    with h < 0 holds no minimum: the edge doubles, up to six times.
+    Returns the solved (nu, gamma_A) with the smallest gamma_A.
     """
-    tol = 0.25 * NU_REL_TOL * b
-    x = 0.5 * b
-    fx = f(x)
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
+    seen: dict[float, tuple[float, float]] = {}
+
+    def probe(nu: float) -> float:
+        feasible = [(v, g, h) for v, (g, h) in seen.items() if math.isfinite(h)]
+        hint = None
+        if feasible:
+            v, g, h = min(feasible, key=lambda s: abs(s[0] - nu))
+            log_hint = math.log(g) + h * (nu - v)
+            hint = math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
+        gamma, h = f(nu, hint)
+        seen[nu] = (gamma, h) if math.isfinite(gamma) else (math.inf, math.inf)
+        return seen[nu][1]
+
+    lo, hi, tol = 0.0, nu_max, NU_REL_TOL * nu_max  # tol doubles with the edge
+    x, last = 0.5 * nu_max, []  # the last two feasible (nu, h)
     while True:
-        mid = 0.5 * (a + b)
-        if max(x - a, b - x) <= 2.0 * tol:
-            return x, fx
-        golden = True
-        if abs(e) > tol:  # try a parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d, golden = p / q, False
-                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = math.copysign(tol, mid - x)
-        if golden:
-            e = (a - x) if x >= mid else (b - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu < fx or (fu == fx and u < x):
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def _minimize_nu(f: Callable[[float], float], nu_max: float) -> tuple[float, float]:
-    """Minimize gamma_A over nu in [0, nu_max], doubling the bracket up to
-    six times when the optimum sits at the upper edge.
-
-    f returns inf where the target is unreachable; the search sees
-    GAMMA_MAX * (1 + nu) there instead, which exceeds every reachable
-    gamma and rises with nu, so it leads back toward the feasible part.
-    While f still falls at the edge, f(hi) < f(0.98 hi), hi doubles; an
-    unreachable 0.98 hi ends the doubling without a solve at hi.  One
-    Brent search from hi / 2 then runs on [0, hi], or on [0.49 hi, hi]
-    after a doubling.  f is called once per nu.
-    """
-    cache: dict[float, float] = {}
-
-    def g(nu: float) -> float:
-        if nu not in cache:
-            val = f(nu)
-            cache[nu] = val if math.isfinite(val) else GAMMA_MAX * (1.0 + nu)
-        return cache[nu]
-
-    lo, hi = 0.0, nu_max
-    while True:
-        edge = g(0.98 * hi)
-        if edge >= GAMMA_MAX or g(hi) >= edge:  # f no longer falls at the edge
-            nu, val = _brent_minimize(g, lo, hi)
-            if nu < 0.98 * hi:
+        h = probe(x)
+        if h < 0.0 and x == hi:  # gamma_A still falls at the upper edge
+            if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
+                raise RuntimeError("nu bracket widening failed to contain the optimum")
+            warnings.warn(
+                f"shaping optimum at the nu grid edge ({hi:.4g}); "
+                f"widening the bracket to {2 * hi:.4g}",
+                stacklevel=4,
+            )
+            hi, tol = 2.0 * hi, 2.0 * tol
+        lo, hi = (x, hi) if h < 0.0 else (lo, x)
+        if math.isfinite(h):
+            last = [*last[-1:], (x, h)]
+        new = math.nan
+        if len(last) == 2:
+            (x0, h0), (x1, h1) = last
+            new = x1 - h1 * (x1 - x0) / (h1 - h0) if h1 != h0 else -h1 * math.inf
+            if abs(new - x1) <= tol:  # solve at the converged nu, then stop
+                if lo < new < hi:
+                    probe(new)
                 break
-        if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
-            raise RuntimeError("nu bracket widening failed to contain the optimum")
-        warnings.warn(
-            f"shaping optimum at the nu grid edge ({hi:.4g}); "
-            f"widening the bracket to {2 * hi:.4g}",
-            stacklevel=4,
-        )
-        lo, hi = 0.98 * hi, 2.0 * hi
-    if val >= GAMMA_MAX:
+        if lo < new < hi:
+            x = new
+        elif (new >= hi or hi - lo <= tol) and hi not in seen:
+            x = hi  # beyond, or closed at, the untried upper edge
+        elif new <= lo and lo not in seen:
+            x = lo
+        elif hi - lo > tol:
+            x = 0.5 * (lo + hi)
+        else:
+            break
+    nu, (gamma, _) = min(seen.items(), key=lambda s: s[1][0])
+    if not math.isfinite(gamma):
         raise UnreachableRateError("target rate unreachable at every shaping parameter")
-    return nu, val
+    return nu, gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,18 +303,8 @@ class ShapingSolution:
     convention: str | None = None
 
 
-def _check_coding_rate(coding_rate: Fraction) -> Fraction:
-    coding_rate = Fraction(coding_rate)
-    if not Fraction(1, 2) <= coding_rate <= 1:
-        raise ValueError(
-            f"coding rate {coding_rate} outside [1/2, 1]; systematic shaping "
-            "needs at least half the symbols carrying shaped payload"
-        )
-    return coding_rate
-
-
-#: gamma -> (bits per channel use, d bits / d ln gamma)
-Curve = Callable[[float], tuple[float, float]]
+#: gamma -> (bits per channel use, d bits / d ln gamma, d bits / d nu at fixed gamma)
+Curve = Callable[[float], tuple[float, float, float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,7 +314,8 @@ class _Scheme:
     prior(nu) is the shaped prior at nu; curve(prior, nodes) and
     baseline(nodes) give the `Curve` of the shaped scheme and of its
     uniform baseline: gamma -> (bits per channel use, d bits / d ln
-    gamma).  The prior fills a fraction `share` of a use's symbols and
+    gamma, d bits / d nu at fixed gamma), the last 0 for the baseline,
+    whose prior does not move with nu.  The prior fills a fraction `share` of a use's symbols and
     uniform symbols the rest, which add `uniform_bits` per use; share
     H(prior) + uniform_bits, the entropy of a use, caps curve(prior, ...)
     at every gamma.  nu_max is the default upper edge of the nu search;
@@ -356,7 +343,12 @@ def _optimize(
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A
     at `search_nodes` and is re-solved at `nodes` when those differ.
     """
-    coding_rate = _check_coding_rate(coding_rate)
+    coding_rate = Fraction(coding_rate)
+    if not Fraction(1, 2) <= coding_rate <= 1:
+        raise ValueError(
+            f"coding rate {coding_rate} outside [1/2, 1]; systematic shaping "
+            "needs at least half the symbols carrying shaped payload"
+        )
     for n in (nodes, search_nodes):
         _rule(n, 1)  # rejects a bad node count before any solve; cached
     nu_max = scheme.nu_max if nu_max is None else nu_max
@@ -367,31 +359,39 @@ def _optimize(
 
     gamma_cap = capacity_gamma(target, scheme.dimension)
     gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target, gamma_cap)
-    last = gamma_unif  # each solve starts from the previous one's gamma
 
-    def gamma_of_nu(nu_val: float, n: int) -> float:
-        nonlocal last
+    def gamma_of_nu(nu_val: float, n: int, hint: float | None) -> tuple[float, float]:
+        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved from hint (by
+        default gamma_unif); (inf, inf) where the target is unreachable."""
         prior = scheme.prior(nu_val)
         ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
         if ceiling < solve_target - RATE_RESIDUAL_TOL:
-            return math.inf  # unreachable at any gamma: skip the solve
+            return math.inf, math.inf  # unreachable at any gamma: skip the solve
+        curve, final = scheme.curve(prior, n), []
         try:
-            last = snr_for_rate(scheme.curve(prior, n), solve_target, last)
+            gamma = snr_for_rate(
+                lambda g: final.append(curve(g)) or final[-1],
+                solve_target, gamma_unif if hint is None else hint,
+            )
         except UnreachableRateError:
-            return math.inf
-        return last
+            return math.inf, math.inf
+        # gamma_A(nu) keeps rate = target: d ln gamma / d nu = -(d rate / d nu)
+        # / (d rate / d ln gamma), both at the solve's last evaluation.  A
+        # flat curve met the target only within RATE_RESIDUAL_TOL at its
+        # ceiling, which no finite gamma crosses.
+        _, slope, d_nu = final[-1]
+        return (gamma, -d_nu / slope) if slope > 0.0 else (math.inf, math.inf)
 
     if nu is not None:
-        nu_star, gamma_a = nu, gamma_of_nu(nu, nodes)
+        nu_star, (gamma_a, _) = nu, gamma_of_nu(nu, nodes, None)
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         nu_star, gamma_a = _minimize_nu(
-            lambda v: gamma_of_nu(v, search_nodes), nu_max
+            lambda v, hint: gamma_of_nu(v, search_nodes, hint), nu_max
         )
         if search_nodes != nodes:
-            last = gamma_a
-            gamma_a = gamma_of_nu(nu_star, nodes)
+            gamma_a, _ = gamma_of_nu(nu_star, nodes, gamma_a)
     return ShapingSolution(
         scheme=scheme.name,
         p=field.p,
@@ -408,13 +408,31 @@ def _optimize(
     )
 
 
-def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) -> Curve:
-    """Real-channel MI of p-ASK and its slope at gamma = energy / (2 sigma^2).
+def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[np.ndarray, float]:
+    """d probs / d nu and d ln E / d nu of an MB prior, E its mean energy.
+
+    probs ~ exp(-nu a^2) gives probs' = -probs (a^2 - E) and
+    E' = sum probs' a^2 = -Var(a^2).
+    """
+    a2 = prior.amplitudes**2
+    energy = float(np.dot(prior.probs, a2))
+    d_probs = -prior.probs * (a2 - energy)
+    return d_probs, float(np.dot(d_probs, a2)) / energy
+
+
+def _real_curve(
+    points: np.ndarray, probs: np.ndarray, energy: float, n: int,
+    d_probs: np.ndarray | None = None, d_log_energy: float = 0.0,
+) -> Curve:
+    """Real-channel MI of p-ASK at gamma = energy / (2 sigma^2), its slope
+    and its derivative in nu at fixed gamma.
 
     The prior gives symbols s and -s the same mass on mirrored points,
     so the MI is conditioned on the points x >= 0, each x > 0 with twice
-    its prior (the mirror reduction of `mi_real_points`).  Raises
-    ValueError when points or prior are not mirror-symmetric.
+    its prior (the mirror reduction of `mi_real_points`).  d_probs and
+    d_log_energy are d probs / d nu and d ln energy / d nu (0 for a prior
+    that does not move with nu); the folded weights move by twice d_probs.
+    Raises ValueError when points or prior are not mirror-symmetric.
     """
     mirror = -np.arange(len(points)) % len(points)
     if not (
@@ -423,11 +441,18 @@ def _real_curve(points: np.ndarray, probs: np.ndarray, energy: float, n: int) ->
         raise ValueError("the p-ASK points and prior must be mirror-symmetric")
     half = points >= 0.0
     cond = points[half]
-    weights = np.where(cond > 0.0, 2.0, 1.0) * probs[half]
-    return lambda gamma: mi_real_points(
-        points, probs, math.sqrt(energy / (2.0 * gamma)), n,
-        condition_on=cond, condition_weights=weights, slope=True,
-    )
+    fold = np.where(cond > 0.0, 2.0, 1.0)
+    weights = fold * probs[half]
+    d_weights = fold * (0.0 if d_probs is None else d_probs[half])
+
+    def curve(gamma: float) -> tuple[float, float, float]:
+        bits, slope, div = mi_real_points(
+            points, probs, math.sqrt(energy / (2.0 * gamma)), n,
+            condition_on=cond, condition_weights=weights, slope=True,
+        )
+        return bits, slope, float(np.dot(d_weights, div)) - slope * d_log_energy
+
+    return curve
 
 
 def _ask_scheme(
@@ -447,18 +472,20 @@ def _ask_scheme(
 
     def curve(prior: MaxwellBoltzmann, n: int) -> Curve:
         e_sh, e_un = ask_energy(prior), e_unif
+        (d_probs, d_log_sh), d_log_un = _mb_derivative(prior), 0.0
         if convention == "time-averaged":
-            e_sh = e_un = share * e_sh + (1.0 - share) * e_unif
-        shaped = _real_curve(pts, prior.probs, e_sh, n)
+            e_avg = share * e_sh + (1.0 - share) * e_unif
+            # one energy for both terms; only the shaped share's moves with nu
+            d_log_sh = d_log_un = share * e_sh * d_log_sh / e_avg
+            e_sh = e_un = e_avg
+        shaped = _real_curve(pts, prior.probs, e_sh, n, d_probs, d_log_sh)
         if share == 1.0:
             return shaped
-        uniform = _real_curve(pts, unif, e_un, n)
-
-        def mixed(g: float) -> tuple[float, float]:
-            (r_sh, s_sh), (r_un, s_un) = shaped(g), uniform(g)
-            return share * r_sh + (1.0 - share) * r_un, share * s_sh + (1.0 - share) * s_un
-
-        return mixed
+        uniform = _real_curve(pts, unif, e_un, n, None, d_log_un)
+        # the mix carries rate, slope and nu derivative by linearity
+        return lambda g: tuple(
+            share * a + (1.0 - share) * b for a, b in zip(shaped(g), uniform(g))
+        )
 
     return _Scheme(
         name, lambda nu: mb_ask_prior(field, nu), curve,
@@ -478,13 +505,20 @@ def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
     geom = _stretched(base, params.stretch)
     radii = geom.shells.radii
 
-    def rate(c: Constellation, n: int) -> Curve:
-        return lambda g: mi_complex_cqam(c, ChannelSnr(g, "complex"), n, slope=True)
+    def rate(c: Constellation, n: int, d_probs: np.ndarray, d_log_energy: float) -> Curve:
+        def curve(g: float) -> tuple[float, float, float]:
+            # one conditioning point per shell, weighted by the shell prior
+            bits, slope, div = mi_complex_cqam(c, ChannelSnr(g, "complex"), n, slope=True)
+            return bits, slope, float(np.dot(d_probs, div)) - slope * d_log_energy
+
+        return curve
 
     return _Scheme(
         "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),
-        lambda prior, n: rate(geom.with_priors(cqam_prior(prior, field)), n),
-        lambda n: rate(base, n), 1.0, math.log2(field.p),
+        lambda prior, n: rate(
+            geom.with_priors(cqam_prior(prior, field)), n, *_mb_derivative(prior)
+        ),
+        lambda n: rate(base, n, np.zeros(field.p), 0.0), 1.0, math.log2(field.p),
         4.0 / float(radii[-1]) ** 2, "complex",
     )
 
@@ -510,10 +544,9 @@ def optimize_time_sharing(
     """
     if convention not in ("shaped", "time-averaged"):
         raise ValueError(f"unknown energy convention {convention!r}")
-    share = float(Fraction(coding_rate))
-    scheme = _ask_scheme("time-sharing", field, share, convention)
     return _optimize(
-        scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
+        _ask_scheme("time-sharing", field, float(Fraction(coding_rate)), convention),
+        field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max,
     )
 
 

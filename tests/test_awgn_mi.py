@@ -555,7 +555,7 @@ def _assert_slope_is_central_difference(mi, h=1e-4):
     at 48 nodes and gamma = 3 already gives 9e-7, and 13-ASK at 96 nodes
     and sigma = 0.2 gives 2e-4.
     """
-    bits, slope = mi(0.0, True)
+    bits, slope, _ = mi(0.0, True)
     assert bits == mi(0.0, False)
     diff = (mi(h, False) - mi(-h, False)) / (2.0 * h)
     assert slope > 0.0
@@ -607,6 +607,76 @@ def test_complex_kernel_slope_is_central_difference(p, nu, log_gamma, pfold):
             c.points, c.priors, sigma * math.exp(-e / 2.0), 96, slope=slope
         )
     _assert_slope_is_central_difference(mi)
+
+
+# ---------------------------------------------------------------------------
+# per-conditioning-point divergences
+# ---------------------------------------------------------------------------
+
+
+def _assert_divergences_condition_alone(kernel, points, priors, sigma, nodes, cond, weights):
+    """kernel's slope=True divergences: each the kernel conditioned on that
+    point alone, 0.0 at a zero weight, and weights . divergences the bits.
+
+    Each divergence is the rule's integral over its own rows, which the
+    kernel reduces row by row, so conditioning on one point reproduces it
+    up to the rounding of the last dot product; 1e-14 bits allows that.
+    """
+    bits, _, div = kernel(
+        points, priors, sigma, nodes,
+        condition_on=cond, condition_weights=weights, slope=True,
+    )
+    assert div.shape == (len(cond),)
+    for x, weight, d in zip(cond, weights, div):
+        if weight == 0.0:
+            assert d == 0.0
+            continue
+        alone = kernel(
+            points, priors, sigma, nodes, condition_on=np.array([x]), condition_weights=[1.0]
+        )
+        assert abs(d - alone) <= 1e-14
+    assert abs(np.dot(weights, div) - bits) <= 1e-14
+    return div
+
+
+@pytest.mark.parametrize("p, nu, sigma", [(7, 0.0, 0.8), (7, 0.2, 0.5), (13, 0.05, 1.3)])
+def test_real_divergences_condition_on_each_point_alone(p, nu, sigma):
+    pts = ask_amplitudes(Prime(p)).astype(float)
+    pri = mb_ask_prior(Prime(p), nu).probs
+    full = _assert_divergences_condition_alone(mi_real_points, pts, pri, sigma, 48, pts, pri)
+    # mirror: the points x >= 0, each x > 0 at twice its prior; a point and
+    # its mirror image have one divergence
+    half = pts >= 0.0
+    folded = np.where(pts[half] > 0.0, 2.0, 1.0) * pri[half]
+    mirror = _assert_divergences_condition_alone(
+        mi_real_points, pts, pri, sigma, 48, pts[half], folded
+    )
+    npt.assert_allclose(mirror, full[half], rtol=0.0, atol=1e-14)
+    npt.assert_allclose(full[-np.arange(p) % p], full, rtol=0.0, atol=1e-13)
+    # a zero-prior point stays in the alphabet and weighs nothing
+    zeroed = pri.copy()
+    zeroed[1] = zeroed[-1] = 0.0
+    _assert_divergences_condition_alone(
+        mi_real_points, pts, zeroed / zeroed.sum(), sigma, 48, pts, zeroed / zeroed.sum()
+    )
+
+
+@pytest.mark.parametrize("p, nu, gamma", [(5, 0.0, 1.0), (5, 0.1, 3.0), (7, 0.05, 2.0)])
+def test_complex_divergences_condition_on_each_point_alone(p, nu, gamma):
+    c, shell_probs = _shaped_cqam(p, nu)
+    sigma = math.sqrt(c.mean_energy() / (2.0 * gamma))
+    full = _assert_divergences_condition_alone(
+        mi_complex_points, c.points, c.priors, sigma, 24, c.points, c.priors
+    )
+    # p-fold: one point per shell, weighted by the shell prior, as
+    # mi_complex_cqam conditions; every point of a shell has its divergence
+    reps = c.points[np.arange(p) * p]
+    pfold = _assert_divergences_condition_alone(
+        mi_complex_points, c.points, c.priors, sigma, 24, reps, shell_probs
+    )
+    npt.assert_allclose(full.reshape(p, p), np.repeat(pfold[:, None], p, axis=1), atol=1e-12)
+    bits, slope, div = mi_complex_cqam(c, ChannelSnr(gamma, "complex"), 24, slope=True)
+    npt.assert_array_equal(div, pfold)
 
 
 # ---------------------------------------------------------------------------

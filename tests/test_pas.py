@@ -264,7 +264,7 @@ def test_all_lists_the_public_names():
 def test_package_import_leaves_scipy_stats_unloaded(module):
     # no module needs scipy.stats (empirical_distributions computes its
     # quantile without scipy) or scipy.optimize (the SNR solve's Newton method
-    # and the nu search's Brent method are written out); table solves its
+    # and the nu search's secant method are written out); table solves its
     # rows in one loop, without a thread pool
     code = f"import sys, primeshape.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -324,8 +324,8 @@ def test_chi_square_quantile_matches_scipy():
 
 
 def test_table_leaves_scipy_optimize_unloaded():
-    # the SNR solve (safeguarded Newton) and the nu search (Brent) are
-    # written out by hand
+    # the SNR solve (safeguarded Newton) and the nu search (safeguarded
+    # secant) are written out by hand
     code = (
         "import sys; from primeshape.cli import main; "
         "code = main(['table', '--mode', 'cqam', '-p', '5', '--rc', '2/3', "
