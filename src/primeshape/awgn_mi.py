@@ -56,8 +56,13 @@ signal energy, which I-MMSE (Guo, Shamai and Verdu, 2005) gives as
 mmse / (2 sigma^2) nats.  Each block forms the posterior mean E[X|y]
 from the weights its log-sum-exp already holds, with one more product,
 and the mmse is averaged over the same rule and conditioning points as
-the rate, so both reductions carry over.  The rate stays bit for bit
-the one returned without it.
+the rate, so both reductions carry over.  They also return each
+conditioning point's divergence D(p(y|x) || p(y)), the integral the rate
+averages; since d I / d P(x) is that divergence less log e (Blahut,
+1972), it gives the rate's derivative along a change of the prior.  The
+reductions carry over to it whenever the change keeps the prior uniform
+on each orbit, as the Maxwell-Boltzmann family does.  The rate stays bit
+for bit the one returned without it.
 
 `mi_complex_cqam` applies the p-fold reduction to a shell-structured
 constellation, and it is the path by which the optimizer evaluates every
@@ -283,7 +288,7 @@ def mi_real_points(
     condition_weights: np.ndarray | None = None,
     *,
     slope: bool = False,
-) -> float | tuple[float, float]:
+) -> float | tuple[float, float, np.ndarray]:
     """I(X; Y) in bits for Y = X + N, N ~ Normal(0, sigma^2), X real finite.
 
     Parameters
@@ -297,8 +302,10 @@ def mi_real_points(
         the points x >= 0 with weights 2 * prior for x > 0 and prior at
         x = 0 give the MI of full conditioning from half its terms (the
         mirror reduction), equal up to rounding.
-    slope : if true, return (bits, d bits / d ln gamma), the slope at
-        fixed signal energy from the I-MMSE relation; the bits are the
+    slope : if true, return (bits, d bits / d ln gamma, divergences): the
+        slope at fixed signal energy from the I-MMSE relation, and each
+        conditioning point's D(p(y|x) || p(y)) in bits (0.0 at a zero
+        weight), which the weights average to the bits; the bits are the
         float returned without it.
     """
     return _mi_points(
@@ -316,7 +323,7 @@ def mi_complex_points(
     condition_weights: np.ndarray | None = None,
     *,
     slope: bool = False,
-) -> float | tuple[float, float]:
+) -> float | tuple[float, float, np.ndarray]:
     """I(X; Y) in bits for a complex alphabet in circular noise.
 
     sigma is the per-real-component deviation (noise power N_0 = 2 sigma^2).
@@ -363,13 +370,14 @@ def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> fl
 
 def mi_complex_cqam(
     c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES, *, slope: bool = False
-) -> float | tuple[float, float]:
+) -> float | tuple[float, float, np.ndarray]:
     """I(X; Y) of a shell-structured complex constellation, shell-uniform priors.
 
     Exploits the p-fold rotational symmetry: one conditional term per
     shell, weighted by the shell prior.  Every CQAM rate of the
     optimizer is this function's; `mi_complex_naive` is its oracle.
-    With slope, returns (bits, d bits / d ln gamma), as `mi_real_points`.
+    With slope, returns (bits, d bits / d ln gamma, divergences), as
+    `mi_real_points`, with one divergence per shell.
     """
     sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
     shell_pri = _shell_priors(c)
