@@ -51,7 +51,7 @@ it).  Two reductions use this:
   optimizer folds every p-ASK curve this way.  It does not carry over to
   CQAM, whose shells' phase offsets break the reflection.
 
-With `slope=True` the kernels also return d I / d ln gamma at fixed
+Both kernels return, with the rate, its slope d I / d ln gamma at fixed
 signal energy, which I-MMSE (Guo, Shamai and Verdu, 2005) gives as
 mmse / (2 sigma^2) nats.  Each block forms the posterior mean E[X|y]
 from the weights its log-sum-exp already holds, with one more product,
@@ -61,15 +61,14 @@ conditioning point's divergence D(p(y|x) || p(y)), the integral the rate
 averages; since d I / d P(x) is that divergence less log e (Blahut,
 1972), it gives the rate's derivative along a change of the prior.  The
 reductions carry over to it whenever the change keeps the prior uniform
-on each orbit, as the Maxwell-Boltzmann family does.  The rate stays bit
-for bit the one returned without it.
+on each orbit, as the Maxwell-Boltzmann family does.
 
-`mi_complex_cqam` applies the p-fold reduction to a shell-structured
-constellation, and it is the path by which the optimizer evaluates every
-CQAM rate.  `mi_complex_naive` conditions on all p^2 points through the
-same kernel and is its oracle in the tests, so it checks the p-fold
-reduction only; the independent oracles for the kernel itself live in
-the tests.
+`shell_conditioning` gives the p-fold reduction's conditioning points
+and weights for a shell-structured constellation; `mi_complex_cqam`
+applies it, and the optimizer's CQAM curves condition on it too.
+`mi_complex_naive` conditions on all p^2 points through the same kernel
+and is its oracle in the tests, so it checks the p-fold reduction only;
+the independent oracles for the kernel itself live in the tests.
 """
 
 from __future__ import annotations
@@ -135,13 +134,11 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _logsumexp_last(
-    a: np.ndarray, scratch: np.ndarray, keep_weights: bool = False
-) -> np.ndarray:
+def _logsumexp_last(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """log sum exp over the first axis of a (points, rows) array whose
-    columns have finite maxima, overwriting a and the first a.size floats
-    of scratch.  With keep_weights, a is left holding every weight
-    exp(a - max), the maximal terms' 1.0 included.
+    columns have finite maxima, overwriting the first a.size floats of
+    scratch and leaving a holding every weight exp(a - max), the maximal
+    terms' 1.0 included.
 
     The arithmetic of ``scipy.special.logsumexp`` (scipy 1.17) over the
     last axis of a C-ordered a.T, step for step: the maximal terms are
@@ -161,8 +158,7 @@ def _logsumexp_last(
     np.exp(np.subtract(a, a_max, out=a), out=a)
     terms = scratch[: a.size].reshape(a.shape[::-1])
     np.copyto(terms, a.T)
-    if keep_weights:
-        a[at_max] = 1.0
+    a[at_max] = 1.0
     # scipy keeps s where s == 0; s / m is that same 0.0, since m >= 1
     s = terms.sum(axis=-1) / m
     return np.log1p(s) + np.log(m) + a_max
@@ -190,14 +186,14 @@ def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _mi_points(
     points: np.ndarray, priors: np.ndarray, cond: np.ndarray, weights: np.ndarray,
-    sigma: float, nodes: int, slope: bool = False,
-) -> float | tuple[float, float, np.ndarray]:
+    sigma: float, nodes: int,
+) -> tuple[float, float, np.ndarray]:
     """I(X; Y) in bits of points (P, dim) with priors, in noise of deviation
     sigma per real component, averaged over the conditioning points cond
     (C, dim) with the given weights.
 
-    With slope, returns (bits, d I / d ln gamma, divergences).  The slope,
-    in bits at fixed signal energy, is by I-MMSE (Guo, Shamai and Verdu,
+    Returns (bits, d I / d ln gamma, divergences).  The slope, in bits at
+    fixed signal energy, is by I-MMSE (Guo, Shamai and Verdu,
     IEEE Trans. IT, 2005) mmse / (2 sigma^2) nats, mmse = E |X - E[X|Y]|^2
     summed over the real components.  Each block forms the posterior mean
     E[X|y] from the weights exp(a - max) its log-sum-exp leaves behind,
@@ -223,8 +219,7 @@ def _mi_points(
     if buf.size < 2 * rows * len(points):
         buf = _scratch.buf = np.empty(2 * max(_BLOCK_TERMS, len(points)))
     lse = np.empty(len(y))
-    if slope:
-        mean = np.empty((dim, len(y)))  # E[X|y] of every row, component-major
+    mean = np.empty((dim, len(y)))  # E[X|y] of every row, component-major
     for i in range(0, len(y), rows):
         yb = y[i : i + rows]
         # log q(y) up to the common Gaussian normalizer, which cancels in the
@@ -235,14 +230,11 @@ def _mi_points(
         for d in range(1, dim):
             a += np.square(np.subtract(yb[:, d], points[:, d, None], out=b), out=b)
         np.subtract(logp[:, None], np.divide(a, 2.0 * sigma**2, out=a), out=a)
-        lse[i : i + rows] = _logsumexp_last(a, b, keep_weights=slope)
-        if slope:
-            np.divide(points.T @ a, a.sum(axis=0), out=mean[:, i : i + rows])
+        lse[i : i + rows] = _logsumexp_last(a, b)
+        np.divide(points.T @ a, a.sum(axis=0), out=mean[:, i : i + rows])
     integrand = (-t2 - lse.reshape(len(cond), len(t))) / _LN2
     div = integrand @ w
     bits = float(np.dot(weights, div) / math.pi ** (dim / 2))
-    if not slope:
-        return bits
     err = mean.reshape(dim, len(cond), len(t)) - cond.T[:, :, None]
     mmse = np.dot(weights, np.square(err, out=err).sum(axis=0) @ w) / math.pi ** (dim / 2)
     divergences = np.zeros(len(keep))
@@ -286,10 +278,9 @@ def mi_real_points(
     nodes: int = DEFAULT_NODES,
     condition_on: np.ndarray | None = None,
     condition_weights: np.ndarray | None = None,
-    *,
-    slope: bool = False,
-) -> float | tuple[float, float, np.ndarray]:
-    """I(X; Y) in bits for Y = X + N, N ~ Normal(0, sigma^2), X real finite.
+) -> tuple[float, float, np.ndarray]:
+    """I(X; Y) in bits for Y = X + N, N ~ Normal(0, sigma^2), X real finite,
+    with its slope and divergences: (bits, d bits / d ln gamma, divergences).
 
     Parameters
     ----------
@@ -302,15 +293,17 @@ def mi_real_points(
         the points x >= 0 with weights 2 * prior for x > 0 and prior at
         x = 0 give the MI of full conditioning from half its terms (the
         mirror reduction), equal up to rounding.
-    slope : if true, return (bits, d bits / d ln gamma, divergences): the
-        slope at fixed signal energy from the I-MMSE relation, and each
-        conditioning point's D(p(y|x) || p(y)) in bits (0.0 at a zero
-        weight), which the weights average to the bits; the bits are the
-        float returned without it.
+
+    Returns
+    -------
+    bits, slope, divergences : the MI; its slope at fixed signal energy
+        from the I-MMSE relation; and each conditioning point's
+        D(p(y|x) || p(y)) in bits (0.0 at a zero weight), which the
+        weights average to the bits.
     """
     return _mi_points(
         *_kernel_args(points, priors, condition_on, condition_weights, _linear),
-        sigma, nodes, slope,
+        sigma, nodes,
     )
 
 
@@ -321,33 +314,33 @@ def mi_complex_points(
     nodes: int = DEFAULT_NODES,
     condition_on: np.ndarray | None = None,
     condition_weights: np.ndarray | None = None,
-    *,
-    slope: bool = False,
-) -> float | tuple[float, float, np.ndarray]:
-    """I(X; Y) in bits for a complex alphabet in circular noise.
+) -> tuple[float, float, np.ndarray]:
+    """I(X; Y) in bits for a complex alphabet in circular noise, with its
+    slope and divergences as `mi_real_points` returns them.
 
     sigma is the per-real-component deviation (noise power N_0 = 2 sigma^2).
     By default every positive-prior point contributes a conditional term;
     condition_on/condition_weights restrict the outer expectation to
     representative points (exact whenever the prior and geometry share a
-    symmetry group acting transitively on each orbit).  slope is as in
-    `mi_real_points`.
+    symmetry group acting transitively on each orbit).
     """
     return _mi_points(
         *_kernel_args(points, priors, condition_on, condition_weights, _planar),
-        sigma, nodes, slope,
+        sigma, nodes,
     )
 
 
-def _shell_priors(c: Constellation) -> np.ndarray:
-    """Extract per-shell priors, requiring uniformity within each shell."""
+def shell_conditioning(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The p-fold reduction of a shell-structured constellation with
+    shell-uniform priors: one conditioning point per shell, and the shell
+    priors as their weights (`condition_on`, `condition_weights`)."""
     if c.shells is None:
         raise ValueError("constellation has no shell structure")
     p = c.shells.num_shells
     grid = c.priors.reshape(p, p)
     if np.any(np.abs(grid - grid[:, :1]) > 1e-12):
         raise ValueError("priors are not uniform within shells")
-    return grid.sum(axis=1)
+    return c.points[np.arange(p) * p], grid.sum(axis=1)
 
 
 def _sigma(c: Constellation, snr: ChannelSnr, dimension: str, caller: str) -> float:
@@ -365,28 +358,21 @@ def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> fl
     sigma = _sigma(c, snr, "real", "mi_real")
     if np.abs(c.points.imag).max() > 0.0:
         raise ValueError("constellation is not real-valued")
-    return mi_real_points(c.points.real, c.priors, sigma, nodes)
+    return mi_real_points(c.points.real, c.priors, sigma, nodes)[0]
 
 
-def mi_complex_cqam(
-    c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES, *, slope: bool = False
-) -> float | tuple[float, float, np.ndarray]:
+def mi_complex_cqam(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:
     """I(X; Y) of a shell-structured complex constellation, shell-uniform priors.
 
     Exploits the p-fold rotational symmetry: one conditional term per
-    shell, weighted by the shell prior.  Every CQAM rate of the
-    optimizer is this function's; `mi_complex_naive` is its oracle.
-    With slope, returns (bits, d bits / d ln gamma, divergences), as
-    `mi_real_points`, with one divergence per shell.
+    shell, weighted by the shell prior (`shell_conditioning`), as the
+    optimizer's CQAM curves do; `mi_complex_naive` is its oracle.
     """
     sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
-    shell_pri = _shell_priors(c)
-    p = shell_pri.shape[0]
-    reps = c.points[np.arange(p) * p]
+    reps, shell_pri = shell_conditioning(c)
     return mi_complex_points(
-        c.points, c.priors, sigma, nodes,
-        condition_on=reps, condition_weights=shell_pri, slope=slope,
-    )
+        c.points, c.priors, sigma, nodes, condition_on=reps, condition_weights=shell_pri
+    )[0]
 
 
 def mi_complex_naive(
@@ -394,7 +380,7 @@ def mi_complex_naive(
 ) -> float:
     """Cross-check oracle: full conditional sum over every point."""
     sigma = _sigma(c, snr, "complex", "mi_complex_naive")
-    return mi_complex_points(c.points, c.priors, sigma, nodes)
+    return mi_complex_points(c.points, c.priors, sigma, nodes)[0]
 
 
 def capacity_gamma(rate: float, dimension: Literal["real", "complex"]) -> float:

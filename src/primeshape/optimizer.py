@@ -35,15 +35,17 @@ uniform symbols' bits.  Three schemes are provided:
   benchmark for CQAM.
 * CQAM: p^2-point circular constellations with MB-shaped shell priors
   and a uniform phase on the complex channel; the uniform baseline is
-  the unstretched construction under uniform priors.  Its rates are
-  `awgn_mi.mi_complex_cqam`'s, the p-fold reduction that the tests hold
-  to the full conditional sum of `mi_complex_naive`.
+  the unstretched construction under uniform priors.  Its curves
+  condition on one point per shell (`awgn_mi.shell_conditioning`), the
+  p-fold reduction of `mi_complex_cqam`, which the tests hold to the
+  full conditional sum of `mi_complex_naive`.
 
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.
-Every curve returns its rate with the slope d rate / d log gamma, which
-the I-MMSE relation gives the MI kernel exactly, and with the rate's
-derivative in nu at fixed gamma.  That one is exact too: the kernel
+One function builds every p-ASK and CQAM curve from an MI kernel.  It
+returns the rate with the slope d rate / d log gamma, which the I-MMSE
+relation gives the MI kernel exactly, and with the rate's derivative in
+nu at fixed gamma.  That one is exact too: the kernel
 returns each conditioning point's divergence D(p(y|x) || p(y)), which is
 d I / d P(x) up to a constant (Blahut, IEEE Trans. IT, 1972), so the MB
 prior's closed-form P' = -P (a^2 - E) weights them, and the noise moves
@@ -80,19 +82,13 @@ import numpy as np
 
 from .awgn_mi import (
     DEFAULT_NODES,
-    ChannelSnr,
     _rule,
     capacity_gamma,
-    mi_complex_cqam,
+    mi_complex_points,
     mi_real_points,
+    shell_conditioning,
 )
-from .constellations import (
-    Constellation,
-    CqamParams,
-    build_ask,
-    build_cqam,
-    _stretched,
-)
+from .constellations import Constellation, CqamParams, build_ask, build_cqam, _stretched
 from .field import Prime
 from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 
@@ -228,7 +224,8 @@ def _minimize_nu(
     one, bisects it.  Each solve starts from the nearest solved nu:
     gamma_near exp(h_near (nu - nu_near)).  Once a secant step is at most
     NU_REL_TOL times the upper edge, the search solves at its end and
-    stops; it also stops on a bracket narrower than that.  An upper edge
+    stops; it also stops on a bracket narrower than that, once both its
+    ends are solved (nu = 0 alone may reach a target that no nu > 0 does).  An upper edge
     with h < 0 holds no minimum: the edge doubles, up to six times.
     Returns the solved (nu, gamma_A) with the smallest gamma_A.
     """
@@ -273,8 +270,8 @@ def _minimize_nu(
             x = new
         elif (new >= hi or hi - lo <= tol) and hi not in seen:
             x = hi  # beyond, or closed at, the untried upper edge
-        elif new <= lo and lo not in seen:
-            x = lo
+        elif (new <= lo or hi - lo <= tol) and lo not in seen:
+            x = lo  # beyond, or closed at, the untried lower end
         elif hi - lo > tol:
             x = 0.5 * (lo + hi)
         else:
@@ -420,19 +417,41 @@ def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[np.ndarray, float]:
     return d_probs, float(np.dot(d_probs, a2)) / energy
 
 
+def _curve(
+    kernel: Callable, points: np.ndarray, probs: np.ndarray, cond: np.ndarray,
+    weights: np.ndarray, energy: float, n: int, d_weights: np.ndarray, d_log_energy: float,
+) -> Curve:
+    """MI of points with probs at gamma = energy / (2 sigma^2), its slope
+    and its derivative in nu at fixed gamma, from `kernel` conditioned on
+    cond with weights.
+
+    d_weights and d_log_energy are d weights / d nu and d ln energy / d nu
+    (0 for a prior that does not move with nu).  The weights move the rate
+    through the kernel's divergences, and the energy moves the noise at
+    fixed gamma, which costs the slope times d ln energy / d nu.
+    """
+
+    def curve(gamma: float) -> tuple[float, float, float]:
+        bits, slope, div = kernel(
+            points, probs, math.sqrt(energy / (2.0 * gamma)), n,
+            condition_on=cond, condition_weights=weights,
+        )
+        return bits, slope, float(np.dot(d_weights, div)) - slope * d_log_energy
+
+    return curve
+
+
 def _real_curve(
     points: np.ndarray, probs: np.ndarray, energy: float, n: int,
     d_probs: np.ndarray | None = None, d_log_energy: float = 0.0,
 ) -> Curve:
-    """Real-channel MI of p-ASK at gamma = energy / (2 sigma^2), its slope
-    and its derivative in nu at fixed gamma.
+    """The `_curve` of p-ASK on the real channel; d_probs is d probs / d nu.
 
     The prior gives symbols s and -s the same mass on mirrored points,
     so the MI is conditioned on the points x >= 0, each x > 0 with twice
-    its prior (the mirror reduction of `mi_real_points`).  d_probs and
-    d_log_energy are d probs / d nu and d ln energy / d nu (0 for a prior
-    that does not move with nu); the folded weights move by twice d_probs.
-    Raises ValueError when points or prior are not mirror-symmetric.
+    its prior (the mirror reduction of `mi_real_points`); the folded
+    weights move by twice d_probs.  Raises ValueError when points or
+    prior are not mirror-symmetric.
     """
     mirror = -np.arange(len(points)) % len(points)
     if not (
@@ -442,17 +461,11 @@ def _real_curve(
     half = points >= 0.0
     cond = points[half]
     fold = np.where(cond > 0.0, 2.0, 1.0)
-    weights = fold * probs[half]
     d_weights = fold * (0.0 if d_probs is None else d_probs[half])
-
-    def curve(gamma: float) -> tuple[float, float, float]:
-        bits, slope, div = mi_real_points(
-            points, probs, math.sqrt(energy / (2.0 * gamma)), n,
-            condition_on=cond, condition_weights=weights, slope=True,
-        )
-        return bits, slope, float(np.dot(d_weights, div)) - slope * d_log_energy
-
-    return curve
+    return _curve(
+        mi_real_points, points, probs, cond, fold * probs[half], energy, n,
+        d_weights, d_log_energy,
+    )
 
 
 def _ask_scheme(
@@ -499,26 +512,26 @@ def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
 
     The shaped curves run on the geometry of `params` (stretched when
     params.stretch is set), the uniform baseline on the unstretched
-    construction; every rate is `mi_complex_cqam`'s.
+    construction.  Every curve conditions on one point per shell,
+    weighted by the shell prior (`shell_conditioning`), whose weights
+    move with nu as the MB shell prior does.
     """
     base = build_cqam(field, replace(params, stretch=None))
     geom = _stretched(base, params.stretch)
     radii = geom.shells.radii
 
-    def rate(c: Constellation, n: int, d_probs: np.ndarray, d_log_energy: float) -> Curve:
-        def curve(g: float) -> tuple[float, float, float]:
-            # one conditioning point per shell, weighted by the shell prior
-            bits, slope, div = mi_complex_cqam(c, ChannelSnr(g, "complex"), n, slope=True)
-            return bits, slope, float(np.dot(d_probs, div)) - slope * d_log_energy
-
-        return curve
+    def curve(c: Constellation, n: int, d_probs: np.ndarray, d_log_energy: float) -> Curve:
+        return _curve(
+            mi_complex_points, c.points, c.priors, *shell_conditioning(c), c.mean_energy(),
+            n, d_probs, d_log_energy,
+        )
 
     return _Scheme(
         "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),
-        lambda prior, n: rate(
+        lambda prior, n: curve(
             geom.with_priors(cqam_prior(prior, field)), n, *_mb_derivative(prior)
         ),
-        lambda n: rate(base, n, np.zeros(field.p), 0.0), 1.0, math.log2(field.p),
+        lambda n: curve(base, n, np.zeros(field.p), 0.0), 1.0, math.log2(field.p),
         4.0 / float(radii[-1]) ** 2, "complex",
     )
 

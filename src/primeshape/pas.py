@@ -85,6 +85,8 @@ class CodeSpec:
         uniform source symbol is a function of the shaped shell symbols
         alone, and no density makes its parity symbol uniform.
         """
+        if not 0 < k < n:
+            raise ValueError("need 0 < k < n")
         rng = np.random.default_rng(seed)
         parity = rng.integers(0, field.p, size=(k, n - k))
         for _ in range(1000):

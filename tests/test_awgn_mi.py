@@ -21,6 +21,7 @@ from primeshape.awgn_mi import (
     mi_complex_points,
     mi_real,
     mi_real_points,
+    shell_conditioning,
 )
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import (
@@ -128,7 +129,7 @@ def test_bpsk_against_quadrature():
     pts = np.array([-1.0, 1.0])
     pri = np.array([0.5, 0.5])
     for sigma in (0.4, 0.8, 1.5):
-        got = mi_real_points(pts, pri, sigma, nodes=192)
+        got = mi_real_points(pts, pri, sigma, nodes=192)[0]
         want = mi_real_quad(pts, pri, sigma)
         assert abs(got - want) < 1e-9
 
@@ -136,7 +137,7 @@ def test_bpsk_against_quadrature():
 def test_asymmetric_prior_against_quadrature():
     pts = np.array([-2.0, 0.5, 3.0])
     pri = np.array([0.5, 0.3, 0.2])
-    got = mi_real_points(pts, pri, 0.9)
+    got = mi_real_points(pts, pri, 0.9)[0]
     want = mi_real_quad(pts, pri, 0.9)
     assert abs(got - want) < 1e-9
 
@@ -156,15 +157,15 @@ def test_complex_two_point_against_double_quadrature():
 
     h_y, _ = integrate.dblquad(integrand, -9, 9, -9, 9, epsabs=1e-11)
     want = h_y - math.log2(2 * math.pi * math.e * sigma**2)
-    got = mi_complex_points(pts, pri, sigma)
+    got = mi_complex_points(pts, pri, sigma)[0]
     assert abs(got - want) < 1e-7
 
 
 def test_zero_prior_points_are_ignored():
     pts = np.array([-1.0, 1.0, 50.0])
     pri = np.array([0.5, 0.5, 0.0])
-    a = mi_real_points(pts, pri, 0.8)
-    b = mi_real_points(pts[:2], pri[:2], 0.8)
+    a = mi_real_points(pts, pri, 0.8)[0]
+    b = mi_real_points(pts[:2], pri[:2], 0.8)[0]
     npt.assert_allclose(a, b, atol=1e-12)
 
 
@@ -252,7 +253,7 @@ def test_complex_kernel_equals_oracle_on_grid():
                     continue
                 for sigma in (0.05, 0.3, 2.0) if terms < 4e6 else (0.3,):
                     args = (c.points, c.priors, sigma, nodes)
-                    got = mi_complex_points(*args, **kw)
+                    got = mi_complex_points(*args, **kw)[0]
                     want = mi_complex_points_oracle(*args, **kw)
                     assert abs(got - want) < 1e-13, (p, nodes, sigma, kw.keys())
 
@@ -284,7 +285,7 @@ def test_pruned_complex_kernel_matches_full_rule_oracle(p, nu, log_sigma, nodes)
     c, shell_probs = _shaped_cqam(p, nu)
     args = (c.points, c.priors, math.exp(log_sigma), nodes)
     kw = {"condition_on": c.points[np.arange(p) * p], "condition_weights": shell_probs}
-    got = mi_complex_points(*args, **kw)
+    got = mi_complex_points(*args, **kw)[0]
     assert abs(got - mi_complex_points_oracle(*args, **kw)) < 1e-13
 
 
@@ -305,7 +306,7 @@ def test_pruned_real_kernel_matches_full_rule_oracle(p, nu, log_sigma, nodes):
         "condition_weights": np.where(pts[half] > 0.0, 2.0, 1.0) * pri[half],
     }
     args = (pts, pri, math.exp(log_sigma), nodes)
-    got = mi_real_points(*args, **kw)
+    got = mi_real_points(*args, **kw)[0]
     assert abs(got - mi_real_points_scipy(*args, **kw, full_rule=True)) < 1e-13
 
 
@@ -347,7 +348,7 @@ def test_real_kernel_equals_scipy_oracle_bit_for_bit():
     # shapes vary from call to call, so the scratch buffer grows and is
     # reused through smaller views
     for pts, pri, sigma, nodes in _random_real_cases(300, seed=5):
-        assert mi_real_points(pts, pri, sigma, nodes) == mi_real_points_scipy(
+        assert mi_real_points(pts, pri, sigma, nodes)[0] == mi_real_points_scipy(
             pts, pri, sigma, nodes
         )
 
@@ -392,7 +393,7 @@ def test_complex_kernel_equals_scipy_oracle_bit_for_bit():
                     cases.append((c.points, c.priors, 0.3, nodes, *kw.values()))
     assert len(cases) > 70
     for case in cases:
-        assert mi_complex_points(*case) == mi_complex_points_scipy(*case)
+        assert mi_complex_points(*case)[0] == mi_complex_points_scipy(*case)
 
 
 @st.composite
@@ -425,9 +426,9 @@ def test_logsumexp_equals_scipy_bit_for_bit(a):
 def test_real_kernel_conditioned_on_every_point_equals_default_bit_for_bit():
     for pts, pri, sigma, nodes in _random_real_cases(100, seed=7):
         kw = {"condition_on": pts, "condition_weights": pri}
-        assert mi_real_points(pts, pri, sigma, nodes, **kw) == mi_real_points(
-            pts, pri, sigma, nodes
-        )
+        got = mi_real_points(pts, pri, sigma, nodes, **kw)
+        want = mi_real_points(pts, pri, sigma, nodes)
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -448,7 +449,7 @@ def test_mirror_folded_real_kernel_matches_full_conditioning(p, nu, log_sigma, n
         "condition_weights": np.where(pts[half] > 0.0, 2.0, 1.0) * pri[half],
     }
     args = (pts, pri, math.exp(log_sigma), nodes)
-    assert abs(mi_real_points(*args, **kw) - mi_real_points(*args)) < 1e-14
+    assert abs(mi_real_points(*args, **kw)[0] - mi_real_points(*args)[0]) < 1e-14
 
 
 def test_real_kernel_threads_agree_with_serial():
@@ -457,13 +458,13 @@ def test_real_kernel_threads_agree_with_serial():
     # complex calls share the buffer, and differ in its layout.
     cases = [(mi_real_points, case) for case in _random_real_cases(64, seed=6)]
     cases += [(mi_complex_points, case) for case in _random_complex_cases(32, seed=7)]
-    serial = [fn(*case) for fn, case in cases]
+    serial = [fn(*case)[:2] for fn, case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(
-                pool.map(lambda item: item[0](*item[1]), cases * 4, timeout=120)
+                pool.map(lambda item: item[0](*item[1])[:2], cases * 4, timeout=120)
             )
     finally:
         sys.setswitchinterval(interval)
@@ -476,8 +477,8 @@ def test_real_kernel_without_active_points_is_zero():
     with ThreadPoolExecutor(max_workers=1) as pool:
         for pts, pri in cases:
             pts, pri = np.array(pts), np.array(pri)
-            assert pool.submit(mi_real_points, pts, pri, 1.0).result(timeout=60) == 0.0
-            assert mi_complex_points(pts + 0j, pri, 1.0) == 0.0
+            assert pool.submit(mi_real_points, pts, pri, 1.0).result(timeout=60)[0] == 0.0
+            assert mi_complex_points(pts + 0j, pri, 1.0)[0] == 0.0
 
 
 def test_real_kernel_allocates_no_full_size_temporaries():
@@ -526,8 +527,8 @@ def _real_alphabets(draw):
 @given(_real_alphabets())
 def test_idle_imaginary_dimension_integrates_out(case):
     pts, pri, sigma, nodes = case
-    real = mi_real_points(pts, pri, sigma, nodes)
-    cplx = mi_complex_points(pts + 0j, pri, sigma, nodes)
+    real = mi_real_points(pts, pri, sigma, nodes)[0]
+    cplx = mi_complex_points(pts + 0j, pri, sigma, nodes)[0]
     assert abs(cplx - real) < 1e-13
     entropy = -sum(q * math.log2(q) for q in pri if q > 0.0)
     for mi in (real, cplx):
@@ -540,8 +541,8 @@ def test_idle_imaginary_dimension_integrates_out(case):
 
 
 def _assert_slope_is_central_difference(mi, h=1e-4):
-    """mi(e, slope) calls a kernel at log gamma + e.  Its slope=True bits must
-    be its slope=False float, and its slope a central difference of those.
+    """mi(e) calls a kernel at log gamma + e and returns its (bits, slope);
+    the slope must be a central difference of the bits.
 
     Both sides approximate d I / d ln gamma: the slope is the rule's
     integral of the MMSE, the difference the derivative of the rule's
@@ -555,9 +556,8 @@ def _assert_slope_is_central_difference(mi, h=1e-4):
     at 48 nodes and gamma = 3 already gives 9e-7, and 13-ASK at 96 nodes
     and sigma = 0.2 gives 2e-4.
     """
-    bits, slope, _ = mi(0.0, True)
-    assert bits == mi(0.0, False)
-    diff = (mi(h, False) - mi(-h, False)) / (2.0 * h)
+    _, slope = mi(0.0)
+    diff = (mi(h)[0] - mi(-h)[0]) / (2.0 * h)
     assert slope > 0.0
     assert abs(slope - diff) <= 1e-6 * diff
 
@@ -582,9 +582,7 @@ def test_real_kernel_slope_is_central_difference(p, nu, log_sigma, nodes, mirror
         }
     # gamma = E / (2 sigma^2): log gamma + e is sigma * exp(-e / 2)
     _assert_slope_is_central_difference(
-        lambda e, slope: mi_real_points(
-            pts, pri, math.exp(log_sigma - e / 2.0), nodes, slope=slope, **kw
-        )
+        lambda e: mi_real_points(pts, pri, math.exp(log_sigma - e / 2.0), nodes, **kw)[:2]
     )
 
 
@@ -597,16 +595,14 @@ def test_real_kernel_slope_is_central_difference(p, nu, log_sigma, nodes, mirror
 )
 def test_complex_kernel_slope_is_central_difference(p, nu, log_gamma, pfold):
     c, _ = _shaped_cqam(p, nu)
+    kw = {}
     if pfold:  # one conditioning point per shell
-        mi = lambda e, slope: mi_complex_cqam(
-            c, ChannelSnr(math.exp(log_gamma + e), "complex"), 96, slope=slope
-        )
-    else:  # every point conditioned on
-        sigma = math.sqrt(c.mean_energy() / (2.0 * math.exp(log_gamma)))
-        mi = lambda e, slope: mi_complex_points(
-            c.points, c.priors, sigma * math.exp(-e / 2.0), 96, slope=slope
-        )
-    _assert_slope_is_central_difference(mi)
+        cond, weights = shell_conditioning(c)
+        kw = {"condition_on": cond, "condition_weights": weights}
+    sigma = math.sqrt(c.mean_energy() / (2.0 * math.exp(log_gamma)))
+    _assert_slope_is_central_difference(
+        lambda e: mi_complex_points(c.points, c.priors, sigma * math.exp(-e / 2.0), 96, **kw)[:2]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +611,7 @@ def test_complex_kernel_slope_is_central_difference(p, nu, log_gamma, pfold):
 
 
 def _assert_divergences_condition_alone(kernel, points, priors, sigma, nodes, cond, weights):
-    """kernel's slope=True divergences: each the kernel conditioned on that
+    """kernel's divergences: each the kernel's bits conditioned on that
     point alone, 0.0 at a zero weight, and weights . divergences the bits.
 
     Each divergence is the rule's integral over its own rows, which the
@@ -624,14 +620,14 @@ def _assert_divergences_condition_alone(kernel, points, priors, sigma, nodes, co
     """
     bits, _, div = kernel(
         points, priors, sigma, nodes,
-        condition_on=cond, condition_weights=weights, slope=True,
+        condition_on=cond, condition_weights=weights,
     )
     assert div.shape == (len(cond),)
     for x, weight, d in zip(cond, weights, div):
         if weight == 0.0:
             assert d == 0.0
             continue
-        alone = kernel(
+        alone, _, _ = kernel(
             points, priors, sigma, nodes, condition_on=np.array([x]), condition_weights=[1.0]
         )
         assert abs(d - alone) <= 1e-14
@@ -669,13 +665,13 @@ def test_complex_divergences_condition_on_each_point_alone(p, nu, gamma):
         mi_complex_points, c.points, c.priors, sigma, 24, c.points, c.priors
     )
     # p-fold: one point per shell, weighted by the shell prior, as
-    # mi_complex_cqam conditions; every point of a shell has its divergence
+    # shell_conditioning gives them; every point of a shell has its divergence
     reps = c.points[np.arange(p) * p]
     pfold = _assert_divergences_condition_alone(
         mi_complex_points, c.points, c.priors, sigma, 24, reps, shell_probs
     )
     npt.assert_allclose(full.reshape(p, p), np.repeat(pfold[:, None], p, axis=1), atol=1e-12)
-    bits, slope, div = mi_complex_cqam(c, ChannelSnr(gamma, "complex"), 24, slope=True)
+    _, _, div = mi_complex_points(c.points, c.priors, sigma, 24, *shell_conditioning(c))
     npt.assert_array_equal(div, pfold)
 
 

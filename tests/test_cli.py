@@ -237,6 +237,20 @@ def test_table_unreachable_rate_is_marked(capsys):
     assert doc["rows"][0]["status"].startswith("unreachable")
 
 
+def test_table_full_rate_row_solves_at_nu_zero(capsys):
+    # at 16 nodes the Rc = 1 baseline reaches log2(7) within the residual
+    # tolerance, and so does the shaped curve at nu = 0, its uniform prior
+    code, out, _ = _run(
+        capsys,
+        ["table", "-p", "7", "--rc", "1", "--nodes", "16", "--format", "json"],
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["status"] == "ok"
+    assert row["nu_star"] == 0.0
+    assert row["gamma_A_db"] == pytest.approx(row["gamma_unif_db"], abs=1e-6)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -495,6 +509,14 @@ def test_pas_rejects_bad_rates(capsys):
         capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "8", "--frames", "50"]
     )
     assert code == 2  # 8 * 2/3 not an integer
+
+
+def test_pas_rejects_a_negative_block_length(capsys):
+    # the code dimensions are checked before the parity matrix is drawn
+    code, out, err = _run(capsys, ["pas", "-p", "7", "--block-n", "-6", "--frames", "50"])
+    assert code == 2
+    assert "need 0 < k < n" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

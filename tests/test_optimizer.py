@@ -7,9 +7,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primeshape import awgn_mi, constellations, optimizer
+from primeshape import constellations, optimizer
+from primeshape.awgn_mi import ChannelSnr, mi_complex_cqam
 from primeshape.cli import REFERENCE_STRETCH
-from primeshape.constellations import CqamParams, Stretch
+from primeshape.constellations import CqamParams, Stretch, build_cqam
 from primeshape.field import Prime
 from primeshape.optimizer import (
     LOG_GAMMA_TOL,
@@ -19,6 +20,7 @@ from primeshape.optimizer import (
     optimize_time_sharing,
     snr_for_rate,
 )
+from primeshape.shaping import cqam_prior
 
 # reduced node counts keep unit tests fast; the resulting dB shifts are far
 # below the assertion tolerances used here (full precision runs live in
@@ -227,6 +229,24 @@ def test_nu_search_edge_minima():
         "shaping optimum at the nu grid edge (0.2); widening the bracket to 0.4",
     ]
     assert nu == pytest.approx(0.25, abs=1e-12)
+
+
+def test_nu_search_solves_the_untried_lower_end_before_giving_up():
+    # only nu = 0 reaches the target: the infeasible probes close the
+    # bracket at the untried lower end, which is solved and returned
+    f, calls = _recorded(lambda nu: (2.0, 1.0) if nu == 0.0 else (math.inf, math.inf))
+    assert optimizer._minimize_nu(f, 1.0) == (0.0, 2.0)
+    assert calls[-1][0] == 0.0
+    assert [c[0] for c in calls].count(0.0) == 1
+
+
+def test_full_rate_row_solves_at_nu_zero():
+    # at R_c = 1 every nu > 0 drops the entropy below the target, and only
+    # the uniform prior at nu = 0 reaches it, as the baseline does
+    sol = optimize_time_sharing(Prime(7), Fraction(1), nodes=16)
+    assert sol.nu_star == 0.0
+    assert sol.gamma_A_db == pytest.approx(sol.gamma_unif_db, abs=1e-6)
+    assert sol.effective_gain_db == pytest.approx(0.0, abs=1e-6)
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -498,7 +518,7 @@ def test_time_sharing_slope_is_central_difference(convention, rc, nu, log_gamma)
 
 def _count_mi_calls(monkeypatch) -> list:
     calls = []
-    for name in ("mi_complex_cqam", "mi_real_points"):
+    for name in ("mi_complex_points", "mi_real_points"):
         kernel = getattr(optimizer, name)
 
         def counted(*args, _kernel=kernel, **kwargs):
@@ -589,19 +609,18 @@ def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):
     packs, geoms = [], []
-    pack, mi_cqam = constellations._pack_shells, optimizer.mi_complex_cqam
+    pack, conditioning = constellations._pack_shells, optimizer.shell_conditioning
 
     def counted_pack(*args, **kwargs):
         packs.append(args)
         return pack(*args, **kwargs)
 
-    def recorded_mi(c, *args, **kwargs):
-        if not geoms or geoms[-1] is not c:  # one entry per curve
-            geoms.append(c)
-        return mi_cqam(c, *args, **kwargs)
+    def recorded_conditioning(c):
+        geoms.append(c)  # one call per curve
+        return conditioning(c)
 
     monkeypatch.setattr(constellations, "_pack_shells", counted_pack)
-    monkeypatch.setattr(optimizer, "mi_complex_cqam", recorded_mi)
+    monkeypatch.setattr(optimizer, "shell_conditioning", recorded_conditioning)
     params = CqamParams(stretch=Stretch(4.8, 0.76))
     optimize_cqam(Prime(7), Fraction(2, 3), params, nodes=16, nu=0.1)
     assert len(packs) == 1
@@ -613,26 +632,19 @@ def test_stretched_cqam_packs_shells_once(monkeypatch):
     assert np.array_equal(geoms[1].shells.radii, stretched.shells.radii)
 
 
-def test_cqam_rates_go_through_mi_complex_cqam(monkeypatch):
-    # every complex kernel call of a CQAM row comes from the certified
-    # p-fold path, which test_acceptance holds to mi_complex_naive
-    calls, kernel_calls = [], []
-    mi_cqam, kernel = optimizer.mi_complex_cqam, awgn_mi.mi_complex_points
-
-    def recorded_mi(c, snr, nodes, **kwargs):
-        calls.append((snr.dimension, nodes))
-        return mi_cqam(c, snr, nodes, **kwargs)
-
-    def counted_kernel(*args, **kwargs):
-        kernel_calls.append(args)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "mi_complex_cqam", recorded_mi)
-    monkeypatch.setattr(awgn_mi, "mi_complex_points", counted_kernel)
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=16)
-    assert calls and len(kernel_calls) == len(calls)
-    assert {dim for dim, _ in calls} == {"complex"}
-    assert {nodes for _, nodes in calls} == {16, 24}
+@pytest.mark.parametrize("stretch", [None, Stretch(4.8, 0.76)], ids=["plain", "stretched"])
+def test_cqam_curve_bits_are_mi_complex_cqam(stretch):
+    # the curves condition as the certified p-fold path does, which
+    # test_acceptance holds to mi_complex_naive; the baseline is unstretched
+    field = Prime(7)
+    scheme = optimizer._cqam_scheme(field, CqamParams(stretch=stretch))
+    prior = scheme.prior(0.1)
+    shaped = build_cqam(field, CqamParams(stretch=stretch)).with_priors(
+        cqam_prior(prior, field)
+    )
+    for curve, c in ((scheme.curve(prior, 24), shaped), (scheme.baseline(24), build_cqam(field))):
+        for gamma in (0.3, 4.0, 60.0):
+            assert curve(gamma)[0] == mi_complex_cqam(c, ChannelSnr(gamma, "complex"), 24)
 
 
 SCHEMES = {

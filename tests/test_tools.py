@@ -103,3 +103,38 @@ def test_parity_flags_a_changed_csv_or_exit_status(tmp_path):
         "construct                differs: points.csv",
         "table                    differs: exit_status",
     ]
+
+
+def _csv_table(gap_db: str, nu_star: str) -> str:
+    return (
+        "# tool: primeshape 0.1.0\n# command: table\n"
+        "p,Rc,gap_db,nu_star,status\n"
+        "7,2/3,0.101,0.070000,ok\n"
+        f"13,2/3,{gap_db},{nu_star},ok\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "gap_db, nu_star, verdict, ok",
+    [
+        ("0.088", "0.050000", "identical", True),
+        ("0.088", "0.050001", "nu_star max |delta| 1e-06 (stdout:rows[1].nu_star)", True),
+        ("0.089", "0.050000", "differs: stdout", False),
+        ("0.089", "0.050001", "differs: stdout", False),
+        ("0.088", "", "differs: stdout", False),
+    ],
+    ids=["identical", "nu-star-moves", "gap-moves", "both-move", "nu-star-empty"],
+)
+def test_parity_sets_the_csv_nu_star_column_apart(tmp_path, gap_db, nu_star, verdict, ok):
+    # only the nu_star column of a CSV table may move; every other cell
+    # compares exactly, whatever the bound
+    sides = {}
+    for side, (gap, nu) in (("base", ("0.088", "0.050000")), ("change", (gap_db, nu_star))):
+        (tmp_path / side / "table").mkdir(parents=True)
+        (tmp_path / side / "table" / "stdout").write_text(_csv_table(gap, nu))
+        sides[side] = tmp_path / side
+    lines, all_ok = parity.compare(sides["base"], sides["change"], 1.0)
+    assert all_ok is ok
+    assert lines[0].startswith("table ") and verdict in lines[0]
+    if verdict.startswith("nu_star"):
+        assert "max |delta| 0 (-)" in lines[0]

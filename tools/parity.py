@@ -16,15 +16,20 @@ file and the exit status) are compared after dropping the provenance
 ``tool`` line, which names the package version.  A command whose files
 are byte-identical reads ``identical``.  Otherwise each file that holds
 a JSON object is compared number by number, and the largest |delta| is reported with its
-field, and the largest nu_star |delta| apart.  Exits 1 when an exit
-status, a non-JSON file or the layout of a JSON file differs, or when a
-JSON number other than nu_star moves by more than ``--bound-db`` (default
-1e-9, in the units of the field: dB for every table column that moves).
+field, and the largest nu_star |delta| apart.  A CSV table is compared
+cell by cell: its nu_star column counts toward that nu_star |delta|, and
+every other cell must match exactly.  Exits 1 when an exit status, a
+file that is neither, the layout of a JSON file or a CSV cell other than
+nu_star differs, or when a JSON number other than nu_star moves by more
+than ``--bound-db`` (default 1e-9, in the units of the field: dB for
+every table column that moves).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -109,6 +114,35 @@ def _json_deltas(a: bytes, b: bytes) -> list[tuple[float, str]] | None:
     return deltas
 
 
+def _csv_deltas(a: bytes, b: bytes) -> list[tuple[float, str]] | None:
+    """(|delta|, path) of each nu_star cell that moves between two CSV
+    tables, the path named as in the JSON table; None when any other line
+    or cell differs, or a moved nu_star cell is not a number on both sides."""
+    try:
+        left, right = (list(csv.reader(io.StringIO(x.decode()))) for x in (a, b))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if len(left) != len(right):
+        return None
+    header, deltas = None, []
+    for line, (x, y) in enumerate(zip(left, right)):
+        if x == y:
+            if "nu_star" in x:
+                header = line
+            continue
+        if header is None or len(x) != len(y):
+            return None
+        col = left[header].index("nu_star")
+        if len(x) <= col or x[:col] + x[col + 1 :] != y[:col] + y[col + 1 :]:
+            return None
+        try:
+            delta = abs(float(x[col]) - float(y[col]))
+        except ValueError:
+            return None
+        deltas.append((delta, f"rows[{line - header - 1}].nu_star"))
+    return deltas
+
+
 def compare_command(base: Path, change: Path, bound: float) -> tuple[str, bool]:
     """One report line for the outputs in two directories, and whether
     they stay within the bound."""
@@ -121,6 +155,8 @@ def compare_command(base: Path, change: Path, bound: float) -> tuple[str, bool]:
         if a == b:
             continue
         deltas = _json_deltas(a, b)
+        if deltas is None:
+            deltas = _csv_deltas(a, b)
         if deltas is None:
             return f"differs: {name}", False
         identical = False
