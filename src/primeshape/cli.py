@@ -265,6 +265,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             row = asdict(optimize(Prime(p), rc, **kwargs))
         except UnreachableRateError as exc:
             label = {"scheme": scheme, "p": p, "Rc": str(rc)}
+            if "convention" in kwargs:
+                label["convention"] = kwargs["convention"]
             rows.append({**label, "status": f"unreachable: {exc}"})
         else:
             row["Rc"] = str(row.pop("coding_rate"))
@@ -317,6 +319,8 @@ def cmd_pas(args: argparse.Namespace) -> int:
     else:
         n = rc.denominator if rc.denominator % 2 == 0 else 2 * rc.denominator
     k = n * rc.numerator // rc.denominator
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     code = CodeSpec.random_dense(field, n, k, seed=args.seed)
 
     stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(field.p))

@@ -43,9 +43,13 @@ uniform symbols' bits.  Three schemes are provided:
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.
 One function builds every p-ASK and CQAM curve from an MI kernel.  It
-returns the rate with the slope d rate / d log gamma, which the I-MMSE
-relation gives the MI kernel exactly, and with the rate's derivative in
-nu at fixed gamma.  That one is exact too: the kernel
+returns the rate with the slope d rate / d log gamma, which the kernel
+forms by I-MMSE as the rule's integral of the mmse.  Where the rule
+resolves the noise that slope matches the rate's own derivative to 1e-7
+relative.  At high SNR the rule integrates the mmse more coarsely than
+the rate, and uniform 7- or 13-ASK at 96 nodes parts from it by 2e-4 at
+sigma = 0.2 and 1.4e-5 at sigma = 0.25.  The curve also returns the
+rate's derivative in nu at fixed gamma, in closed form: the kernel
 returns each conditioning point's divergence D(p(y|x) || p(y)), which is
 d I / d P(x) up to a constant (Blahut, IEEE Trans. IT, 1972), so the MB
 prior's closed-form P' = -P (a^2 - E) weights them, and the noise moves
@@ -354,6 +358,17 @@ def _optimize(
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
+    def at_ceiling(prior: MaxwellBoltzmann) -> bool:
+        """Whether the entropy of a use under prior, which caps the rate
+        and which the MI only nears as gamma grows, falls short of the
+        target, or meets it within RATE_RESIDUAL_TOL."""
+        ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
+        return ceiling <= solve_target + RATE_RESIDUAL_TOL
+
+    if at_ceiling(scheme.prior(0.0)):  # nu = 0 has the largest entropy
+        raise UnreachableRateError(
+            f"target rate {target:.6f} is at or above the entropy ceiling"
+        )
     gamma_cap = capacity_gamma(target, scheme.dimension)
     gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target, gamma_cap)
 
@@ -361,8 +376,7 @@ def _optimize(
         """(gamma_A, d ln gamma_A / d nu) at nu_val, solved from hint (by
         default gamma_unif); (inf, inf) where the target is unreachable."""
         prior = scheme.prior(nu_val)
-        ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
-        if ceiling < solve_target - RATE_RESIDUAL_TOL:
+        if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
         curve, final = scheme.curve(prior, n), []
         try:

@@ -237,18 +237,32 @@ def test_table_unreachable_rate_is_marked(capsys):
     assert doc["rows"][0]["status"].startswith("unreachable")
 
 
-def test_table_full_rate_row_solves_at_nu_zero(capsys):
-    # at 16 nodes the Rc = 1 baseline reaches log2(7) within the residual
-    # tolerance, and so does the shaped curve at nu = 0, its uniform prior
+def test_table_full_rate_row_is_unreachable_at_every_node_count(capsys):
+    # the Rc = 1 target is the entropy ceiling log2(7): its row reads the
+    # same whatever the quadrature rule
+    statuses = set()
+    for nodes in ("16", "24", "32", "48", "96"):
+        code, out, _ = _run(
+            capsys,
+            ["table", "-p", "7", "--rc", "1", "--nodes", nodes, "--format", "json"],
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        statuses.add(row["status"])
+    (status,) = statuses
+    assert status.startswith("unreachable: ") and "entropy ceiling" in status
+
+
+def test_table_unreachable_rows_name_their_convention(capsys):
     code, out, _ = _run(
         capsys,
-        ["table", "-p", "7", "--rc", "1", "--nodes", "16", "--format", "json"],
+        ["table", "-p", "7", "--rc", "1", "--convention", "both", "--format", "json"],
     )
     assert code == 0
-    (row,) = json.loads(out)["rows"]
-    assert row["status"] == "ok"
-    assert row["nu_star"] == 0.0
-    assert row["gamma_A_db"] == pytest.approx(row["gamma_unif_db"], abs=1e-6)
+    doc = json.loads(out)
+    assert "convention" in doc["columns"]
+    assert [row["convention"] for row in doc["rows"]] == ["shaped", "time-averaged"]
+    assert all(row["status"].startswith("unreachable: ") for row in doc["rows"])
 
 
 @pytest.mark.parametrize(
@@ -379,8 +393,9 @@ def test_table_csv_unreachable_row_has_empty_cells(monkeypatch, capsys):
     assert ok["status"] == "ok"
     assert unreachable["p"] == "7" and unreachable["Rc"] == "1"
     assert unreachable["scheme"] == "time-sharing"
+    assert unreachable["convention"] == "time-averaged"
     assert unreachable["status"] == "unreachable: rate too high"
-    empty = [c for c in header if c not in ("p", "Rc", "scheme", "status")]
+    empty = [c for c in header if c not in ("p", "Rc", "scheme", "convention", "status")]
     assert [unreachable[c] for c in empty] == [""] * len(empty)
 
 
@@ -509,6 +524,14 @@ def test_pas_rejects_bad_rates(capsys):
         capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "8", "--frames", "50"]
     )
     assert code == 2  # 8 * 2/3 not an integer
+
+
+def test_pas_rejects_a_negative_seed(capsys):
+    # numpy's own message would name no option
+    code, out, err = _run(capsys, ["pas", "-p", "7", "--seed", "-1", "--frames", "50"])
+    assert code == 2
+    assert "error: --seed must be nonnegative, got -1" in err
+    assert out == ""
 
 
 def test_pas_rejects_a_negative_block_length(capsys):

@@ -240,13 +240,28 @@ def test_nu_search_solves_the_untried_lower_end_before_giving_up():
     assert [c[0] for c in calls].count(0.0) == 1
 
 
-def test_full_rate_row_solves_at_nu_zero():
-    # at R_c = 1 every nu > 0 drops the entropy below the target, and only
-    # the uniform prior at nu = 0 reaches it, as the baseline does
-    sol = optimize_time_sharing(Prime(7), Fraction(1), nodes=16)
-    assert sol.nu_star == 0.0
-    assert sol.gamma_A_db == pytest.approx(sol.gamma_unif_db, abs=1e-6)
-    assert sol.effective_gain_db == pytest.approx(0.0, abs=1e-6)
+@pytest.mark.parametrize("nodes", [16, 24, 32, 48, 96])
+def test_full_rate_row_is_unreachable_at_every_node_count(nodes):
+    # at R_c = 1 the target log2 p is the entropy ceiling of the uniform
+    # prior, which the MI only nears as gamma grows; whether a rule's
+    # saturated rate comes within RATE_RESIDUAL_TOL of it must not decide
+    # the row, so no node count solves it
+    for run in (
+        lambda: optimize_time_sharing(Prime(7), Fraction(1), nodes=nodes),
+        lambda: optimize_shaped_ask(Prime(5), Fraction(1), nodes=nodes),
+        lambda: optimize_cqam(Prime(5), Fraction(1), nodes=nodes, search_nodes=nodes),
+    ):
+        with pytest.raises(UnreachableRateError, match="entropy ceiling"):
+            run()
+
+
+def test_target_within_the_residual_tolerance_of_the_ceiling_is_unreachable(monkeypatch):
+    # log2(7) (1 - 1e-8) lies 2.8e-8 bits below the ceiling, inside
+    # RATE_RESIDUAL_TOL: unreachable before any solve, as R_c = 1 is
+    counts = _count_solves(monkeypatch)
+    with pytest.raises(UnreachableRateError, match="entropy ceiling"):
+        optimize_time_sharing(Prime(7), Fraction(99999999, 100000000), nodes=NODES)
+    assert counts["solves"] == 0
 
 
 def test_nu_search_gives_up_after_six_widenings():
