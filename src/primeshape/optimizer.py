@@ -69,9 +69,12 @@ the bracket while gamma_A still falls at its upper edge.
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
 `table` reports such a row as unreachable.  No rate exceeds the entropy
-of a channel use's symbols, so a nu whose entropy ceiling lies below the
-target is infeasible without a solve.  Every other ValueError is an
-input error (a bad coding rate, node count or nu) and propagates.
+of a channel use's symbols, and the MI only nears it as gamma grows, so
+a nu whose entropy ceiling lies below the target, or within
+RATE_RESIDUAL_TOL above it, is infeasible without a solve.  The uniform
+prior at nu = 0 has the highest ceiling; where that one fails, as at
+R_c = 1, no solve runs at all.  Every other ValueError is an input error
+(a bad coding rate, node count or nu) and propagates.
 """
 
 from __future__ import annotations
@@ -359,9 +362,8 @@ def _optimize(
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
     def at_ceiling(prior: MaxwellBoltzmann) -> bool:
-        """Whether the entropy of a use under prior, which caps the rate
-        and which the MI only nears as gamma grows, falls short of the
-        target, or meets it within RATE_RESIDUAL_TOL."""
+        """Whether the entropy of a use under prior lies below the target
+        or within RATE_RESIDUAL_TOL above it (see the module docstring)."""
         ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
         return ceiling <= solve_target + RATE_RESIDUAL_TOL
 
