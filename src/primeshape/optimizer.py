@@ -104,6 +104,13 @@ from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 #: crossing lies within it of the returned log gamma (about 4e-8 dB).
 LOG_GAMMA_TOL = 1e-8
 
+#: Largest Newton step on which the SNR solve stops without evaluating
+#: its end: LOG_GAMMA_TOL / (4 x 5e-4).  A slope off the rate's derivative
+#: by 5e-4 relative, the most the 96-node rule parts from it at high SNR
+#: (see the module docstring), then misplaces the end by at most a
+#: quarter of LOG_GAMMA_TOL.
+PREDICTED_STEP_MAX = LOG_GAMMA_TOL / (4.0 * 5e-4)
+
 #: Largest |rate - target| in bits accepted at a converged SNR solve; a
 #: larger residual means the curve jumps over the target.
 RATE_RESIDUAL_TOL = 1e-7
@@ -169,6 +176,7 @@ def snr_for_rate(
     # the crossing lies in [lo, hi]; f_lo < 0 < f_hi once an end is tried
     lo, hi, f_lo, f_hi = t_min, t_max, None, None
     newton, up = 0.0, 0.0  # the last Newton step, and the last step taken
+    last = None  # (t, slope) of the previous evaluation
     while True:
         rate, slope = rate_fn(math.exp(t))[:2]
         if not math.isfinite(rate):
@@ -189,8 +197,16 @@ def snr_for_rate(
         else:
             break
         step = -f / slope if 0.0 < slope < math.inf else math.nan
-        if abs(step) <= 0.25 * LOG_GAMMA_TOL:
-            t += step
+        # the Newton model's residual at t + step, 1/2 f'' step^2, with f''
+        # from the slopes of this evaluation and the previous one
+        curv = (slope - last[1]) / (t - last[0]) if last and t != last[0] else math.nan
+        last, f_next = (t, slope), 0.5 * curv * step * step
+        predicted = (
+            abs(step) <= PREDICTED_STEP_MAX
+            and abs(f_next) <= 0.25 * LOG_GAMMA_TOL * slope  # Newton's error in t
+        )
+        if (abs(step) <= 0.25 * LOG_GAMMA_TOL or predicted) and lo < t + step < hi:
+            t, f = t + step, f_next if predicted else f
             break
         # Newton steps toward an untried upper end that do not halve: a curve
         # that saturates slowly, so each such step at least doubles the last
@@ -380,19 +396,22 @@ def _optimize(
         prior = scheme.prior(nu_val)
         if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
-        curve, final = scheme.curve(prior, n), []
+        curve, seen = scheme.curve(prior, n), []
         try:
             gamma = snr_for_rate(
-                lambda g: final.append(curve(g)) or final[-1],
-                solve_target, gamma_unif if hint is None else hint,
+                lambda g: seen.append((math.log(g), *curve(g))) or seen[-1][1:],
+                solve_target, gamma_unif if hint is None else max(hint, gamma_cap),
             )
         except UnreachableRateError:
             return math.inf, math.inf
         # gamma_A(nu) keeps rate = target: d ln gamma / d nu = -(d rate / d nu)
-        # / (d rate / d ln gamma), both at the solve's last evaluation.  A
-        # flat curve met the target only within RATE_RESIDUAL_TOL at its
-        # ceiling, which no finite gamma crosses.
-        _, slope, d_nu = final[-1]
+        # / (d rate / d ln gamma), both at the returned gamma, which the solve
+        # may not have evaluated: they are extrapolated linearly in ln gamma
+        # from its last two evaluations.  A flat curve met the target only
+        # within RATE_RESIDUAL_TOL at its ceiling, which no finite gamma crosses.
+        (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = seen[-2:] if len(seen) > 1 else seen * 2
+        w = (math.log(gamma) - t1) / (t1 - t0) if t1 != t0 else 0.0
+        slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
         return (gamma, -d_nu / slope) if slope > 0.0 else (math.inf, math.inf)
 
     if nu is not None:

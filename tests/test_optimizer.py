@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primeshape import constellations, optimizer
-from primeshape.awgn_mi import ChannelSnr, mi_complex_cqam
+from primeshape.awgn_mi import ChannelSnr, capacity_gamma, mi_complex_cqam
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import CqamParams, Stretch, build_cqam
 from primeshape.field import Prime
@@ -131,6 +131,55 @@ def test_snr_for_rate_bisects_past_a_wrong_sign_slope(target, log10_hint):
     root = (4.0**target - 1.0) / 2.0
     g = snr_for_rate(rate_fn, target, 10.0**log10_hint)
     assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -1e-4, 1e-4, 1e-3])
+@pytest.mark.parametrize("target", [0.01, 0.5, 1.871, 10.0])
+def test_snr_for_rate_from_a_hint_near_the_root_evaluates_twice(target, offset):
+    # one Newton step from the hint lands within about |f''/(2f')| 1e-6 of
+    # the root; the step from there is predicted to miss by far less than
+    # LOG_GAMMA_TOL, so the solve returns its end without evaluating it
+    calls = []
+    root = (4.0**target - 1.0) / 2.0
+    hint = root * math.exp(offset)
+    g = snr_for_rate(lambda g: calls.append(g) or _capacity(g), target, hint)
+    assert len(calls) <= 2
+    assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.floats(0.01, 10.0),
+    st.floats(-8.0, 12.0),
+    st.floats(-6.0, -2.0),
+    st.sampled_from([1.0 - 5e-4, 1.0 + 5e-4]),
+)
+def test_snr_for_rate_predicted_stop_tolerates_the_slope_error(
+    target, log10_hint, log10_offset, scale
+):
+    # a slope off the rate's derivative by 5e-4 relative, as the 96-node
+    # rule's is at high SNR, misplaces an unevaluated step by 5e-4 of its
+    # length; the step bound keeps that within the tolerance, from far
+    # hints and from hints near the root alike
+    rate_fn = lambda g: (_capacity(g)[0], scale * _capacity(g)[1])
+    root = (4.0**target - 1.0) / 2.0
+    for hint in (10.0**log10_hint, root * math.exp(10.0**log10_offset)):
+        g = snr_for_rate(rate_fn, target, hint)
+        assert abs(math.log(g) - math.log(root)) <= LOG_GAMMA_TOL
+
+
+def test_snr_for_rate_on_a_high_snr_baseline_matches_bisection():
+    # uniform 13-ASK at 96 nodes and sigma = 0.2, where the rule's slope
+    # parts from its rate's derivative by 2e-4 (test_awgn_mi): the Newton
+    # solve with its predicted stop lands where a bisection-only solve (the
+    # flipped slope of test_snr_for_rate_bisects_past_a_wrong_sign_slope) does
+    curve = optimizer._ask_scheme("ts", Prime(13), 1.0, None).baseline(96)
+    gamma = 14.0 / (2.0 * 0.2**2)  # E / (2 sigma^2), E = (13^2 - 1) / 12
+    target = curve(gamma)[0]
+    flipped = lambda g: (curve(g)[0], -curve(g)[1])
+    for hint in (capacity_gamma(target, "real"), gamma * 1.001, gamma * 2.0):
+        newton, bisected = snr_for_rate(curve, target, hint), snr_for_rate(flipped, target, hint)
+        assert abs(math.log(newton) - math.log(bisected)) <= LOG_GAMMA_TOL
 
 
 @pytest.mark.parametrize("hint", [None, 1e-200, math.inf])
@@ -459,6 +508,21 @@ def test_nu_bracket_widening_reuses_its_solves(monkeypatch):
     assert widened <= 2 * counts["solves"]
 
 
+def test_nu_search_hints_never_fall_below_capacity(monkeypatch):
+    # on this row the first probe's large gradient (h = 35.5 at nu = 1/6)
+    # extrapolates to gamma = 4.7 at the second probe, whose root lies at
+    # 33.9; no curve reaches the target at or below gamma_cap, so every
+    # hint is clamped there
+    hints, solve = [], optimizer.snr_for_rate
+    monkeypatch.setattr(
+        optimizer, "snr_for_rate", lambda f, target, hint: hints.append(hint) or solve(f, target, hint)
+    )
+    solution = optimize_time_sharing(Prime(13), Fraction(4, 5), convention="shaped")
+    gamma_cap = capacity_gamma(solution.target_rate, "real")
+    assert len(hints) > 3
+    assert min(hints) >= gamma_cap
+
+
 def test_entropy_ceiling_skips_unreachable_solves(monkeypatch):
     # near nu_max the shaped symbols carry too little entropy for R_c = 9/10;
     # those nu are scored unreachable without a solve, so none fails
@@ -547,13 +611,13 @@ def _count_mi_calls(monkeypatch) -> list:
 def test_cqam_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    assert 0 < len(calls) <= 26
+    assert 0 < len(calls) <= 18
 
 
 def test_time_sharing_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_time_sharing(Prime(13), Fraction(19, 20), convention="shaped")
-    assert 0 < len(calls) <= 50
+    assert 0 < len(calls) <= 32
 
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))
