@@ -59,12 +59,18 @@ by linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
 the first nu from gamma_unif, and the re-solve at `nodes` from the gamma
-found at `search_nodes`.  Holding the rate at the target gives the
-gradient d ln gamma_A / d nu = -(d rate / d nu) / (d rate / d ln gamma)
-from a solve's last evaluation.  The nu search is a safeguarded secant
+found at `search_nodes`.  It ends on a Newton step it does not evaluate
+once that step is short and Newton's predicted error after it is far
+below the tolerance.  Holding the rate at the target gives the gradient
+d ln gamma_A / d nu = -(d rate / d nu) / (d rate / d ln gamma) at the
+returned gamma, both derivatives extrapolated linearly in log gamma from
+the solve's last two evaluations.  The nu search is a safeguarded secant
 method on that gradient, from the bracket [0, nu_max], that starts each
 solve from the nearest solved nu moved along its gradient and doubles
-the bracket while gamma_A still falls at its upper edge.
+the bracket while gamma_A still falls at its upper edge.  No curve
+reaches the target at or below gamma_cap (each is at most the capacity,
+and a time-averaged mix of two is at most the capacity of their mean
+energy, by Jensen's inequality), so every hint is raised to gamma_cap.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -100,15 +106,16 @@ from .field import Prime
 from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
 
 #: Accuracy in log gamma of the SNR solve: it stops on a Newton step of
-#: at most a quarter of this, or on a bracket narrower than this, so the
-#: crossing lies within it of the returned log gamma (about 4e-8 dB).
+#: at most a quarter of this, on a predicted one (PREDICTED_STEP_MAX), or
+#: on a bracket narrower than this, so the crossing lies within it of the
+#: returned log gamma (about 4e-8 dB).
 LOG_GAMMA_TOL = 1e-8
 
-#: Largest Newton step on which the SNR solve stops without evaluating
+#: Largest Newton step on which the SNR solve may stop without evaluating
 #: its end: LOG_GAMMA_TOL / (4 x 5e-4).  A slope off the rate's derivative
-#: by 5e-4 relative, the most the 96-node rule parts from it at high SNR
-#: (see the module docstring), then misplaces the end by at most a
-#: quarter of LOG_GAMMA_TOL.
+#: by 5e-4 relative, which bounds how far the 96-node rule parts from it
+#: at high SNR (see the module docstring), then misplaces the end by at
+#: most a quarter of LOG_GAMMA_TOL.
 PREDICTED_STEP_MAX = LOG_GAMMA_TOL / (4.0 * 5e-4)
 
 #: Largest |rate - target| in bits accepted at a converged SNR solve; a
@@ -157,15 +164,21 @@ def snr_for_rate(
     leaves the bracket, or the slope is not positive and finite, it
     evaluates the range end the crossing lies toward while that end is
     untried, and bisects the bracket once both ends are known.  It stops
-    once a Newton step is at most LOG_GAMMA_TOL / 4, or the bracket is
-    narrower than LOG_GAMMA_TOL.  A hint near the crossing, such as the
-    gamma of a neighbouring solve, saves rate evaluations; it does not
-    change the result beyond that tolerance.  Raises
-    UnreachableRateError when the target exceeds the rate at GAMMA_MAX,
-    ValueError for a nonpositive target, a hint that is not positive or
-    a target reached at GAMMA_MIN, and RuntimeError for a non-finite
-    rate or when the converged rate misses the target by more than
-    RATE_RESIDUAL_TOL bits (the curve jumps over it).
+    on a Newton step inside the bracket that is at most LOG_GAMMA_TOL / 4,
+    or that is predicted to land: at most PREDICTED_STEP_MAX long, with
+    Newton's error after it, |f'' / (2 f')| step^2 (Dennis & Schnabel,
+    1983, ch. 2), at most LOG_GAMMA_TOL / 4, f'' taken from the slopes
+    of the last two evaluations.  It returns that step's end without
+    evaluating it.  It also stops on a bracket narrower than
+    LOG_GAMMA_TOL.  A hint near the crossing, such as the gamma of a
+    neighbouring solve, saves rate evaluations; it does not change the
+    result beyond that tolerance.  Raises UnreachableRateError when the
+    target exceeds the rate at GAMMA_MAX, ValueError for a nonpositive
+    target, a hint that is not positive or a target reached at
+    GAMMA_MIN, and RuntimeError for a non-finite rate or when the
+    converged rate misses the target by more than RATE_RESIDUAL_TOL bits
+    (the curve jumps over it), the residual at a predicted stop being
+    the Newton model's, 1/2 f'' step^2.
     """
     if target <= 0.0:
         raise ValueError("target rate must be positive")
@@ -392,7 +405,8 @@ def _optimize(
 
     def gamma_of_nu(nu_val: float, n: int, hint: float | None) -> tuple[float, float]:
         """(gamma_A, d ln gamma_A / d nu) at nu_val, solved from hint (by
-        default gamma_unif); (inf, inf) where the target is unreachable."""
+        default gamma_unif, and at least gamma_cap); (inf, inf) where the
+        target is unreachable."""
         prior = scheme.prior(nu_val)
         if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
