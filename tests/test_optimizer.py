@@ -178,7 +178,8 @@ def test_snr_for_rate_on_a_high_snr_baseline_matches_bisection():
     target = curve(gamma)[0]
     flipped = lambda g: (curve(g)[0], -curve(g)[1])
     for hint in (capacity_gamma(target, "real"), gamma * 1.001, gamma * 2.0):
-        newton, bisected = snr_for_rate(curve, target, hint), snr_for_rate(flipped, target, hint)
+        newton = snr_for_rate(curve, target, hint)
+        bisected = snr_for_rate(flipped, target, hint)
         assert abs(math.log(newton) - math.log(bisected)) <= LOG_GAMMA_TOL
 
 
@@ -514,9 +515,12 @@ def test_nu_search_hints_never_fall_below_capacity(monkeypatch):
     # 33.9; no curve reaches the target at or below gamma_cap, so every
     # hint is clamped there
     hints, solve = [], optimizer.snr_for_rate
-    monkeypatch.setattr(
-        optimizer, "snr_for_rate", lambda f, target, hint: hints.append(hint) or solve(f, target, hint)
-    )
+
+    def recorded(f, target, hint):
+        hints.append(hint)
+        return solve(f, target, hint)
+
+    monkeypatch.setattr(optimizer, "snr_for_rate", recorded)
     solution = optimize_time_sharing(Prime(13), Fraction(4, 5), convention="shaped")
     gamma_cap = capacity_gamma(solution.target_rate, "real")
     assert len(hints) > 3
