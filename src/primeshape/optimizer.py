@@ -351,7 +351,7 @@ class _Scheme:
     whose prior does not move with nu.  The prior fills a fraction `share` of a use's symbols and
     uniform symbols the rest, which add `uniform_bits` per use; share
     H(prior) + uniform_bits, the entropy of a use, caps curve(prior, ...)
-    at every gamma.  nu_max is the default upper edge of the nu search;
+    at every gamma.  nu_max is the first upper edge of the nu search;
     dimension names the channel ("real" or "complex") a use of which the
     curves measure.
     """
@@ -369,7 +369,7 @@ class _Scheme:
 
 def _optimize(
     scheme: _Scheme, field: Prime, coding_rate: Fraction, *,
-    nodes: int, search_nodes: int, nu: float | None, nu_max: float | None,
+    nodes: int, search_nodes: int, nu: float | None,
 ) -> ShapingSolution:
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
@@ -384,9 +384,6 @@ def _optimize(
         )
     for n in (nodes, search_nodes):
         _rule(n, 1)  # rejects a bad node count before any solve; cached
-    nu_max = scheme.nu_max if nu_max is None else nu_max
-    if not 0.0 < nu_max < math.inf:
-        raise ValueError(f"nu_max must be positive and finite, got {nu_max}")
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
@@ -434,7 +431,7 @@ def _optimize(
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         nu_star, gamma_a = _minimize_nu(
-            lambda v, hint: gamma_of_nu(v, search_nodes, hint), nu_max
+            lambda v, hint: gamma_of_nu(v, search_nodes, hint), scheme.nu_max
         )
         if search_nodes != nodes:
             gamma_a, _ = gamma_of_nu(nu_star, nodes, gamma_a)
@@ -592,7 +589,6 @@ def optimize_time_sharing(
     convention: Convention = "time-averaged",
     nodes: int = DEFAULT_NODES,
     nu: float | None = None,
-    nu_max: float | None = None,
 ) -> ShapingSolution:
     """Optimize MB shaping for time-shared p-ASK at rate R_t = R_c log2 p.
 
@@ -608,7 +604,7 @@ def optimize_time_sharing(
         raise ValueError(f"unknown energy convention {convention!r}")
     return _optimize(
         _ask_scheme("time-sharing", field, float(Fraction(coding_rate)), convention),
-        field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max,
+        field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu,
     )
 
 
@@ -618,7 +614,6 @@ def optimize_shaped_ask(
     *,
     nodes: int = DEFAULT_NODES,
     nu: float | None = None,
-    nu_max: float | None = None,
 ) -> ShapingSolution:
     """Fully MB-shaped p-ASK at rate R_t = R_c log2 p per real dimension.
 
@@ -626,9 +621,7 @@ def optimize_shaped_ask(
     constellation; per-real-dimension figures equal the complex ones.
     """
     scheme = _ask_scheme("shaped-ask-squared", field, 1.0, None)
-    return _optimize(
-        scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu, nu_max=nu_max
-    )
+    return _optimize(scheme, field, coding_rate, nodes=nodes, search_nodes=nodes, nu=nu)
 
 
 def optimize_cqam(
@@ -639,7 +632,6 @@ def optimize_cqam(
     nodes: int = DEFAULT_NODES,
     search_nodes: int = DEFAULT_SEARCH_NODES,
     nu: float | None = None,
-    nu_max: float | None = None,
 ) -> ShapingSolution:
     """Optimize MB shell shaping of a p^2-CQAM constellation.
 
@@ -652,5 +644,5 @@ def optimize_cqam(
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate,
-        nodes=nodes, search_nodes=search_nodes, nu=nu, nu_max=nu_max,
+        nodes=nodes, search_nodes=search_nodes, nu=nu,
     )

@@ -61,12 +61,6 @@ class SymbolDistribution:
     def uniform(cls, field: Prime) -> "SymbolDistribution":
         return cls(field, np.full(field.p, 1.0 / field.p))
 
-    @classmethod
-    def point_mass(cls, field: Prime, k: int) -> "SymbolDistribution":
-        probs = np.zeros(field.p)
-        probs[k] = 1.0
-        return cls(field, probs)
-
 
 def _common_field(factors: Sequence[SymbolDistribution]) -> Prime:
     if not factors:
