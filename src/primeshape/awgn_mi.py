@@ -88,6 +88,10 @@ DEFAULT_NODES = 96
 
 _LN2 = math.log(2.0)
 
+#: Largest Gauss-Hermite node count: numpy's (2.4) weight recurrence
+#: overflows from 372 nodes on.
+_MAX_NODES = 371
+
 #: Smallest tensor-rule weight, relative to the largest, that a rule keeps.
 #: The dropped nodes carry under 1e-16 of the weight mass, so a float64 sum
 #: loses nothing it could hold: MI moves by under 1e-14 bits, while a floor
@@ -126,11 +130,16 @@ class ChannelSnr:
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
+    # hermgauss solves a nodes x nodes eigenproblem, so a count past the
+    # overflow is refused before it is built; the finiteness check stays
+    # for a numpy whose recurrence overflows earlier
+    overflow = f"Hermite weights overflow at {nodes} nodes; use fewer"
+    if nodes > _MAX_NODES:
+        raise ValueError(overflow)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t, w = np.polynomial.hermite.hermgauss(nodes)
-    # the Hermite weight recurrence overflows somewhere above 300 nodes
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
-        raise ValueError(f"Hermite weights overflow at {nodes} nodes; use fewer")
+        raise ValueError(overflow)
     return t, w
 
 

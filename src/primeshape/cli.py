@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -111,6 +112,12 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _destination(path: str | None) -> str:
+    """Where `_write_output` writes for path: "-" for stdout, else the
+    path made absolute, with its symbolic links resolved."""
+    return "-" if path is None or path == "-" else os.path.realpath(path)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -308,6 +315,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_pas(args: argparse.Namespace) -> int:
+    # one stream or file cannot hold the frames CSV and the report JSON apart
+    if args.dump_frames and _destination(args.dump_frames) == _destination(args.output):
+        raise ValueError("--dump-frames and -o/--output name the same destination")
     field = Prime(args.prime)
     rc = _parse_fraction(args.rc)
     if args.block_n is not None:

@@ -738,6 +738,26 @@ def test_oversized_node_count_raises():
         mi_real_points(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0, nodes=512)
 
 
+@pytest.mark.parametrize("nodes", [372, 10**6])
+def test_overflowing_node_count_is_refused_before_hermgauss(monkeypatch, nodes):
+    # hermgauss builds a nodes x nodes companion matrix: 10**6 nodes would
+    # ask for 8 TB before its weights could be checked
+    calls = []
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", calls.append)
+    with pytest.raises(ValueError, match=f"Hermite weights overflow at {nodes} nodes"):
+        _rule(nodes, 1)
+    assert calls == []
+
+
+def test_node_count_cap_is_where_hermgauss_overflows():
+    # the cap is numpy's (2.4) overflow point; a numpy that moves it fails here
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rules = [np.polynomial.hermite.hermgauss(n) for n in (371, 372)]
+    finite = [np.isfinite(rule).all() for rule in rules]
+    assert finite == [True, False]
+    assert len(_rule(371, 1)[0]) > 0
+
+
 def test_quadrature_doubling_is_stable():
     ask = build_ask(Prime(7))
     snr = ChannelSnr(12.0, "real")

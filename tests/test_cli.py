@@ -270,6 +270,9 @@ def test_table_unreachable_rows_name_their_convention(capsys):
     [
         (["--nodes", "1"], "need at least 2 quadrature nodes"),
         (["--nodes", "400"], "Hermite weights overflow at 400 nodes"),
+        (["--nodes", "372"], "Hermite weights overflow at 372 nodes; use fewer"),
+        # refused before numpy builds a 10^6 x 10^6 matrix (a MemoryError)
+        (["--nodes", "1000000"], "Hermite weights overflow at 1000000 nodes; use fewer"),
         (["--mode", "cqam", "--search-nodes", "1"], "need at least 2 quadrature nodes"),
     ],
 )
@@ -491,6 +494,26 @@ def test_pas_dump_frames_dash_is_stdout(tmp_path, monkeypatch, capsys):
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "frame,shell_symbols,phase_symbols,point_indices"
     assert len(lines) == 31
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [["--dump-frames", "-"], ["--dump-frames", "-", "-o", "-"],
+     ["-o", "f", "--dump-frames", "f"]],
+    ids=["dump-dash", "both-dash", "one-file"],
+)
+def test_pas_frames_and_report_to_one_destination_exit_2(
+    tmp_path, monkeypatch, capsys, outputs
+):
+    # no reader could split the frames CSV from the report JSON in one
+    # stream, and a file would keep only the report
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_frames", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = _run(capsys, ["pas", "-p", "5", "--frames", "30", *outputs])
+    assert code == 2
+    assert err.startswith("error: ") and "--dump-frames and -o/--output" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pas_block_n_sets_code_length(capsys):

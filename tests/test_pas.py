@@ -21,7 +21,7 @@ from primeshape.pas import (
     map_frame,
     split_frames,
 )
-from primeshape.shaping import MaxwellBoltzmann
+from primeshape.shaping import MaxwellBoltzmann, ccdm_decode
 
 P5 = Prime(5)
 P7 = Prime(7)
@@ -213,6 +213,27 @@ def test_generate_frames_shapes_and_determinism():
     assert np.array_equal(codewords, again)
     other, _ = generate_frames(code, prior, num_frames=40, seed=4)
     assert not np.array_equal(codewords, other)
+
+
+@pytest.mark.parametrize("p, n, k", [(5, 6, 4), (7, 6, 4), (3, 10, 6)])
+def test_chain_round_trip(p, n, k):
+    # the statistics pass cannot see a chain that loses information, so
+    # every frame is taken apart again: parity against encode, source
+    # symbols and matcher inputs against a replay of the chain's RNG
+    field, frames, seed, half = Prime(p), 30, 5, n // 2
+    code = CodeSpec.random_dense(field, n, k, seed=seed)
+    prior = MaxwellBoltzmann.from_amplitudes(0.1, build_cqam(field).shells.radii)
+    codewords, plan = generate_frames(code, prior, frames, seed=seed, dm_block=12)
+    d, N = plan.input_length(), plan.block_length
+    assert d > 0
+    shells, parity, phases, _ = split_frames(code, codewords)
+    assert np.array_equal(parity, encode(code, codewords[:, :k])[:, k:])
+    rng = np.random.default_rng(seed)
+    inputs = [rng.integers(0, p, size=d) for _ in range(-(-frames * half // N))]
+    assert np.array_equal(phases[:, : k - half], rng.integers(0, p, size=(frames, k - half)))
+    stream = shells.ravel()
+    for i in range(len(stream) // N):
+        assert ccdm_decode(plan, stream[i * N : (i + 1) * N].tolist()) == inputs[i].tolist()
 
 
 def test_generate_frames_rejects_empty():
