@@ -270,10 +270,10 @@ def test_table_unreachable_rows_name_their_convention(capsys):
     [
         (["--nodes", "1"], "need at least 2 quadrature nodes"),
         (["--nodes", "400"], "Hermite weights overflow at 400 nodes"),
+        (["--mode", "cqam", "--search-nodes", "1"], "need at least 2 quadrature nodes"),
         (["--nodes", "372"], "Hermite weights overflow at 372 nodes; use fewer"),
         # refused before numpy builds a 10^6 x 10^6 matrix (a MemoryError)
         (["--nodes", "1000000"], "Hermite weights overflow at 1000000 nodes; use fewer"),
-        (["--mode", "cqam", "--search-nodes", "1"], "need at least 2 quadrature nodes"),
     ],
 )
 def test_table_invalid_node_count_exits_2(capsys, argv, message):
