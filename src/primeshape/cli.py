@@ -27,9 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_NODES, _rule
+from .awgn_mi import DEFAULT_NODES
 from .constellations import (
-    DEFAULT_PHASE_STEPS,
     CqamParams,
     Stretch,
     build_cqam,
@@ -38,7 +37,6 @@ from .constellations import (
 )
 from .field import Prime
 from .optimizer import (
-    DEFAULT_SEARCH_NODES,
     LOG_GAMMA_TOL,
     NU_REL_TOL,
     RATE_RESIDUAL_TOL,
@@ -200,7 +198,7 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
     stretch = _resolve_stretch(args, None)
-    c = build_cqam(field, CqamParams(phase_steps=args.phase_steps, stretch=stretch))
+    c = build_cqam(field, CqamParams(stretch=stretch))
     dmin = min_distance(c)
     merit = figure_of_merit(c)
     rho_out = float(c.shells.radii[-1])
@@ -289,14 +287,12 @@ def cmd_table(args: argparse.Namespace) -> int:
                     solve("time-sharing", optimize_time_sharing, p, rc,
                           convention=conv, nodes=args.nodes)
     else:
-        _rule(args.search_nodes, 1)  # rejects a bad node count before any row
         for p in primes:
             stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(p))
             params = CqamParams(stretch=stretch)
             for rc in rates:
                 solve("shaped-ask-squared", optimize_shaped_ask, p, rc, nodes=args.nodes)
-                solve("cqam", optimize_cqam, p, rc, params=params,
-                      nodes=args.nodes, search_nodes=args.search_nodes)
+                solve("cqam", optimize_cqam, p, rc, params=params, nodes=args.nodes)
 
     extra = [c for c in EXTRA_COLUMNS if any(c in row for row in rows)]
     columns = [*TABLE_COLUMNS, *extra]
@@ -398,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ct = sub.add_parser("construct", help="build a p^2-point CQAM constellation")
     ct.add_argument("-p", "--prime", type=int, required=True)
-    ct.add_argument("--phase-steps", type=int, default=DEFAULT_PHASE_STEPS)
     ct.add_argument("-o", "--output", help="points CSV path (default stdout)")
     ct.set_defaults(func=cmd_construct, no_stretch=False)
 
@@ -420,12 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "('shaped' reproduces the reference table)",
     )
     tb.add_argument("--nodes", type=int, default=DEFAULT_NODES)
-    tb.add_argument(
-        "--search-nodes",
-        type=int,
-        default=DEFAULT_SEARCH_NODES,
-        help="quadrature nodes during the nu search (final solve uses --nodes)",
-    )
     tb.add_argument("--format", choices=["csv", "json"], default="csv")
     tb.add_argument("-o", "--output", help="output path (default stdout)")
     tb.set_defaults(func=cmd_table)

@@ -56,24 +56,16 @@ class Stretch:
             raise ValueError("stretch exponent beta must be positive and finite")
 
 
-#: Default size of the CQAM phase grid.
-DEFAULT_PHASE_STEPS = 4096
+#: Size of the uniform phase grid on [-pi/p, pi/p] that the packing searches.
+PHASE_STEPS = 4096
 
 
 @dataclass(frozen=True, slots=True)
 class CqamParams:
-    """Construction parameters for build_cqam.
+    """Construction parameters for build_cqam: stretch, when set,
+    re-radiuses the packed shells."""
 
-    phase_steps is the size of the uniform phase grid on [-pi/p, pi/p];
-    stretch, when set, re-radiuses the packed shells.
-    """
-
-    phase_steps: int = DEFAULT_PHASE_STEPS
     stretch: Stretch | None = None
-
-    def __post_init__(self) -> None:
-        if self.phase_steps < 2:
-            raise ValueError("phase grid needs at least 2 steps")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -161,7 +153,7 @@ def _shell_points(radius: float, phase: float, p: int) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def _pack_shells(field: Prime, params: CqamParams) -> tuple[np.ndarray, np.ndarray]:
+def _pack_shells(field: Prime) -> tuple[np.ndarray, np.ndarray]:
     """Greedy shell placement; returns (radii, phases)."""
     p = field.p
     d2 = (2.0 * math.sin(math.pi / p)) ** 2
@@ -170,7 +162,7 @@ def _pack_shells(field: Prime, params: CqamParams) -> tuple[np.ndarray, np.ndarr
     radii[0], phases[0] = 1.0, 0.0
 
     # sweep phases from +pi/p down so argmin ties resolve to the largest
-    phi_grid = np.linspace(math.pi / p, -math.pi / p, params.phase_steps)
+    phi_grid = np.linspace(math.pi / p, -math.pi / p, PHASE_STEPS)
     # need[k]: radius at which a point at phase phi_grid[k] clears every
     # placed point; placed points never move, so each shell is folded in once
     need = np.zeros_like(phi_grid)
@@ -212,7 +204,7 @@ def build_cqam(field: Prime, params: CqamParams | None = None) -> Constellation:
     params = params or CqamParams()
     if field.p == 2:
         raise ValueError("CQAM construction requires an odd prime")
-    radii, phases = _pack_shells(field, params)
+    radii, phases = _pack_shells(field)
     return _stretched(_assemble(radii, phases, field.p), params.stretch)
 
 

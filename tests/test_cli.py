@@ -209,7 +209,7 @@ def test_table_cqam_mode(capsys):
         capsys,
         [
             "table", "--mode", "cqam", "-p", "5", "--no-stretch",
-            "--nodes", "32", "--search-nodes", "24", "--format", "json",
+            "--nodes", "32", "--format", "json",
         ],
     )
     assert code == 0
@@ -270,10 +270,16 @@ def test_table_unreachable_rows_name_their_convention(capsys):
     [
         (["--nodes", "1"], "need at least 2 quadrature nodes"),
         (["--nodes", "400"], "Hermite weights overflow at 400 nodes"),
-        (["--mode", "cqam", "--search-nodes", "1"], "need at least 2 quadrature nodes"),
         (["--nodes", "372"], "Hermite weights overflow at 372 nodes; use fewer"),
         # refused before numpy builds a 10^6 x 10^6 matrix (a MemoryError)
         (["--nodes", "1000000"], "Hermite weights overflow at 1000000 nodes; use fewer"),
+    ],
+    # the IDs pytest generated while a removed flag's case was argv2
+    ids=[
+        "argv0-need at least 2 quadrature nodes",
+        "argv1-Hermite weights overflow at 400 nodes",
+        "argv3-Hermite weights overflow at 372 nodes; use fewer",
+        "argv4-Hermite weights overflow at 1000000 nodes; use fewer",
     ],
 )
 def test_table_invalid_node_count_exits_2(capsys, argv, message):
@@ -302,18 +308,6 @@ def test_table_invalid_input_exits_2(capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
-
-
-def test_table_cqam_checks_search_nodes_before_any_row(monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cli, "optimize_shaped_ask", lambda *a, **k: calls.append(a))
-    code, out, err = _run(
-        capsys, ["table", "--mode", "cqam", "-p", "13", "--rc", "2/3", "--search-nodes", "1"]
-    )
-    assert code == 2
-    assert "need at least 2 quadrature nodes" in err
-    assert out == ""
-    assert calls == []
 
 
 def test_table_non_convergence_exits_3(monkeypatch, capsys):
@@ -644,10 +638,27 @@ def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    # table solves its rows in one loop and has no --jobs flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # table solves its rows in one loop
+        ["table", "-p", "7", "--rc", "2/3", "--jobs", "2"],
+        # the CQAM nu search runs at optimizer.SEARCH_NODES (at most --nodes)
+        ["table", "--mode", "cqam", "-p", "7", "--rc", "2/3", "--search-nodes", "24"],
+        # the packing's phase grid is constellations.PHASE_STEPS
+        ["construct", "-p", "7", "--phase-steps", "7"],
+    ],
+    ids=["table-jobs", "table-search-nodes", "construct-phase-steps"],
+)
+def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["table", "-p", "7", "--rc", "2/3", "--jobs", "2"])
+        main(argv)
     assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "unrecognized arguments" in out.err
+    assert out.out == ""
 
 
 def test_stretch_flags_exclusive_exit_2(capsys):

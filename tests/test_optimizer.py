@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -300,7 +301,7 @@ def test_full_rate_row_is_unreachable_at_every_node_count(nodes):
     for run in (
         lambda: optimize_time_sharing(Prime(7), Fraction(1), nodes=nodes),
         lambda: optimize_shaped_ask(Prime(5), Fraction(1), nodes=nodes),
-        lambda: optimize_cqam(Prime(5), Fraction(1), nodes=nodes, search_nodes=nodes),
+        lambda: optimize_cqam(Prime(5), Fraction(1), nodes=nodes),
     ):
         with pytest.raises(UnreachableRateError, match="entropy ceiling"):
             run()
@@ -439,15 +440,13 @@ def test_determinism():
 def test_cqam_forced_zero_nu_matches_uniform_baseline():
     # without a stretch the working geometry IS the baseline geometry, so
     # nu = 0 must reproduce the uniform gap exactly
-    sol = optimize_cqam(
-        Prime(5), Fraction(2, 3), nodes=NODES, search_nodes=NODES, nu=0.0
-    )
+    sol = optimize_cqam(Prime(5), Fraction(2, 3), nodes=NODES, nu=0.0)
     assert sol.gamma_A_db == pytest.approx(sol.gamma_unif_db, abs=1e-7)
     assert sol.effective_gain_db == pytest.approx(0.0, abs=1e-7)
 
 
 def test_cqam_small_prime_runs_and_improves():
-    sol = optimize_cqam(Prime(5), Fraction(2, 3), nodes=NODES, search_nodes=32)
+    sol = optimize_cqam(Prime(5), Fraction(2, 3), nodes=NODES)
     assert sol.scheme == "cqam"
     assert sol.effective_gain_db > 0.0
     assert sol.gap_db + sol.effective_gain_db == pytest.approx(
@@ -652,10 +651,6 @@ NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
 @pytest.mark.parametrize(
     "run, message",
     [
-        (lambda: optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=1),
-         "need at least 2 quadrature nodes"),
-        (lambda: optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=400),
-         "Hermite weights overflow at 400 nodes"),
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=-1.0),
          NU_MESSAGE),
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=NAN),
@@ -663,9 +658,7 @@ NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
         (lambda: optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=16, nu=INF),
          NU_MESSAGE),
     ],
-    ids=[
-        "search_nodes=1", "search_nodes=400", "nu=-1", "nu=nan", "nu=inf",
-    ],
+    ids=["nu=-1", "nu=nan", "nu=inf"],
 )
 def test_invalid_input_is_not_an_unreachable_rate(run, message):
     with pytest.raises(ValueError, match=message) as exc:
@@ -676,18 +669,30 @@ def test_invalid_input_is_not_an_unreachable_rate(run, message):
 def test_invalid_node_count_fails_before_any_solve(monkeypatch):
     counts = _count_solves(monkeypatch)
     with pytest.raises(ValueError, match="need at least 2 quadrature nodes"):
-        optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, search_nodes=1)
+        optimize_cqam(Prime(5), Fraction(2, 3), nodes=1)
     assert counts == {"solves": 0, "search": 0}
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
-    counts = _count_solves(monkeypatch)
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=24)
-    assert counts["search"] > 0
+    # the CQAM nu search runs at min(nodes, SEARCH_NODES = 48) nodes; only a
+    # larger `nodes` re-solves its optimum
+    counts, rules = _count_solves(monkeypatch), []
+    kernel = optimizer.mi_complex_points
+
+    def recorded_kernel(*args, **kwargs):
+        rules.append(args[3])  # the node count
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "mi_complex_points", recorded_kernel)
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24)
+    assert counts["search"] > 0 and set(rules) == {24}
     assert counts["solves"] == counts["search"] + 1  # the baseline only
     counts.update(solves=0, search=0)
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, search_nodes=16)
-    assert counts["solves"] == counts["search"] + 2  # baseline and re-solve
+    rules.clear()
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
+    # baseline at 64, search at 48, re-solve at 64
+    assert [n for n, _ in itertools.groupby(rules)] == [64, 48, 64]
+    assert counts["solves"] == counts["search"] + 2
 
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):
@@ -771,7 +776,7 @@ def test_scheme_nu_slope_is_central_difference(name, nu, log_gamma):
     [
         lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped"),
         lambda: optimize_time_sharing(Prime(7), Fraction(4, 5)),
-        lambda: optimize_cqam(Prime(5), Fraction(2, 3), search_nodes=96),
+        lambda: optimize_cqam(Prime(5), Fraction(2, 3)),
     ],
     ids=["ts-shaped", "ts-time-averaged", "cqam"],
 )
@@ -783,6 +788,7 @@ def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run):
     # gamma where sigma is below half the ASK spacing; the rule then
     # integrates the slopes more coarsely than the rates, and the two sides
     # part by up to 1.2e-5
+    monkeypatch.setattr(optimizer, "SEARCH_NODES", 96)  # CQAM searches at 96 too
     searches = []
     monkeypatch.setattr(
         optimizer, "_minimize_nu", lambda f, nu_max: searches.append(f) or (0.1, 1.0)
