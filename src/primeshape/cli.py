@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -105,7 +104,7 @@ def _json(args: argparse.Namespace, doc: dict) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+    if _destination(path) == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -158,12 +157,6 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
     factors: list[SymbolDistribution] = []
     for spec in args.factor or []:
         factors.append(_parse_pmf(field, [float(v) for v in spec.split(",")]))
-    if args.factors_file:
-        with open(args.factors_file) as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                factors.append(_parse_pmf(field, [float(v) for v in row]))
     factors = factors * args.repeat
     if args.uniform_factor:
         factors.append(SymbolDistribution.uniform(field))
@@ -210,7 +203,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         rho_out=rho_out, min_distance=dmin, figure_of_merit=merit,
     )
     _write_output(text, args.output)
-    if args.output and args.output != "-":
+    if _destination(args.output) != "-":
         print(
             f"p={field.p}: {c.size} points, rho_out={rho_out:.6f}, "
             f"d_min={dmin:.6f}, figure_of_merit={merit:.6f}"
@@ -251,6 +244,8 @@ def _table_cell(column: str, value: object) -> object:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.mode == "time-sharing" and (args.stretch or args.no_stretch):
+        raise ValueError("--stretch and --no-stretch apply only to --mode cqam")
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]
@@ -379,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P0,P1,...",
         help="one factor PMF, comma separated (repeatable)",
     )
-    sd.add_argument("--factors-file", help="CSV file, one factor PMF per row")
     sd.add_argument(
         "--repeat", type=int, default=1, help="replicate the factor list this many times"
     )

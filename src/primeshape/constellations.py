@@ -230,8 +230,8 @@ def min_distance(c: Constellation) -> float:
     """Minimum Euclidean distance over distinct point pairs."""
     if c.size < 2:
         raise ValueError("minimum distance needs at least 2 points")
-    diff = np.abs(c.points[:, None] - c.points[None, :])
-    dmin = float(diff[np.triu_indices(c.size, k=1)].min())
+    # one row of the pair distances at a time: O(M) memory, not O(M^2)
+    dmin = float(min(np.abs(x - c.points[i + 1:]).min() for i, x in enumerate(c.points[:-1])))
     if dmin <= 1e-15 * max(1.0, float(np.abs(c.points).max())):
         raise ValueError("constellation contains duplicate points")
     return dmin

@@ -103,7 +103,7 @@ from .awgn_mi import (
 )
 from .constellations import Constellation, CqamParams, build_ask, build_cqam, _stretched
 from .field import Prime
-from .shaping import MaxwellBoltzmann, ask_energy, cqam_prior, mb_ask_prior
+from .shaping import MaxwellBoltzmann, cqam_prior, mb_ask_prior
 
 #: Accuracy in log gamma of the SNR solve: it stops on a Newton step of
 #: at most a quarter of this, on a predicted one (PREDICTED_STEP_MAX), or
@@ -457,8 +457,9 @@ def _optimize(
     )
 
 
-def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[np.ndarray, float]:
-    """d probs / d nu and d ln E / d nu of an MB prior, E its mean energy.
+def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[float, np.ndarray, float]:
+    """Mean energy E = sum probs a^2 of an MB prior, d probs / d nu and
+    d ln E / d nu.
 
     probs ~ exp(-nu a^2) gives probs' = -probs (a^2 - E) and
     E' = sum probs' a^2 = -Var(a^2).
@@ -466,7 +467,7 @@ def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[np.ndarray, float]:
     a2 = prior.amplitudes**2
     energy = float(np.dot(prior.probs, a2))
     d_probs = -prior.probs * (a2 - energy)
-    return d_probs, float(np.dot(d_probs, a2)) / energy
+    return energy, d_probs, float(np.dot(d_probs, a2)) / energy
 
 
 def _curve(
@@ -536,8 +537,8 @@ def _ask_scheme(
     e_unif = (p * p - 1.0) / 12.0
 
     def curve(prior: MaxwellBoltzmann, n: int) -> Curve:
-        e_sh, e_un = ask_energy(prior), e_unif
-        (d_probs, d_log_sh), d_log_un = _mb_derivative(prior), 0.0
+        e_sh, d_probs, d_log_sh = _mb_derivative(prior)
+        e_un, d_log_un = e_unif, 0.0
         if convention == "time-averaged":
             e_avg = share * e_sh + (1.0 - share) * e_unif
             # one energy for both terms; only the shaped share's moves with nu
@@ -581,7 +582,7 @@ def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
     return _Scheme(
         "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),
         lambda prior, n: curve(
-            geom.with_priors(cqam_prior(prior, field)), n, *_mb_derivative(prior)
+            geom.with_priors(cqam_prior(prior, field)), n, *_mb_derivative(prior)[1:]
         ),
         lambda n: curve(base, n, np.zeros(field.p), 0.0), 1.0, math.log2(field.p),
         4.0 / float(radii[-1]) ** 2, "complex",

@@ -79,11 +79,6 @@ def mb_ask_prior(field: Prime, nu: float) -> MaxwellBoltzmann:
     return MaxwellBoltzmann.from_amplitudes(nu, np.abs(ask_amplitudes(field)))
 
 
-def ask_energy(prior: MaxwellBoltzmann) -> float:
-    """Mean symbol energy sum_i probs[i] * amplitudes[i]^2."""
-    return float(np.dot(prior.probs, prior.amplitudes**2))
-
-
 def cqam_prior(shell_prior: MaxwellBoltzmann, field: Prime) -> np.ndarray:
     """Per-point prior for a p^2-point circular constellation.
 

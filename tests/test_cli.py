@@ -66,17 +66,6 @@ def test_sum_dist_csv_output(capsys):
     assert pmf.sum() == pytest.approx(1.0)
 
 
-def test_sum_dist_factors_file(tmp_path, capsys):
-    path = tmp_path / "factors.csv"
-    path.write_text("# comment line\n0.6,0.3,0.1\n0.2,0.5,0.3\n")
-    code, out, _ = _run(
-        capsys,
-        ["sum-dist", "-p", "3", "--factors-file", str(path), "--format", "json"],
-    )
-    assert code == 0
-    assert json.loads(out)["num_factors"] == 2
-
-
 def test_sum_dist_rejects_bad_pmf(capsys):
     code, _, err = _run(capsys, ["sum-dist", "-p", "5", "--factor", "0.5,0.5"])
     assert code == 2
@@ -299,8 +288,14 @@ def test_table_invalid_node_count_exits_2(capsys, argv, message):
         (["-p", "7", "--rc", "0"], "coding rate 0 outside [1/2, 1]"),
         (["-p", "7", "--rc", "1/0"], "cannot parse coding rate '1/0'"),
         (["-p", "7", "--rc", "abc"], "cannot parse coding rate 'abc'"),
+        # time-shared p-ASK has no shells to stretch
+        (["-p", "7", "--rc", "2/3", "--stretch", "4.8", "0.76"], "apply only to --mode cqam"),
+        (["-p", "7", "--rc", "2/3", "--no-stretch"], "apply only to --mode cqam"),
     ],
-    ids=["composite", "even", "rc=1/3", "rc=0", "rc=1/0", "rc=abc"],
+    ids=[
+        "composite", "even", "rc=1/3", "rc=0", "rc=1/0", "rc=abc",
+        "time-sharing-stretch", "time-sharing-no-stretch",
+    ],
 )
 def test_table_invalid_input_exits_2(capsys, argv, message):
     # input errors end the command; only an unreachable rate becomes a row
@@ -567,14 +562,13 @@ def test_pas_rejects_a_negative_block_length(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sum-dist", "-p", "5", "--factors-file", "{missing}.csv"], "No such file"),
         (["construct", "-p", "5", "-o", "{missing}/x.csv"], "No such file"),
         (["pas", "-p", "7", "--frames", "50", "--dump-frames", "{missing}/f.csv"],
          "No such file"),
         (["table", "-p", "7", "--rc", "2/3", "--nodes", "16", "-o", "{missing}/t.csv"],
          "No such file"),
     ],
-    ids=["sum-dist-input", "construct-output", "pas-dump", "table-output"],
+    ids=["construct-output", "pas-dump", "table-output"],
 )
 def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing")
@@ -649,8 +643,10 @@ def test_argparse_failures_exit_2():
         ["table", "--mode", "cqam", "-p", "7", "--rc", "2/3", "--search-nodes", "24"],
         # the packing's phase grid is constellations.PHASE_STEPS
         ["construct", "-p", "7", "--phase-steps", "7"],
+        # each --factor takes one factor PMF, as each file row did
+        ["sum-dist", "-p", "3", "--factors-file", "f.csv"],
     ],
-    ids=["table-jobs", "table-search-nodes", "construct-phase-steps"],
+    ids=["table-jobs", "table-search-nodes", "construct-phase-steps", "sum-dist-factors-file"],
 )
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -233,6 +234,19 @@ def test_figure_of_merit_scale_invariant():
 def test_min_distance_needs_two_points():
     with pytest.raises(ValueError):
         min_distance(Constellation(np.array([0j]), np.array([1.0])))
+
+
+def test_min_distance_memory_is_linear_in_points():
+    # the full 961 x 961 pair-difference matrix peaked at 22 MB here
+    c = build_cqam(Prime(31))
+    tracemalloc.start()
+    try:
+        dmin = min_distance(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dmin == pytest.approx(2 * math.sin(math.pi / 31), rel=1e-12)
+    assert peak < 100 * c.size * 16
 
 
 def test_duplicate_points_rejected():

@@ -102,6 +102,19 @@ def test_dft_matches_convolution_randomized(p):
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+@pytest.mark.parametrize("p", [101, 257, 1009])
+def test_fft_matches_convolution_at_large_primes(p):
+    # the oracle takes O(m * p^2) Python steps, so few factors at large p
+    field = Prime(p)
+    rng = np.random.default_rng(p)
+    factors = [SymbolDistribution(field, random_pmf(rng, p)) for _ in range(3)]
+    a = sum_distribution_dft(factors).probs
+    b = sum_distribution_convolve(factors).probs
+    assert np.max(np.abs(a - b)) < 1e-15
+    absorbed = sum_distribution_dft([*factors, SymbolDistribution.uniform(field)])
+    assert np.max(np.abs(absorbed.probs - 1.0 / p)) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # uniform absorption
 # ---------------------------------------------------------------------------
