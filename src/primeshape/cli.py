@@ -10,7 +10,8 @@ Subcommands:
 Every file the tool writes starts with a provenance header (tool
 version, the full parameter set, and the numeric tolerances in force);
 `_csv` and `_json` write every output.
-Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence.
+Exit codes: 0 success, 2 invalid input or exhausted memory, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_NODES
 from .constellations import (
     CqamParams,
     Stretch,
     build_cqam,
     figure_of_merit,
-    min_distance,
 )
 from .field import Prime
 from .optimizer import (
@@ -160,8 +159,6 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
     factors = factors * args.repeat
     if args.uniform_factor:
         factors.append(SymbolDistribution.uniform(field))
-    if not factors:
-        raise ValueError("no factor distributions given")
 
     result = sum_distribution_dft(factors)
     gap = uniformity_gap(result)
@@ -190,10 +187,9 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
-    stretch = _resolve_stretch(args, None)
+    stretch = Stretch(*args.stretch) if args.stretch else None
     c = build_cqam(field, CqamParams(stretch=stretch))
-    dmin = min_distance(c)
-    merit = figure_of_merit(c)
+    dmin, merit = figure_of_merit(c)
     rho_out = float(c.shells.radii[-1])
 
     points = enumerate(zip(c.points.tolist(), c.priors.tolist()))
@@ -246,6 +242,8 @@ def _table_cell(column: str, value: object) -> object:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.mode == "time-sharing" and (args.stretch or args.no_stretch):
         raise ValueError("--stretch and --no-stretch apply only to --mode cqam")
+    if args.mode == "cqam" and args.convention:
+        raise ValueError("--convention applies only to --mode time-sharing")
     primes = args.prime or [7, 13]
     if args.rc:
         rates = [_parse_fraction(r) for r in args.rc]
@@ -273,21 +271,21 @@ def cmd_table(args: argparse.Namespace) -> int:
             rows.append({**row, "status": "ok"})
 
     if args.mode == "time-sharing":
+        args.convention = args.convention or "time-averaged"  # as the provenance records
         conventions = (
             ["shaped", "time-averaged"] if args.convention == "both" else [args.convention]
         )
         for conv in conventions:
             for p in primes:
                 for rc in rates:
-                    solve("time-sharing", optimize_time_sharing, p, rc,
-                          convention=conv, nodes=args.nodes)
+                    solve("time-sharing", optimize_time_sharing, p, rc, convention=conv)
     else:
         for p in primes:
             stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(p))
             params = CqamParams(stretch=stretch)
             for rc in rates:
-                solve("shaped-ask-squared", optimize_shaped_ask, p, rc, nodes=args.nodes)
-                solve("cqam", optimize_cqam, p, rc, params=params, nodes=args.nodes)
+                solve("shaped-ask-squared", optimize_shaped_ask, p, rc)
+                solve("cqam", optimize_cqam, p, rc, params=params)
 
     extra = [c for c in EXTRA_COLUMNS if any(c in row for row in rows)]
     columns = [*TABLE_COLUMNS, *extra]
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     ct = sub.add_parser("construct", help="build a p^2-point CQAM constellation")
     ct.add_argument("-p", "--prime", type=int, required=True)
     ct.add_argument("-o", "--output", help="points CSV path (default stdout)")
-    ct.set_defaults(func=cmd_construct, no_stretch=False)
+    ct.set_defaults(func=cmd_construct)
 
     tb = sub.add_parser("table", help="gap/gain table for shaping schemes")
     tb.add_argument(
@@ -404,11 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument(
         "--convention",
         choices=["shaped", "time-averaged", "both"],
-        default="time-averaged",
-        help="energy normalization of the time-sharing rate terms "
-        "('shaped' reproduces the reference table)",
+        help="energy normalization of the time-sharing rate terms, --mode "
+        "time-sharing only (default time-averaged)",
     )
-    tb.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     tb.add_argument("--format", choices=["csv", "json"], default="csv")
     tb.add_argument("-o", "--output", help="output path (default stdout)")
     tb.set_defaults(func=cmd_table)
@@ -454,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

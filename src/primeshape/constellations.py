@@ -237,12 +237,13 @@ def min_distance(c: Constellation) -> float:
     return dmin
 
 
-def figure_of_merit(c: Constellation) -> float:
-    """Packing merit log2(M) * d_min^2 / E, with E the unit-prior mean energy.
+def figure_of_merit(c: Constellation) -> tuple[float, float]:
+    """(d_min, packing merit log2(M) * d_min^2 / E), with E the unit-prior
+    mean energy; d_min comes along so a caller measures it once.
 
     Uses the uniform-prior energy regardless of stored priors, so the
-    value reflects geometry alone.  Scale-invariant.
+    merit reflects geometry alone.  Scale-invariant.
     """
     dmin = min_distance(c)
     energy = float(np.mean(np.abs(c.points) ** 2))
-    return math.log2(c.size) * dmin**2 / energy
+    return dmin, math.log2(c.size) * dmin**2 / energy

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from primeshape import cli
+from primeshape import cli, constellations
 from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
-from primeshape.constellations import Constellation, Stretch, build_cqam
+from primeshape.constellations import Constellation, Stretch, build_cqam, min_distance
 from primeshape.field import Prime
 from primeshape.optimizer import ShapingSolution, UnreachableRateError
 from primeshape.pas import CodeSpec
@@ -152,6 +152,35 @@ def test_construct_rejects_even_modulus(capsys):
     assert code == 2
 
 
+def _parameters(text):
+    """The provenance parameters a CSV output records."""
+    prefix = "# parameters: "
+    (line,) = [l for l in text.splitlines() if l.startswith(prefix)]
+    return json.loads(line[len(prefix):])
+
+
+def test_construct_records_only_its_own_flags(capsys):
+    # construct takes no --no-stretch, so it records none
+    code, out, _ = _run(capsys, ["construct", "-p", "5"])
+    assert code == 0
+    assert _parameters(out) == {"command": "construct", "prime": 5}
+
+
+def test_construct_measures_min_distance_once(monkeypatch, capsys):
+    # the summary's d_min and figure of merit come from one O(M^2) pass
+    calls = []
+
+    def counted(c):
+        calls.append(c.size)
+        return min_distance(c)
+
+    monkeypatch.setattr(constellations, "min_distance", counted)
+    monkeypatch.setattr(cli, "min_distance", counted, raising=False)
+    code, out, _ = _run(capsys, ["construct", "-p", "7"])
+    assert code == 0 and calls == [49]
+    assert f"# min_distance: {min_distance(build_cqam(Prime(7)))}" in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -162,7 +191,7 @@ def test_table_single_time_sharing_row(capsys):
         capsys,
         [
             "table", "--mode", "time-sharing", "-p", "7", "--rc", "2/3",
-            "--convention", "shaped", "--nodes", "32",
+            "--convention", "shaped",
         ],
     )
     assert code == 0
@@ -182,7 +211,7 @@ def test_table_both_conventions(capsys):
         capsys,
         [
             "table", "-p", "7", "--rc", "2/3", "--convention", "both",
-            "--nodes", "32", "--format", "json",
+            "--format", "json",
         ],
     )
     assert code == 0
@@ -198,7 +227,7 @@ def test_table_cqam_mode(capsys):
         capsys,
         [
             "table", "--mode", "cqam", "-p", "5", "--no-stretch",
-            "--nodes", "32", "--format", "json",
+            "--format", "json",
         ],
     )
     assert code == 0
@@ -218,28 +247,12 @@ def test_table_unreachable_rate_is_marked(capsys):
     # only approach it, so the row must degrade to a status marker, not die
     code, out, _ = _run(
         capsys,
-        ["table", "-p", "7", "--rc", "1", "--nodes", "32", "--format", "json"],
+        ["table", "-p", "7", "--rc", "1", "--format", "json"],
     )
     assert code == 0
     doc = json.loads(out)
     assert len(doc["rows"]) == 1
     assert doc["rows"][0]["status"].startswith("unreachable")
-
-
-def test_table_full_rate_row_is_unreachable_at_every_node_count(capsys):
-    # the Rc = 1 target is the entropy ceiling log2(7): its row reads the
-    # same whatever the quadrature rule
-    statuses = set()
-    for nodes in ("16", "24", "32", "48", "96"):
-        code, out, _ = _run(
-            capsys,
-            ["table", "-p", "7", "--rc", "1", "--nodes", nodes, "--format", "json"],
-        )
-        assert code == 0
-        (row,) = json.loads(out)["rows"]
-        statuses.add(row["status"])
-    (status,) = statuses
-    assert status.startswith("unreachable: ") and "entropy ceiling" in status
 
 
 def test_table_unreachable_rows_name_their_convention(capsys):
@@ -252,31 +265,6 @@ def test_table_unreachable_rows_name_their_convention(capsys):
     assert "convention" in doc["columns"]
     assert [row["convention"] for row in doc["rows"]] == ["shaped", "time-averaged"]
     assert all(row["status"].startswith("unreachable: ") for row in doc["rows"])
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--nodes", "1"], "need at least 2 quadrature nodes"),
-        (["--nodes", "400"], "Hermite weights overflow at 400 nodes"),
-        (["--nodes", "372"], "Hermite weights overflow at 372 nodes; use fewer"),
-        # refused before numpy builds a 10^6 x 10^6 matrix (a MemoryError)
-        (["--nodes", "1000000"], "Hermite weights overflow at 1000000 nodes; use fewer"),
-    ],
-    # the IDs pytest generated while a removed flag's case was argv2
-    ids=[
-        "argv0-need at least 2 quadrature nodes",
-        "argv1-Hermite weights overflow at 400 nodes",
-        "argv3-Hermite weights overflow at 372 nodes; use fewer",
-        "argv4-Hermite weights overflow at 1000000 nodes; use fewer",
-    ],
-)
-def test_table_invalid_node_count_exits_2(capsys, argv, message):
-    # an input error, not an "unreachable" row
-    code, out, err = _run(capsys, ["table", "-p", "7", "--rc", "2/3", *argv])
-    assert code == 2
-    assert message in err
-    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -299,7 +287,7 @@ def test_table_invalid_node_count_exits_2(capsys, argv, message):
 )
 def test_table_invalid_input_exits_2(capsys, argv, message):
     # input errors end the command; only an unreachable rate becomes a row
-    code, out, err = _run(capsys, ["table", "--nodes", "16", *argv])
+    code, out, err = _run(capsys, ["table", *argv])
     assert code == 2
     assert message in err
     assert out == ""
@@ -322,7 +310,7 @@ TABLE_HEAD = [
 ]
 
 
-def _fake_time_sharing(field, rc, convention, nodes):
+def _fake_time_sharing(field, rc, convention):
     """A fixed solution in place of a solve; Rc = 1 is unreachable."""
     if rc == 1:
         raise UnreachableRateError("rate too high")
@@ -363,6 +351,39 @@ def test_table_csv_layout(monkeypatch, capsys):
     assert row["status"] == "ok"
 
 
+def test_time_sharing_table_records_its_convention(monkeypatch, capsys):
+    # time-averaged when none is given, as the rows are solved
+    assert _parameters(_fake_table(monkeypatch, capsys))["convention"] == "time-averaged"
+    params = _parameters(_fake_table(monkeypatch, capsys, "--convention", "both"))
+    assert params["convention"] == "both"
+
+
+def test_cqam_table_records_no_convention(monkeypatch, capsys):
+    def fake(field, rc, **kwargs):
+        return _fake_time_sharing(field, rc, None)
+
+    monkeypatch.setattr(cli, "optimize_shaped_ask", fake)
+    monkeypatch.setattr(cli, "optimize_cqam", fake)
+    code, out, err = _run(capsys, ["table", "--mode", "cqam", "-p", "5", "--rc", "2/3"])
+    assert code == 0, err
+    assert "convention" not in _parameters(out)
+
+
+def test_cqam_table_refuses_a_convention_before_any_solve(monkeypatch, capsys):
+    # the CQAM schemes have no time-sharing energy convention
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solved a row")
+
+    monkeypatch.setattr(cli, "optimize_shaped_ask", unexpected)
+    monkeypatch.setattr(cli, "optimize_cqam", unexpected)
+    code, out, err = _run(
+        capsys,
+        ["table", "--mode", "cqam", "-p", "5", "--rc", "2/3", "--convention", "time-averaged"],
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --convention applies only to --mode time-sharing\n"
+
+
 def test_table_json_keeps_full_precision(monkeypatch, capsys):
     doc = json.loads(_fake_table(monkeypatch, capsys, "--format", "json"))
     assert doc["provenance"]["command"] == "table"
@@ -396,7 +417,7 @@ def test_table_csv_unreachable_row_has_empty_cells(monkeypatch, capsys):
     [
         ["sum-dist", "-p", "3", "--factor", "0.6,0.3,0.1", "-o", "{dir}/out.csv"],
         ["construct", "-p", "5", "-o", "{dir}/out.csv"],
-        ["table", "-p", "7", "--rc", "1", "--nodes", "16", "-o", "{dir}/out.csv"],
+        ["table", "-p", "7", "--rc", "1", "-o", "{dir}/out.csv"],
         ["pas", "-p", "5", "--frames", "20", "-o", "{dir}/report.json",
          "--dump-frames", "{dir}/out.csv"],
     ],
@@ -414,8 +435,7 @@ def test_table_output_file(tmp_path, capsys):
     code, _, _ = _run(
         capsys,
         [
-            "table", "-p", "7", "--rc", "2/3", "--nodes", "32",
-            "-o", str(out_path),
+            "table", "-p", "7", "--rc", "2/3", "-o", str(out_path),
         ],
     )
     assert code == 0
@@ -565,7 +585,7 @@ def test_pas_rejects_a_negative_block_length(capsys):
         (["construct", "-p", "5", "-o", "{missing}/x.csv"], "No such file"),
         (["pas", "-p", "7", "--frames", "50", "--dump-frames", "{missing}/f.csv"],
          "No such file"),
-        (["table", "-p", "7", "--rc", "2/3", "--nodes", "16", "-o", "{missing}/t.csv"],
+        (["table", "-p", "7", "--rc", "2/3", "-o", "{missing}/t.csv"],
          "No such file"),
     ],
     ids=["construct-output", "pas-dump", "table-output"],
@@ -625,6 +645,28 @@ def test_nonfinite_input_rejected(capsys, x, case):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "target, argv, raised, message",
+    [
+        ("build_cqam", ["construct", "-p", "1000000007"],
+         MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000007,)"),
+         "error: construct ran out of memory: Unable to allocate 7.45 GiB"),
+        # list replication raises a MemoryError without a message
+        ("sum_distribution_dft", ["sum-dist", "-p", "3", "--factor", "0.5,0.5,0"],
+         MemoryError(), "error: sum-dist ran out of memory\n"),
+    ],
+    ids=["construct-numpy", "sum-dist-bare"],
+)
+def test_memory_exhaustion_exits_2(monkeypatch, capsys, target, argv, raised, message):
+    def exhausted(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_argparse_failures_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -639,14 +681,19 @@ def test_argparse_failures_exit_2():
     [
         # table solves its rows in one loop
         ["table", "-p", "7", "--rc", "2/3", "--jobs", "2"],
-        # the CQAM nu search runs at optimizer.SEARCH_NODES (at most --nodes)
+        # the CQAM nu search runs at optimizer.SEARCH_NODES
         ["table", "--mode", "cqam", "-p", "7", "--rc", "2/3", "--search-nodes", "24"],
         # the packing's phase grid is constellations.PHASE_STEPS
         ["construct", "-p", "7", "--phase-steps", "7"],
         # each --factor takes one factor PMF, as each file row did
         ["sum-dist", "-p", "3", "--factors-file", "f.csv"],
+        # every row is solved at awgn_mi.DEFAULT_NODES
+        ["table", "--nodes", "16", "-p", "7", "--rc", "2/3"],
     ],
-    ids=["table-jobs", "table-search-nodes", "construct-phase-steps", "sum-dist-factors-file"],
+    ids=[
+        "table-jobs", "table-search-nodes", "construct-phase-steps",
+        "sum-dist-factors-file", "table-nodes",
+    ],
 )
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -349,8 +349,7 @@ def test_table_leaves_scipy_optimize_unloaded():
     # secant) are written out by hand
     code = (
         "import sys; from primeshape.cli import main; "
-        "code = main(['table', '--mode', 'cqam', '-p', '5', '--rc', '2/3', "
-        "'--nodes', '16']); "
+        "code = main(['table', '--mode', 'cqam', '-p', '5', '--rc', '2/3']); "
         "print(code, 'scipy.optimize' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
