@@ -175,6 +175,7 @@ def test_construct_measures_min_distance_once(monkeypatch, capsys):
         return min_distance(c)
 
     monkeypatch.setattr(constellations, "min_distance", counted)
+    # also count a call through a name cli might import for itself
     monkeypatch.setattr(cli, "min_distance", counted, raising=False)
     code, out, _ = _run(capsys, ["construct", "-p", "7"])
     assert code == 0 and calls == [49]
