@@ -32,6 +32,7 @@ from .constellations import (
     Stretch,
     build_cqam,
     figure_of_merit,
+    shell_radii,
 )
 from .field import Prime
 from .optimizer import (
@@ -153,19 +154,20 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
     field = Prime(args.prime)
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    factors: list[SymbolDistribution] = []
-    for spec in args.factor or []:
-        factors.append(_parse_pmf(field, [float(v) for v in spec.split(",")]))
-    factors = factors * args.repeat
+    factors = [
+        _parse_pmf(field, [float(v) for v in spec.split(",")]) for spec in args.factor or []
+    ]
+    num_factors = len(factors) * args.repeat + args.uniform_factor
     if args.uniform_factor:
+        # the sum is uniform with one uniform summand, and with `repeat` of them
         factors.append(SymbolDistribution.uniform(field))
 
-    result = sum_distribution_dft(factors)
+    result = sum_distribution_dft(factors, args.repeat)
     gap = uniformity_gap(result)
     if args.format == "json":
         doc = {
             "p": field.p,
-            "num_factors": len(factors),
+            "num_factors": num_factors,
             "pmf": result.probs.tolist(),
             "uniformity_gap": gap,
         }
@@ -174,7 +176,7 @@ def cmd_sum_dist(args: argparse.Namespace) -> int:
         rows = enumerate(result.probs.tolist())
         text = _csv(
             args, ("symbol", "probability"), rows,
-            num_factors=len(factors), uniformity_gap=gap,
+            num_factors=num_factors, uniformity_gap=gap,
         )
     _write_output(text, args.output)
     return 0
@@ -240,9 +242,11 @@ def _table_cell(column: str, value: object) -> object:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.mode == "time-sharing" and (args.stretch or args.no_stretch):
-        raise ValueError("--stretch and --no-stretch apply only to --mode cqam")
-    if args.mode == "cqam" and args.convention:
+    if args.mode == "time-sharing":
+        if args.stretch or args.no_stretch:
+            raise ValueError("--stretch and --no-stretch apply only to --mode cqam")
+        del args.no_stretch  # refused here, so not a parameter to record
+    elif args.convention:
         raise ValueError("--convention applies only to --mode time-sharing")
     primes = args.prime or [7, 13]
     if args.rc:
@@ -268,6 +272,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             rows.append({**label, "status": f"unreachable: {exc}"})
         else:
             row["Rc"] = str(row.pop("coding_rate"))
+            if row["convention"] is None:  # the CQAM schemes have none
+                del row["convention"]
             rows.append({**row, "status": "ok"})
 
     if args.mode == "time-sharing":
@@ -323,8 +329,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
     code = CodeSpec.random_dense(field, n, k, seed=args.seed)
 
     stretch = _resolve_stretch(args, REFERENCE_STRETCH.get(field.p))
-    cqam = build_cqam(field, CqamParams(stretch=stretch))
-    shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, cqam.shells.radii)
+    shell_prior = MaxwellBoltzmann.from_amplitudes(args.nu, shell_radii(field, stretch))
     codewords, plan = generate_frames(
         code, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
     )

@@ -55,6 +55,11 @@ class Stretch:
         if not 0.0 < self.beta < math.inf:
             raise ValueError("stretch exponent beta must be positive and finite")
 
+    def radii(self, p: int) -> np.ndarray:
+        """The law's p shell radii rho_1 .. rho_p."""
+        frac = np.arange(p) / (p - 1)
+        return 1.0 + (self.rho_max - 1.0) * frac**self.beta
+
 
 #: Size of the uniform phase grid on [-pi/p, pi/p] that the packing searches.
 PHASE_STEPS = 4096
@@ -221,9 +226,18 @@ def _stretched(c: Constellation, stretch: Stretch | None) -> Constellation:
     if stretch is None:
         return c
     p = c.shells.num_shells
-    frac = np.arange(p) / (p - 1)
-    radii = 1.0 + (stretch.rho_max - 1.0) * frac**stretch.beta
-    return _assemble(radii, c.shells.phases, p)
+    return _assemble(stretch.radii(p), c.shells.phases, p)
+
+
+def shell_radii(field: Prime, stretch: Stretch | None) -> np.ndarray:
+    """The shell radii of build_cqam(field, CqamParams(stretch)).
+
+    A stretch sets them by its law alone, so only unstretched shells are
+    packed.
+    """
+    if stretch is None or field.p == 2:  # build_cqam packs, or refuses p = 2
+        return build_cqam(field).shells.radii
+    return stretch.radii(field.p)
 
 
 def min_distance(c: Constellation) -> float:

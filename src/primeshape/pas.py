@@ -108,9 +108,13 @@ def encode(code: CodeSpec, info: Sequence[int] | np.ndarray) -> np.ndarray:
     info = np.asarray(info, dtype=np.int64)
     if info.shape[-1] != code.k:
         raise ValueError(f"information block must have length {code.k}")
-    if info.size and (info.min() < 0 or info.max() >= code.field.p):
+    # one 1-D reduction checks both bounds: as uint64, a negative symbol
+    # reads as 2**63 or more; ndarray.min() and max() cost more per frame
+    flat = info.ravel()
+    if flat.size and np.maximum.reduce(flat.view(np.uint64)) >= code.field.p:
         raise ValueError("information symbols must lie in 0..p-1")
-    parity = info @ code.parity % code.field.p
+    parity = info.dot(code.parity)
+    parity %= code.field.p
     return np.concatenate([info, parity], axis=-1)
 
 

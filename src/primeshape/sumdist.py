@@ -73,18 +73,28 @@ def _common_field(factors: Sequence[SymbolDistribution]) -> Prime:
 
 
 def sum_distribution_dft(
-    factors: Iterable[SymbolDistribution],
+    factors: Iterable[SymbolDistribution], repeat: int = 1
 ) -> SymbolDistribution:
-    """PMF of the mod-p sum of independent symbols, via field characters.
+    """PMF of the mod-p sum of `repeat` independent copies of each factor.
 
     numpy's length-p DFT is the character transform of Z_p evaluated at
-    w^(-1): the product of the factors' forward transforms, inverted,
-    gives the PMF.  Cost O(m * p log p) time and O(m * p) memory, exact
-    up to roundoff.
+    w^(-1): the product of the m factors' forward transforms, raised to
+    the power `repeat` and inverted, gives the PMF.  Cost O(m * p log p)
+    time and O(m * p) memory whatever `repeat` is, exact up to roundoff.
+    A point mass only shifts the sum, so it stays out of the transform,
+    whose power would multiply the roundoff of its phases by `repeat`.
     """
     factors = list(factors)
     fld = _common_field(factors)
-    pmf_c = np.fft.ifft(np.prod(np.fft.fft([f.probs for f in factors], axis=1), axis=0))
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
+    probs = np.array([f.probs for f in factors])
+    point = np.count_nonzero(probs, axis=1) == 1
+    shift = repeat * int(probs[point].argmax(axis=1).sum()) % fld.p
+    spectrum = np.prod(np.fft.fft(probs[~point], axis=1), axis=0)
+    # the zero-frequency term is the total mass: 1 but for roundoff, which
+    # the power would also multiply by `repeat`
+    pmf_c = np.roll(np.fft.ifft((spectrum / spectrum[0]) ** repeat), shift)
     if np.max(np.abs(pmf_c.imag)) > IMAG_TOL:
         raise RuntimeError("character inversion left a large imaginary residue")
     pmf = pmf_c.real

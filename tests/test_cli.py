@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ def test_sum_dist_rejects_repeat_below_one(capsys, repeat):
     assert code == 2
     assert err.startswith("error: ") and "--repeat" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "uniform, num_factors", [([], 300000000), (["--uniform-factor"], 300000001)],
+    ids=["factor", "factor-and-uniform"],
+)
+def test_sum_dist_repeat_is_a_power_not_a_list(capsys, uniform, num_factors):
+    # 3e8 replicated factors would take gigabytes; their transform's power does not
+    start = time.perf_counter()
+    code, out, err = _run(
+        capsys,
+        [
+            "sum-dist", "-p", "3", "--factor", "0.5,0.5,0", "--repeat", "300000000",
+            *uniform, "--format", "json",
+        ],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["num_factors"] == num_factors
+    assert np.allclose(doc["pmf"], 1.0 / 3.0, rtol=0.0, atol=1e-15)
 
 
 def test_sum_dist_rejects_composite_modulus(capsys):
@@ -359,6 +381,42 @@ def test_time_sharing_table_records_its_convention(monkeypatch, capsys):
     assert params["convention"] == "both"
 
 
+def test_time_sharing_table_records_no_stretch_flag(monkeypatch, capsys):
+    # the mode refuses --stretch and --no-stretch, so neither is its parameter
+    assert "no_stretch" not in _parameters(_fake_table(monkeypatch, capsys))
+
+
+def _fake_cqam_table(monkeypatch, capsys, *argv):
+    def fake(field, rc, **kwargs):
+        return _fake_time_sharing(field, rc, None)
+
+    monkeypatch.setattr(cli, "optimize_shaped_ask", fake)
+    monkeypatch.setattr(cli, "optimize_cqam", fake)
+    code, out, err = _run(capsys, ["table", "--mode", "cqam", "-p", "5", *argv])
+    assert code == 0, err
+    return out
+
+
+def test_cqam_table_and_pas_keep_the_no_stretch_flag(monkeypatch, capsys):
+    assert _parameters(_fake_cqam_table(monkeypatch, capsys))["no_stretch"] is False
+    code, out, err = _run(capsys, ["pas", "-p", "5", "--frames", "20"])
+    assert code == 0, err
+    assert json.loads(json.loads(out)["provenance"]["parameters"])["no_stretch"] is False
+
+
+def test_cqam_table_rows_have_no_convention(monkeypatch, capsys):
+    # an unreachable row (Rc = 1) has no convention either
+    argv = ["--rc", "2/3", "--rc", "1"]
+    lines = _fake_cqam_table(monkeypatch, capsys, *argv).splitlines()
+    header = [l for l in lines if not l.startswith("#")][0].split(",")
+    assert header[:8] == TABLE_HEAD and "convention" not in header
+    assert "scheme" in header and "status" in header
+    doc = json.loads(_fake_cqam_table(monkeypatch, capsys, *argv, "--format", "json"))
+    assert "convention" not in doc["columns"]
+    assert [row["status"][:2] for row in doc["rows"]] == ["ok", "ok", "un", "un"]
+    assert not any("convention" in row for row in doc["rows"])
+
+
 def test_cqam_table_records_no_convention(monkeypatch, capsys):
     def fake(field, rc, **kwargs):
         return _fake_time_sharing(field, rc, None)
@@ -546,6 +604,44 @@ def test_pas_near_optimal_nu_leaves_a_shell_empty(capsys, p, nu, dof):
     assert doc["points"]["degrees_of_freedom"] == dof
 
 
+@pytest.mark.parametrize(
+    "argv", [["-p", "7"], ["-p", "13"], ["-p", "5", "--stretch", "3.0", "0.9"]],
+    ids=["p7-reference", "p13-reference", "p5-stretch"],
+)
+def test_stretched_pas_packs_no_shells(monkeypatch, capsys, argv):
+    # a stretch sets the shell radii by its law alone
+    def unexpected(field):
+        raise AssertionError("packed the shells")
+
+    monkeypatch.setattr(constellations, "_pack_shells", unexpected)
+    code, _, err = _run(capsys, ["pas", *argv, "--frames", "50"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv, p", [(["-p", "7", "--no-stretch"], 7), (["-p", "5"], 5)],
+    ids=["p7-no-stretch", "p5-no-reference"],
+)
+def test_unstretched_pas_packs_its_shells(monkeypatch, capsys, argv, p):
+    pack, packed = constellations._pack_shells, []
+
+    def counted(field):
+        packed.append(field.p)
+        return pack(field)
+
+    monkeypatch.setattr(constellations, "_pack_shells", counted)
+    code, _, err = _run(capsys, ["pas", *argv, "--frames", "50"])
+    assert code == 0, err
+    assert packed == [p]
+
+
+@pytest.mark.parametrize("stretch", [[], ["--stretch", "3.0", "0.9"]], ids=["plain", "stretch"])
+def test_pas_refuses_p2(capsys, stretch):
+    code, out, err = _run(capsys, ["pas", "-p", "2", *stretch, "--frames", "50"])
+    assert code == 2 and out == ""
+    assert err == "error: CQAM construction requires an odd prime\n"
+
+
 def test_pas_rejects_bad_rates(capsys):
     code, _, err = _run(capsys, ["pas", "-p", "5", "--rc", "1/3", "--frames", "50"])
     assert code == 2
@@ -652,7 +748,7 @@ def test_nonfinite_input_rejected(capsys, x, case):
         ("build_cqam", ["construct", "-p", "1000000007"],
          MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000007,)"),
          "error: construct ran out of memory: Unable to allocate 7.45 GiB"),
-        # list replication raises a MemoryError without a message
+        # a MemoryError may carry no message
         ("sum_distribution_dft", ["sum-dist", "-p", "3", "--factor", "0.5,0.5,0"],
          MemoryError(), "error: sum-dist ran out of memory\n"),
     ],

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from primeshape import sumdist
 from primeshape.field import Prime
 from primeshape.sumdist import (
     SymbolDistribution,
@@ -113,6 +114,46 @@ def test_fft_matches_convolution_at_large_primes(p):
     assert np.max(np.abs(a - b)) < 1e-15
     absorbed = sum_distribution_dft([*factors, SymbolDistribution.uniform(field)])
     assert np.max(np.abs(absorbed.probs - 1.0 / p)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# repeated factors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("repeat", [1, 2, 3, 4])
+def test_repeat_equals_the_replicated_factors(repeat):
+    field = Prime(7)
+    rng = np.random.default_rng(repeat)
+    factors = [SymbolDistribution(field, random_pmf(rng, 7)) for _ in range(2)]
+    factors.append(SymbolDistribution(field, np.eye(7)[3]))  # a point mass
+    a = sum_distribution_dft(factors, repeat).probs
+    b = sum_distribution_convolve(factors * repeat).probs
+    assert np.max(np.abs(a - b)) < 1e-15
+
+
+def test_huge_repeats_stay_exact():
+    field, repeat = Prime(7), 300000000
+    # a point mass shifts the sum by its symbol, `repeat` times over
+    point = SymbolDistribution(field, np.eye(7)[1])
+    npt.assert_array_equal(sum_distribution_dft([point], repeat).probs, np.eye(7)[repeat % 7])
+    # spread factors reach uniform, with a total mass that stays 1
+    spread = SymbolDistribution(field, [0.4, 0.2, 0.1, 0.05, 0.05, 0.1, 0.1])
+    for factors in ([spread], [spread, point]):
+        npt.assert_allclose(sum_distribution_dft(factors, repeat).probs, 1.0 / 7, atol=1e-16)
+
+
+def test_repeat_below_one_is_refused():
+    for repeat in (0, -2):
+        with pytest.raises(ValueError, match="repeat must be at least 1"):
+            sum_distribution_dft([SymbolDistribution.uniform(Prime(3))], repeat)
+
+
+def test_imaginary_residue_is_refused(monkeypatch):
+    ifft = np.fft.ifft
+    monkeypatch.setattr(sumdist.np.fft, "ifft", lambda x: ifft(x) + 1j * sumdist.IMAG_TOL * 2)
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        sum_distribution_dft([SymbolDistribution.uniform(Prime(5))], 3)
 
 
 # ---------------------------------------------------------------------------

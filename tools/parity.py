@@ -50,6 +50,12 @@ COMMANDS = {
     "table-cqam-csv": ["table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3"],
     "pas-p7": ["pas", "-p", "7", "-o", "report.json", "--dump-frames", "frames.csv"],
     "pas-p13": ["pas", "-p", "13", "-o", "report.json", "--dump-frames", "frames.csv"],
+    # unstretched, so its shells are packed; and a stretch of its own
+    "pas-p11": ["pas", "-p", "11", "-o", "report.json", "--dump-frames", "frames.csv"],
+    "pas-p7-stretch": [
+        "pas", "-p", "7", "--stretch", "3.0", "0.9", "-o", "report.json",
+        "--dump-frames", "frames.csv",
+    ],
     "sum-dist": [
         "sum-dist", "-p", "7", "--factor", "0.4,0.2,0.1,0.05,0.05,0.1,0.1",
         "--repeat", "3", "--format", "json",
