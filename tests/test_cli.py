@@ -418,14 +418,7 @@ def test_cqam_table_rows_have_no_convention(monkeypatch, capsys):
 
 
 def test_cqam_table_records_no_convention(monkeypatch, capsys):
-    def fake(field, rc, **kwargs):
-        return _fake_time_sharing(field, rc, None)
-
-    monkeypatch.setattr(cli, "optimize_shaped_ask", fake)
-    monkeypatch.setattr(cli, "optimize_cqam", fake)
-    code, out, err = _run(capsys, ["table", "--mode", "cqam", "-p", "5", "--rc", "2/3"])
-    assert code == 0, err
-    assert "convention" not in _parameters(out)
+    assert "convention" not in _parameters(_fake_cqam_table(monkeypatch, capsys, "--rc", "2/3"))
 
 
 def test_cqam_table_refuses_a_convention_before_any_solve(monkeypatch, capsys):
