@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one factor PMF, comma separated (repeatable)",
     )
     sd.add_argument(
-        "--repeat", type=int, default=1, help="replicate the factor list this many times"
+        "--repeat", type=int, default=1, help="sum this many copies of the given factors"
     )
     sd.add_argument(
         "--uniform-factor",
