@@ -333,8 +333,7 @@ def cmd_pas(args: argparse.Namespace) -> int:
     codewords, plan = generate_frames(
         code, shell_prior, args.frames, seed=args.seed, dm_block=args.dm_block
     )
-    target = np.array(plan.counts, dtype=float) / plan.block_length
-    report = empirical_distributions(codewords, code, shell_target=target)
+    report = empirical_distributions(codewords, code, plan)
     report["code"] = {"n": n, "k": k, "coding_rate": str(rc), "seed": args.seed}
     report["matcher"] = {
         "block_length": plan.block_length,

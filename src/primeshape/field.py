@@ -57,3 +57,12 @@ def ask_amplitudes(field: Prime) -> np.ndarray:
         raise ValueError("ASK embedding requires an odd prime")
     s = np.arange(field.p)
     return np.where(s <= field.half, s, s - field.p)
+
+
+def frozen_array(obj: object, name: str, dtype: type) -> np.ndarray:
+    """Store a read-only `dtype` copy of obj.<name> on the frozen
+    dataclass `obj` and return it; the caller's array stays its own."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr

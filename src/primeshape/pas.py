@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Prime
+from .field import Prime, frozen_array
 from .shaping import CompositionPlan, MaxwellBoltzmann, ccdm_encode
 
 #: Default distribution-matcher block length of `generate_frames`.
@@ -57,7 +57,7 @@ class CodeSpec:
                 f"coding rate {Fraction(self.k, self.n)} below 1/2; "
                 "shaped symbols would spill into the parity part"
             )
-        parity = np.array(self.parity, dtype=np.int64)
+        parity = frozen_array(self, "parity", np.int64)
         if parity.shape != (self.k, self.n - self.k):
             raise ValueError(
                 f"parity matrix must be {self.k} x {self.n - self.k}, "
@@ -65,8 +65,6 @@ class CodeSpec:
             )
         if parity.size and (parity.min() < 0 or parity.max() >= self.field.p):
             raise ValueError("parity entries must lie in 0..p-1")
-        parity.flags.writeable = False
-        object.__setattr__(self, "parity", parity)
 
     @classmethod
     def random_dense(
@@ -106,7 +104,7 @@ def encode(code: CodeSpec, info: Sequence[int] | np.ndarray) -> np.ndarray:
     info may be a length-k vector or an (m, k) matrix of symbols.
     """
     info = np.asarray(info, dtype=np.int64)
-    if info.shape[-1] != code.k:
+    if not info.ndim or info.shape[-1] != code.k:
         raise ValueError(f"information block must have length {code.k}")
     # one 1-D reduction checks both bounds: as uint64, a negative symbol
     # reads as 2**63 or more; ndarray.min() and max() cost more per frame
@@ -132,6 +130,13 @@ def split_frames(
     return shells, codewords[..., code.k:], phases, shells * code.field.p + phases
 
 
+def _frame_half(code: CodeSpec) -> int:
+    """n/2, the shell (and phase) slots of a frame; refuses an odd n."""
+    if code.n % 2:
+        raise ValueError("frame mapping needs an even code length")
+    return code.n // 2
+
+
 def map_frame(
     code: CodeSpec,
     dm_out: Sequence[int],
@@ -144,9 +149,7 @@ def map_frame(
     `split_frames`); distinct inputs yield distinct frames (the frame
     embeds both verbatim).
     """
-    if code.n % 2:
-        raise ValueError("frame mapping needs an even code length")
-    half = code.n // 2
+    half = _frame_half(code)
     if len(dm_out) != half:
         raise ValueError(f"need {half} matcher symbols per frame, got {len(dm_out)}")
     if len(src) != code.k - half:
@@ -173,11 +176,11 @@ def generate_frames(
     """
     if num_frames < 1:
         raise ValueError("need at least one frame")
+    half = _frame_half(code)
     p = code.field.p
     rng = np.random.default_rng(seed)
     plan = CompositionPlan.from_distribution(code.field, shell_prior.probs, dm_block)
     d = plan.input_length()
-    half = code.n // 2
     need = num_frames * half
 
     shaped: list[int] = []
@@ -249,15 +252,15 @@ def _chi_square_99pct(dof: int) -> float:
 def empirical_distributions(
     codewords: np.ndarray,
     code: CodeSpec,
-    shell_target: Sequence[float],
+    plan: CompositionPlan,
 ) -> dict:
     """Measure the symbol statistics a chain actually produced.
 
-    codewords are the (frames, n) codewords of `generate_frames`.
-    Reports the parity PMF with its uniformity gap, the shell PMF
-    against shell_target (the matcher's composition, in `pas`), and a
-    chi-square statistic of the per-point counts against the product
-    law target_shell x uniform-phase, with the 0.99 quantile for
+    codewords and plan are the (frames, n) codewords and the composition
+    plan of `generate_frames`.  Reports the parity PMF with its
+    uniformity gap, the shell PMF against the target counts / N of the
+    plan, and a chi-square statistic of the per-point counts against the
+    product law target_shell x uniform-phase, with the 0.99 quantile for
     reference.  The statistic and its degrees of freedom cover the
     points with a positive expected count; a point the frames use but
     the target excludes is rejected.
@@ -275,12 +278,7 @@ def empirical_distributions(
 
     parity_pmf = np.bincount(parity, minlength=p) / parity.size
     shell_pmf = np.bincount(shells, minlength=p) / shells.size
-    target = np.asarray(shell_target, dtype=float)
-    if target.shape != (p,):
-        raise ValueError(f"shell target must have {p} entries")
-
-    if not np.all(np.isfinite(target) & (target >= 0.0)):
-        raise ValueError("shell target must be finite and nonnegative")
+    target = np.array(plan.counts, dtype=float) / plan.block_length
 
     point_counts = np.bincount(points, minlength=p * p).astype(float)
     expected = np.repeat(target / p, p) * points.size

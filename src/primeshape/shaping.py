@@ -24,33 +24,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Prime, ask_amplitudes
+from .field import Prime, ask_amplitudes, frozen_array
+from .sumdist import check_pmf
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MaxwellBoltzmann:
     """An MB-shaped prior over an amplitude alphabet.
 
-    probs[i] is proportional to exp(-nu * amplitudes[i]^2); entries are
-    kept in the caller's alphabet order (not sorted).
+    probs[i] is proportional to exp(-nu * amplitudes[i]^2) for the nu of
+    `from_amplitudes`; entries are kept in the caller's alphabet order
+    (not sorted).
     """
 
-    nu: float
     amplitudes: np.ndarray = dataclass_field(repr=False)
     probs: np.ndarray = dataclass_field(repr=False)
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=float)
-        probs = np.array(self.probs, dtype=float)
+        amps = frozen_array(self, "amplitudes", float)
+        probs = frozen_array(self, "probs", float)
         if amps.shape != probs.shape or amps.ndim != 1:
             raise ValueError("amplitudes and probs must be 1-D with equal length")
-        # NaN fails every comparison, so each check states what must hold
-        if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
-            raise ValueError("probs must be a normalized PMF")
-        amps.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "probs", probs)
+        check_pmf(probs, "prior")
 
     @classmethod
     def from_amplitudes(cls, nu: float, amplitudes: Sequence[float]) -> "MaxwellBoltzmann":
@@ -59,11 +54,13 @@ class MaxwellBoltzmann:
         amps = np.asarray(amplitudes, dtype=float)
         if amps.size == 0:
             raise ValueError("amplitude alphabet must be nonempty")
-        # subtract the minimum exponent before exponentiating for stability
-        expo = -nu * amps**2
+        # subtract the minimum exponent before exponentiating for stability;
+        # a huge nu overflows outer exponents to -inf, whose weight is 0
+        with np.errstate(over="ignore"):
+            expo = -nu * amps**2
         expo -= expo.max()
         weights = np.exp(expo)
-        return cls(nu, amps, weights / weights.sum())
+        return cls(amps, weights / weights.sum())
 
     def entropy_bits(self) -> float:
         p = self.probs[self.probs > 0.0]
@@ -139,8 +136,9 @@ class CompositionPlan:
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (field.p,):
             raise ValueError("PMF length must equal the field size")
-        if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-9):
-            raise ValueError("probs must be a normalized PMF")
+        # looser than NORMALIZATION_TOL: PMFs from outside the library
+        # only need to round to the same counts
+        check_pmf(probs, "PMF", tol=1e-9)
         ideal = probs * block_length
         counts = np.floor(ideal).astype(int)
         remainder = ideal - counts

@@ -25,13 +25,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import Prime
+from .field import Prime, frozen_array
 
 #: Tolerance on sum(probs) == 1 for validated distributions.
 NORMALIZATION_TOL = 1e-12
 
 #: Residual imaginary parts above this level indicate a broken transform.
 IMAG_TOL = 1e-10
+
+
+def check_pmf(probs: np.ndarray, what: str, tol: float = NORMALIZATION_TOL) -> None:
+    """Raise ValueError unless `probs` is nonnegative and sums to 1 within tol;
+    `what` names the distribution in the message."""
+    # NaN fails every comparison, so each check states what must hold
+    if not np.all(probs >= 0.0):
+        raise ValueError(f"{what} entries must be nonnegative numbers")
+    total = probs.sum()
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"{what} sums to {float(total)!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -42,20 +53,13 @@ class SymbolDistribution:
     probs: np.ndarray = dataclass_field(repr=False)
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
+        probs = frozen_array(self, "probs", float)
         if probs.shape != (self.field.p,):
             raise ValueError(
                 f"PMF over F_{self.field.p} must have length {self.field.p}, "
                 f"got shape {probs.shape}"
             )
-        # NaN fails every comparison, so each check states what must hold
-        if not np.all(probs >= 0.0):
-            raise ValueError("PMF entries must be nonnegative numbers")
-        total = probs.sum()
-        if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError(f"PMF sums to {float(total)!r}, expected 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        check_pmf(probs, "PMF")
 
     @classmethod
     def uniform(cls, field: Prime) -> "SymbolDistribution":
@@ -98,8 +102,10 @@ def sum_distribution_dft(
     if np.max(np.abs(pmf_c.imag)) > IMAG_TOL:
         raise RuntimeError("character inversion left a large imaginary residue")
     pmf = pmf_c.real
+    if pmf.min() < -NORMALIZATION_TOL:
+        raise RuntimeError(f"the transform power lost precision: an entry reads {pmf.min():.2g}")
     # roundoff can leave entries at -1e-17; clip before validation
-    pmf = np.where((pmf < 0.0) & (pmf > -NORMALIZATION_TOL), 0.0, pmf)
+    pmf = np.where(pmf < 0.0, 0.0, pmf)
     return SymbolDistribution(fld, pmf)
 
 

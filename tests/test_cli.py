@@ -113,6 +113,17 @@ def test_sum_dist_repeat_is_a_power_not_a_list(capsys, uniform, num_factors):
     assert np.allclose(doc["pmf"], 1.0 / 3.0, rtol=0.0, atol=1e-15)
 
 
+def test_sum_dist_lost_precision_exits_3(capsys):
+    code, out, err = _run(
+        capsys,
+        ["sum-dist", "-p", "7", "--factor", "0.000000001,0.999999999,0,0,0,0,0",
+         "--repeat", "100000"],
+    )
+    assert code == 3
+    assert err.startswith("error: ") and "lost precision" in err
+    assert out == ""
+
+
 def test_sum_dist_rejects_composite_modulus(capsys):
     code, _, err = _run(
         capsys, ["sum-dist", "-p", "6", "--factor", "0.5,0.1,0.1,0.1,0.1,0.1"]
@@ -703,7 +714,7 @@ def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
         lambda x: Stretch(x, 0.7),
         lambda x: Stretch(4.8, x),
         lambda x: SymbolDistribution(Prime(3), [x, 0.5, 0.5]),
-        lambda x: MaxwellBoltzmann(0.1, [1.0, 2.0], [x, 0.5]),
+        lambda x: MaxwellBoltzmann([1.0, 2.0], [x, 0.5]),
         lambda x: MaxwellBoltzmann.from_amplitudes(x, [1.0, 2.0]),
         lambda x: CompositionPlan.from_distribution(Prime(3), [x, 0.5, 0.5], 8),
         lambda x: mi_real_points(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), x),

@@ -44,7 +44,7 @@ def test_constellation_invariants():
 
 def test_build_cqam_applies_stretch_params():
     # build_cqam builds the geometry params describe, stretched or not;
-    # build_cqam_stretched is the entry that insists on a stretch
+    # build_cqam_stretched is only another name for it
     for p in (7, 13):
         params = CqamParams(stretch=REFERENCE_STRETCH[p])
         c = build_cqam(Prime(p), params)
@@ -58,8 +58,7 @@ def test_build_cqam_applies_stretch_params():
         angles = 2.0 * np.pi * np.arange(p) / p + phases[:, None]
         expected = (rho[:, None] * np.exp(1j * angles)).ravel()
         npt.assert_allclose(c.points, expected, atol=1e-13)
-    with pytest.raises(ValueError, match="requires stretch"):
-        build_cqam_stretched(Prime(5), CqamParams())
+    assert build_cqam_stretched is build_cqam
 
 
 # ---------------------------------------------------------------------------

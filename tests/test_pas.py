@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import primeshape
+from primeshape import pas
 from primeshape.constellations import build_cqam
 from primeshape.field import Prime
 from primeshape.pas import (
@@ -21,7 +22,7 @@ from primeshape.pas import (
     map_frame,
     split_frames,
 )
-from primeshape.shaping import MaxwellBoltzmann, ccdm_decode
+from primeshape.shaping import CompositionPlan, MaxwellBoltzmann, ccdm_decode
 
 P5 = Prime(5)
 P7 = Prime(7)
@@ -87,6 +88,8 @@ def test_encode_rejects_bad_input():
     with pytest.raises(ValueError):
         encode(code, [1, 2, 3])  # wrong length
     with pytest.raises(ValueError):
+        encode(code, 3)  # a 0-d block
+    with pytest.raises(ValueError):
         encode(code, [1, 2, 3, 5])  # symbol out of field
     with pytest.raises(ValueError):
         encode(code, [1, 2, 3, -1])
@@ -134,8 +137,7 @@ def test_random_dense_parity_uniform_under_degenerate_shells():
     cqam = build_cqam(P5)
     prior = MaxwellBoltzmann.from_amplitudes(100.0, cqam.shells.radii)
     codewords, plan = generate_frames(code, prior, num_frames=2000, seed=2)
-    target = np.array(plan.counts) / plan.block_length
-    report = empirical_distributions(codewords, code, shell_target=target)
+    report = empirical_distributions(codewords, code, plan)
     sigma = math.sqrt(0.2 * 0.8 / report["num_parity_symbols"])
     assert report["parity"]["uniformity_gap"] < 6 * sigma
 
@@ -251,13 +253,23 @@ def test_generate_frames_rejects_empty():
         generate_frames(code, prior, num_frames=0, seed=1)
 
 
+def test_generate_frames_refuses_odd_length_before_matching(monkeypatch):
+    def matcher(*args):
+        raise AssertionError("the matcher ran for a code no frame can use")
+
+    monkeypatch.setattr(pas, "ccdm_encode", matcher)
+    _, prior = _chain_pieces()
+    odd = CodeSpec(P5, 5, 3, np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError, match="even code length"):
+        generate_frames(odd, prior, num_frames=20, seed=1)
+
+
 def test_chain_statistics():
     # moderate run: parity near-uniform, shells near the matcher's
     # composition, and the product-law chi-square inside its 99% quantile
     code, prior = _chain_pieces()
     codewords, plan = generate_frames(code, prior, num_frames=4000, seed=12)
-    target = [c / plan.block_length for c in plan.counts]
-    report = empirical_distributions(codewords, code, shell_target=target)
+    report = empirical_distributions(codewords, code, plan)
     assert report["num_points"] == 12000
     assert report["parity"]["uniformity_gap"] < 0.02
     assert report["shells"]["max_abs_dev"] < 0.02
@@ -268,13 +280,11 @@ def test_chain_statistics():
 
 def test_empirical_distributions_guards():
     code, prior = _chain_pieces()
-    codewords, _ = generate_frames(code, prior, num_frames=50, seed=1)
-    with pytest.raises(ValueError):
-        empirical_distributions(codewords, code, shell_target=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        empirical_distributions(
-            codewords, code, shell_target=[1.0, 0.0, 0.0, 0.0, 0.0]
-        )
+    codewords, plan = generate_frames(code, prior, num_frames=50, seed=1)
+    # a plan that gives every shell but the first an expected count of 0
+    N = plan.block_length
+    with pytest.raises(ValueError, match="expected count is zero"):
+        empirical_distributions(codewords, code, CompositionPlan(P5, N, (N, 0, 0, 0, 0)))
 
 
 def test_all_lists_the_public_names():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,6 +43,11 @@ def test_large_nu_concentrates_on_zero():
     prior = mb_ask_prior(Prime(7), 50.0)
     assert prior.probs[0] > 1.0 - 1e-12
     npt.assert_allclose(prior.probs.sum(), 1.0, atol=1e-12)
+    # a nu whose outer exponents overflow gives the point mass, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = mb_ask_prior(Prime(7), 1e308)
+    assert huge.probs.tolist() == [1.0] + [0.0] * 6
 
 
 def test_negative_nu_rejected():

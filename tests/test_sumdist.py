@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from primeshape import sumdist
+from primeshape.constellations import Constellation
 from primeshape.field import Prime
+from primeshape.shaping import CompositionPlan, MaxwellBoltzmann
 from primeshape.sumdist import (
     SymbolDistribution,
     sum_distribution_convolve,
@@ -32,6 +34,41 @@ def test_pmf_validation():
         SymbolDistribution(f5, [0.5, 0.6, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         SymbolDistribution(f5, [1.2, -0.2, 0.0, 0.0, 0.0])  # negative entry
+
+
+@pytest.mark.parametrize(
+    "what, make, tol",
+    [
+        ("PMF", lambda q: SymbolDistribution(Prime(3), q), sumdist.NORMALIZATION_TOL),
+        ("prior", lambda q: MaxwellBoltzmann(np.array([0.0, 1.0, 2.0]), q),
+         sumdist.NORMALIZATION_TOL),
+        ("prior", lambda q: Constellation(np.exp(2j * np.pi * np.arange(3) / 3), q),
+         sumdist.NORMALIZATION_TOL),
+        ("PMF", lambda q: CompositionPlan.from_distribution(Prime(3), q, 8), 1e-9),
+    ],
+    ids=["SymbolDistribution", "MaxwellBoltzmann", "Constellation", "from_distribution"],
+)
+def test_every_pmf_follows_one_rule(what, make, tol):
+    make(np.array([0.25, 0.25, 0.5]))
+    with pytest.raises(ValueError, match=f"^{what} entries must be nonnegative numbers$"):
+        make(np.array([-0.25, 0.75, 0.5]))
+    with pytest.raises(ValueError, match=rf"^{what} sums to 1\.25, expected 1$"):
+        make(np.array([0.25, 0.5, 0.5]))
+    # a total off by 1e-10 passes only the looser rule for outside PMFs
+    off = np.array([0.25, 0.25, 0.5 + 1e-10])
+    if tol > 1e-10:
+        make(off)
+    else:
+        with pytest.raises(ValueError, match="expected 1"):
+            make(off)
+
+
+def test_lost_precision_is_a_numerical_failure():
+    # so close to a point mass the transform's phases carry roundoff that
+    # the power multiplies by `repeat`, leaving an entry at -6.9e-12
+    factor = SymbolDistribution(Prime(7), [1e-9, 1.0 - 1e-9, 0, 0, 0, 0, 0])
+    with pytest.raises(RuntimeError, match="lost precision"):
+        sum_distribution_dft([factor], repeat=100000)
 
 
 def test_factors_must_share_field():

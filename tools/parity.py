@@ -61,6 +61,8 @@ COMMANDS = {
         "--repeat", "3", "--format", "json",
     ],
     "construct": ["construct", "-p", "13", "--stretch", "6.0", "0.8", "-o", "points.csv"],
+    # unstretched, so the packed shells themselves are diffed
+    "construct-p11": ["construct", "-p", "11", "-o", "points.csv"],
 }
 
 #: The provenance line naming the tool version, in CSV and in JSON output.
