@@ -64,18 +64,17 @@ reductions carry over to it whenever the change keeps the prior uniform
 on each orbit, as the Maxwell-Boltzmann family does.
 
 `shell_conditioning` gives the p-fold reduction's conditioning points
-and weights for a shell-structured constellation; `mi_complex_cqam`
-applies it, and the optimizer's CQAM curves condition on it too.
-`mi_complex_naive` conditions on all p^2 points through the same kernel
-and is its oracle in the tests, so it checks the p-fold reduction only;
-the independent oracles for the kernel itself live in the tests.
+and weights for a shell-structured constellation, and the optimizer's
+CQAM curves condition on it.  `tests/oracles.py` holds `mi_complex_cqam`,
+which applies it, and `mi_complex_naive`, which conditions on all p^2
+points through the same kernel and so checks the p-fold reduction only;
+the independent oracles for the kernel itself live in the tests too.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Literal
 
@@ -111,20 +110,6 @@ _BLOCK_TERMS = 1 << 15
 #: freed heap top above its trim threshold (128 KiB until a large block is
 #: freed) back to the system, and the next call faults it back in.
 _scratch = threading.local()
-
-
-@dataclass(frozen=True, slots=True)
-class ChannelSnr:
-    """An operating point gamma = E_s / N_0 on a real or complex channel."""
-
-    gamma: float
-    dimension: Literal["real", "complex"]
-
-    def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if self.dimension not in ("real", "complex"):
-            raise ValueError("dimension must be 'real' or 'complex'")
 
 
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +327,8 @@ def mi_complex_points(
 def shell_conditioning(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     """The p-fold reduction of a shell-structured constellation with
     shell-uniform priors: one conditioning point per shell, and the shell
-    priors as their weights (`condition_on`, `condition_weights`)."""
+    priors as their weights (`condition_on`, `condition_weights`).
+    `mi_complex_naive` in `tests/oracles.py` is its oracle."""
     if c.shells is None:
         raise ValueError("constellation has no shell structure")
     p = c.shells.num_shells
@@ -350,46 +336,6 @@ def shell_conditioning(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(grid - grid[:, :1]) > 1e-12):
         raise ValueError("priors are not uniform within shells")
     return c.points[np.arange(p) * p], grid.sum(axis=1)
-
-
-def _sigma(c: Constellation, snr: ChannelSnr, dimension: str, caller: str) -> float:
-    """Noise deviation per real component that puts c at snr."""
-    if snr.dimension != dimension:
-        raise ValueError(f"{caller} needs a {dimension}-dimension SNR")
-    energy = c.mean_energy()
-    if energy <= 0.0:
-        raise ValueError("zero-energy constellation has no SNR interpretation")
-    return math.sqrt(energy / (2.0 * snr.gamma))
-
-
-def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:
-    """I(X; Y) of a real constellation at gamma = E_s / N_0."""
-    sigma = _sigma(c, snr, "real", "mi_real")
-    if np.abs(c.points.imag).max() > 0.0:
-        raise ValueError("constellation is not real-valued")
-    return mi_real_points(c.points.real, c.priors, sigma, nodes)[0]
-
-
-def mi_complex_cqam(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:
-    """I(X; Y) of a shell-structured complex constellation, shell-uniform priors.
-
-    Exploits the p-fold rotational symmetry: one conditional term per
-    shell, weighted by the shell prior (`shell_conditioning`), as the
-    optimizer's CQAM curves do; `mi_complex_naive` is its oracle.
-    """
-    sigma = _sigma(c, snr, "complex", "mi_complex_cqam")
-    reps, shell_pri = shell_conditioning(c)
-    return mi_complex_points(
-        c.points, c.priors, sigma, nodes, condition_on=reps, condition_weights=shell_pri
-    )[0]
-
-
-def mi_complex_naive(
-    c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES
-) -> float:
-    """Cross-check oracle: full conditional sum over every point."""
-    sigma = _sigma(c, snr, "complex", "mi_complex_naive")
-    return mi_complex_points(c.points, c.priors, sigma, nodes)[0]
 
 
 def capacity_gamma(rate: float, dimension: Literal["real", "complex"]) -> float:

@@ -37,8 +37,8 @@ uniform symbols' bits.  Three schemes are provided:
   and a uniform phase on the complex channel; the uniform baseline is
   the unstretched construction under uniform priors.  Its curves
   condition on one point per shell (`awgn_mi.shell_conditioning`), the
-  p-fold reduction of `mi_complex_cqam`, which the tests hold to the
-  full conditional sum of `mi_complex_naive`.
+  p-fold reduction that the tests hold to the full conditional sum of
+  `mi_complex_naive` in `tests/oracles.py`.
 
 One builder serves both ASK schemes, full shaping being time sharing
 with every channel use shaped; both share the uniform p-ASK baseline.

@@ -54,10 +54,16 @@ class MaxwellBoltzmann:
         amps = np.asarray(amplitudes, dtype=float)
         if amps.size == 0:
             raise ValueError("amplitude alphabet must be nonempty")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         # subtract the minimum exponent before exponentiating for stability;
         # a huge nu overflows outer exponents to -inf, whose weight is 0
         with np.errstate(over="ignore"):
             expo = -nu * amps**2
+        if expo.max() == -np.inf:
+            # every exponent overflowed: the nu -> inf limit, equal mass on
+            # the smallest |a|
+            expo = np.where(np.abs(amps) == np.abs(amps).min(), 0.0, -np.inf)
         expo -= expo.max()
         weights = np.exp(expo)
         return cls(amps, weights / weights.sum())

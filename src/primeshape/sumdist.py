@@ -7,7 +7,8 @@ the multiplicative action of the field characters: with w = exp(2*pi*j/p),
 
 i.e. the character transform of the sum factors into a product of the
 per-symbol transforms, and an inverse transform recovers the PMF.  A
-direct cyclic convolution provides an independent cross-check.
+direct cyclic convolution, `sum_distribution_convolve` in
+`tests/oracles.py`, provides an independent cross-check.
 
 Two immediate consequences used throughout the package:
 
@@ -107,30 +108,6 @@ def sum_distribution_dft(
     # roundoff can leave entries at -1e-17; clip before validation
     pmf = np.where(pmf < 0.0, 0.0, pmf)
     return SymbolDistribution(fld, pmf)
-
-
-def sum_distribution_convolve(
-    factors: Iterable[SymbolDistribution],
-) -> SymbolDistribution:
-    """Reference implementation by direct cyclic convolution, O(m * p^2).
-
-    Kept deliberately elementary (index arithmetic only) so it can serve
-    as an independent oracle for sum_distribution_dft.
-    """
-    factors = list(factors)
-    fld = _common_field(factors)
-    p = fld.p
-    acc = np.zeros(p)
-    acc[0] = 1.0
-    for f in factors:
-        out = np.zeros(p)
-        for a in range(p):
-            if acc[a] == 0.0:
-                continue
-            for b in range(p):
-                out[(a + b) % p] += acc[a] * f.probs[b]
-        acc = out
-    return SymbolDistribution(fld, acc)
 
 
 def uniformity_gap(dist: SymbolDistribution) -> float:

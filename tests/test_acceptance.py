@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primeshape.awgn_mi import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
 from primeshape.constellations import (
     CqamParams,
     Stretch,
@@ -36,7 +35,6 @@ from primeshape.shaping import (
 )
 from primeshape.sumdist import (
     SymbolDistribution,
-    sum_distribution_convolve,
     sum_distribution_dft,
     uniformity_gap,
 )
@@ -178,6 +176,8 @@ def test_sum_distribution_oracles():
     """Character-transform PMF of a mod-p sum agrees with the exhaustive
     convolution oracle to 1e-10 over 100 random cases per field, and the
     uniform-absorption and single-factor cases are exact."""
+    from oracles import sum_distribution_convolve
+
     failures: list[str] = []
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -267,6 +267,8 @@ def test_mi_engine_properties():
     """Symmetry-reduced MI equals the naive per-point sum, MI is monotone
     in SNR, quadrature doubling is converged, and both asymptotes are
     approached."""
+    from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
+
     failures: list[str] = []
     p5 = Prime(5)
     cqam = build_cqam(p5)

@@ -11,15 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 
+from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
 from primeshape.awgn_mi import (
-    ChannelSnr,
     _logsumexp_last,
     _rule,
     capacity_gamma,
-    mi_complex_cqam,
-    mi_complex_naive,
     mi_complex_points,
-    mi_real,
     mi_real_points,
     shell_conditioning,
 )

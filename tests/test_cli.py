@@ -716,6 +716,7 @@ def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
         lambda x: SymbolDistribution(Prime(3), [x, 0.5, 0.5]),
         lambda x: MaxwellBoltzmann([1.0, 2.0], [x, 0.5]),
         lambda x: MaxwellBoltzmann.from_amplitudes(x, [1.0, 2.0]),
+        (lambda x: MaxwellBoltzmann.from_amplitudes(0.0, [x, 1.0]), "amplitudes must be finite"),
         lambda x: CompositionPlan.from_distribution(Prime(3), [x, 0.5, 0.5], 8),
         lambda x: mi_real_points(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), x),
         lambda x: mi_complex_points(np.array([-1.0, 1.0j]), np.array([0.5, 0.5]), x),
@@ -724,7 +725,7 @@ def test_bad_paths_and_job_counts_exit_2(tmp_path, capsys, argv, message):
     ],
     ids=[
         "construct", "sum-dist", "table", "pas", "rho_max", "beta", "SymbolDistribution",
-        "MaxwellBoltzmann", "from_amplitudes", "from_distribution", "mi_real_points",
+        "MaxwellBoltzmann", "from_amplitudes", "amplitude", "from_distribution", "mi_real_points",
         "mi_complex_points", "Constellation-prior", "Constellation-point",
     ],
 )
@@ -737,7 +738,8 @@ def test_nonfinite_input_rejected(capsys, x, case):
         if case[0] == "sum-dist":
             assert f"factor sums to {x}," in err  # a plain float, not np.float64(...)
     else:
-        with pytest.raises(ValueError):
+        case, message = case if isinstance(case, tuple) else (case, None)
+        with pytest.raises(ValueError, match=message):
             case(float(x))
 
 

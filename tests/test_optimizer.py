@@ -9,8 +9,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ChannelSnr, mi_complex_cqam
 from primeshape import constellations, optimizer
-from primeshape.awgn_mi import ChannelSnr, capacity_gamma, mi_complex_cqam
+from primeshape.awgn_mi import capacity_gamma
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import CqamParams, Stretch, build_cqam
 from primeshape.field import Prime

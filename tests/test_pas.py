@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import types
 
@@ -100,6 +101,20 @@ def test_encode_rejects_bad_input():
         for info in (batch[2], batch):
             with pytest.raises(ValueError, match="must lie in 0..p-1"):
                 encode(code, info)
+    # a non-integer is refused, not truncated, and NaN without a cast warning
+    dense = CodeSpec.random_dense(P5, 6, 4, seed=1)
+    for bad in (0.5, 1.9, np.nan, np.inf):
+        batch = np.zeros((3, 4))
+        batch[2, 1] = bad
+        for info in (batch[2], batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be integers"):
+                    encode(dense, info)
+    with pytest.raises(ValueError, match="must be integers"):
+        encode(dense, [0.5, 1.9, 2, 3])
+    # integral floats are kept
+    assert encode(dense, [0.0, 1.0, 2.0, 3.0]).tolist() == encode(dense, [0, 1, 2, 3]).tolist()
 
 
 def test_codespec_validation():
@@ -111,6 +126,12 @@ def test_codespec_validation():
         CodeSpec(P5, 6, 4, np.zeros((3, 2), dtype=int))  # wrong shape
     with pytest.raises(ValueError):
         CodeSpec(P5, 6, 4, np.full((4, 2), 5))  # entries outside F_5
+    # a non-integer entry is refused, not truncated to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="parity entries must be integers"):
+                CodeSpec(P5, 6, 4, [[bad, 2], [3, 0], [4, 4], [2, 1]])
 
 
 def test_random_dense_column_weights():
@@ -173,6 +194,10 @@ def test_map_frame_zero_inputs():
     code = _toy_code()
     word = map_frame(code, [0, 0, 0], [0])
     assert split_frames(code, word)[3].tolist() == [0, 0, 0]
+    # at R_c = 1/2 there are no source symbols, and the frame's information
+    # [0, 0, 0] + [] concatenates to float64, which encode still takes
+    half = CodeSpec(P5, 6, 3, np.ones((3, 3), dtype=int))
+    assert map_frame(half, [0, 0, 0], []).tolist() == [0] * 6
 
 
 def test_map_frame_injective_on_sample():
@@ -285,6 +310,9 @@ def test_empirical_distributions_guards():
     N = plan.block_length
     with pytest.raises(ValueError, match="expected count is zero"):
         empirical_distributions(codewords, code, CompositionPlan(P5, N, (N, 0, 0, 0, 0)))
+    # a plan over another field than the code's
+    with pytest.raises(ValueError, match="plan over F_3 does not fit a code over F_5"):
+        empirical_distributions(codewords, code, CompositionPlan(Prime(3), 64, (30, 20, 14)))
 
 
 def test_all_lists_the_public_names():

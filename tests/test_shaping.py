@@ -47,7 +47,13 @@ def test_large_nu_concentrates_on_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         huge = mb_ask_prior(Prime(7), 1e308)
+        # without a zero amplitude every exponent overflows: the limit puts
+        # equal mass on the smallest |a|
+        pair = MaxwellBoltzmann.from_amplitudes(1e308, [2.0, 3.0])
+        mirrored = MaxwellBoltzmann.from_amplitudes(1e308, [3.0, 2.0, -2.0])
     assert huge.probs.tolist() == [1.0] + [0.0] * 6
+    assert pair.probs.tolist() == [1.0, 0.0]
+    assert mirrored.probs.tolist() == [0.0, 0.5, 0.5]
 
 
 def test_negative_nu_rejected():

@@ -4,13 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import sum_distribution_convolve
 from primeshape import sumdist
 from primeshape.constellations import Constellation
 from primeshape.field import Prime
 from primeshape.shaping import CompositionPlan, MaxwellBoltzmann
 from primeshape.sumdist import (
     SymbolDistribution,
-    sum_distribution_convolve,
     sum_distribution_dft,
     uniformity_gap,
 )
