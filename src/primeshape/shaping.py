@@ -54,7 +54,7 @@ class MaxwellBoltzmann:
         amps = np.asarray(amplitudes, dtype=float)
         if amps.size == 0:
             raise ValueError("amplitude alphabet must be nonempty")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         # subtract the minimum exponent before exponentiating for stability;
         # a huge nu overflows outer exponents to -inf, whose weight is 0

@@ -177,7 +177,6 @@ def test_sum_distribution_oracles():
     convolution oracle to 1e-10 over 100 random cases per field, and the
     uniform-absorption and single-factor cases are exact."""
     from oracles import sum_distribution_convolve
-
     failures: list[str] = []
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -268,7 +267,6 @@ def test_mi_engine_properties():
     in SNR, quadrature doubling is converged, and both asymptotes are
     approached."""
     from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
-
     failures: list[str] = []
     p5 = Prime(5)
     cqam = build_cqam(p5)
