@@ -234,8 +234,15 @@ def min_distance(c: Constellation) -> float:
     """Minimum Euclidean distance over distinct point pairs."""
     if c.size < 2:
         raise ValueError("minimum distance needs at least 2 points")
-    # one row of the pair distances at a time: O(M) memory, not O(M^2)
-    dmin = float(min(np.abs(x - c.points[i + 1:]).min() for i, x in enumerate(c.points[:-1])))
+    # 16 rows of the pair distances at a time: O(M) memory, not O(M^2).
+    # Rows [a, b) run against the points from a + 1 on, each point's
+    # distance to itself (row i, column i - a - 1) masked
+    pts, dmin = c.points, math.inf
+    for a in range(0, c.size - 1, 16):
+        b = min(a + 16, c.size - 1)
+        d = np.abs(pts[a:b, None] - pts[None, a + 1:])
+        d[np.arange(1, b - a), np.arange(b - a - 1)] = np.inf
+        dmin = min(dmin, float(d.min()))
     if dmin <= 1e-15 * max(1.0, float(np.abs(c.points).max())):
         raise ValueError("constellation contains duplicate points")
     return dmin

@@ -72,18 +72,20 @@ def symbol_array(values: object, field: Prime, what: str) -> np.ndarray:
     """`values` as an int64 array of symbols of `field`.
 
     Raises ValueError, naming `what`, for a value that is not an integer
-    (NaN included), where a cast would truncate it, or that lies outside
-    0..p-1.  An integral float is kept, and an int64 array is returned as
-    it is.
+    (NaN included), where a cast would truncate it, for an array that is
+    not boolean, integer or float, and for a value outside 0..p-1.  An
+    integral float is kept, and an int64 array is returned as it is.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":  # complex, object, str: refused before a cast
+        raise ValueError(f"{what} must be integers")
     if arr.dtype != np.int64:
         # NaN and inf cast to arbitrary integers, which the comparison
         # refuses; another integer dtype casts exactly or wraps to a
         # negative, which the range check refuses
         with np.errstate(invalid="ignore"):
             ints = arr.astype(np.int64)
-        if arr.dtype.kind not in "biu" and not np.array_equal(ints, arr):
+        if arr.dtype.kind == "f" and not np.array_equal(ints, arr):
             raise ValueError(f"{what} must be integers")
         arr = ints
     # one 1-D reduction checks both bounds: as uint64, a negative symbol

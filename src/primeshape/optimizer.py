@@ -58,16 +58,22 @@ d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
 by linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
-the first nu from gamma_unif, and the CQAM re-solve at `nodes` from the
-gamma its search found at SEARCH_NODES.  It ends on a Newton step it does
-not evaluate once that step is short and Newton's predicted error after
-it is far below the tolerance.  Holding the rate at the target gives the gradient
-d ln gamma_A / d nu = -(d rate / d nu) / (d rate / d ln gamma) at the
-returned gamma, both derivatives extrapolated linearly in log gamma from
-the solve's last two evaluations.  The nu search is a safeguarded secant
-method on that gradient, from the bracket [0, nu_max], that starts each
-solve from the nearest solved nu moved along its gradient and doubles
-the bracket while gamma_A still falls at its upper edge.  No curve
+the first nu from gamma_unif, and each CQAM refinement at `nodes` from
+the gamma its solve at SEARCH_NODES found.  It ends on a Newton step it
+does not evaluate once that step is short and Newton's predicted error
+after it is far below the tolerance.  That error needs the curvature
+d slope / d ln gamma, which a solve takes from its last two evaluations;
+each solve hands it to the next, which borrows it for its first, so a
+solve from a hint close enough to the crossing costs one evaluation.
+The nu search's solves pass it along, the baseline's starts that chain,
+and a forced nu is solved cold.  Holding the rate at the target gives
+the gradient d ln gamma_A / d nu = -(d rate / d nu) / (d rate / d ln
+gamma) at the returned gamma, both derivatives extrapolated linearly in
+log gamma from the solve's last two evaluations.  The nu search is a
+safeguarded secant method on that gradient, from the bracket [0,
+nu_max], that starts each solve from the nearest solved nu moved along
+its gradient, to second order once two nu are solved, and doubles the
+bracket while gamma_A still falls at its upper edge.  No curve
 reaches the target at or below gamma_cap (each is at most the capacity,
 and a time-averaged mix of two is at most the capacity of their mean
 energy, by Jensen's inequality), so every hint is raised to gamma_cap.
@@ -128,8 +134,9 @@ RATE_RESIDUAL_TOL = 1e-7
 #: superlinearly: every table row moved by under 1e-11 dB at 2.5e-6.
 NU_REL_TOL = 1e-4
 
-#: Gauss-Hermite node count per real dimension of the CQAM nu search, or
-#: `nodes` when that is smaller; a larger `nodes` re-solves the optimum.
+#: Gauss-Hermite node count per real dimension of the CQAM solves, or
+#: `nodes` when that is smaller.  A larger `nodes` refines the baseline and
+#: the optimum there, each in one evaluation from its SEARCH_NODES solve.
 #: The complex rule's size grows as the square of the node count, so the
 #: coarser search pays there, and moved the 7^2 and 13^2 rows at R_c = 2/3
 #: by under 1e-12 dB.  The p-ASK schemes search at `nodes`: at 48 nodes the
@@ -154,6 +161,8 @@ def snr_for_rate(
     rate_fn: Callable[[float], tuple[float, ...]],
     target: float,
     hint: float | None = None,
+    *,
+    curvature: float | None = None,
 ) -> float:
     """Invert a monotone rate curve: the gamma where rate crosses target.
 
@@ -173,10 +182,13 @@ def snr_for_rate(
     or that is predicted to land: at most PREDICTED_STEP_MAX long, with
     Newton's error after it, |f'' / (2 f')| step^2 (Dennis & Schnabel,
     1983, ch. 2), at most LOG_GAMMA_TOL / 4, f'' taken from the slopes
-    of the last two evaluations.  It returns that step's end without
-    evaluating it.  It also stops on a bracket narrower than
-    LOG_GAMMA_TOL.  A hint near the crossing, such as the gamma of a
-    neighbouring solve, saves rate evaluations; it does not change the
+    of the last two evaluations.  At the first evaluation f'' is
+    `curvature`, d slope / d ln gamma borrowed from a neighbouring solve;
+    without it the first step is never predicted.  It returns that
+    step's end without evaluating it.  It also stops on a bracket
+    narrower than LOG_GAMMA_TOL.  A hint near the crossing, such as the
+    gamma of a neighbouring solve, saves rate evaluations, and with that
+    solve's curvature one evaluation can suffice; neither changes the
     result beyond that tolerance.  Raises UnreachableRateError when the
     target exceeds the rate at GAMMA_MAX, ValueError for a nonpositive
     target, a hint that is not positive or a target reached at
@@ -216,8 +228,12 @@ def snr_for_rate(
             break
         step = -f / slope if 0.0 < slope < math.inf else math.nan
         # the Newton model's residual at t + step, 1/2 f'' step^2, with f''
-        # from the slopes of this evaluation and the previous one
-        curv = (slope - last[1]) / (t - last[0]) if last and t != last[0] else math.nan
+        # from the slopes of this evaluation and the previous one, or the
+        # borrowed curvature at the first
+        if last is None:
+            curv = math.nan if curvature is None else curvature
+        else:
+            curv = (slope - last[1]) / (t - last[0]) if t != last[0] else math.nan
         last, f_next = (t, slope), 0.5 * curv * step * step
         predicted = (
             abs(step) <= PREDICTED_STEP_MAX
@@ -263,7 +279,9 @@ def _minimize_nu(
     through the last two feasible nu.  A secant root beyond an untried
     end evaluates that end; any other outside the bracket, or a missing
     one, bisects it.  Each solve starts from the nearest solved nu:
-    gamma_near exp(h_near (nu - nu_near)).  Once a secant step is at most
+    gamma_near exp(h_near d + c d^2 / 2), d = nu - nu_near, where c is
+    h's secant slope through the two nearest feasible nu, or 0 while only
+    one is solved.  Once a secant step is at most
     NU_REL_TOL times the upper edge, the search solves at its end and
     stops; it also stops on a bracket narrower than that, once both its
     ends are solved (nu = 0 alone may reach a target that no nu > 0 does).  An upper edge
@@ -273,11 +291,17 @@ def _minimize_nu(
     seen: dict[float, tuple[float, float]] = {}
 
     def probe(nu: float) -> float:
-        feasible = [(v, g, h) for v, (g, h) in seen.items() if math.isfinite(h)]
+        feasible = sorted(
+            ((v, g, h) for v, (g, h) in seen.items() if math.isfinite(h)),
+            key=lambda s: abs(s[0] - nu),
+        )
         hint = None
         if feasible:
-            v, g, h = min(feasible, key=lambda s: abs(s[0] - nu))
-            log_hint = math.log(g) + h * (nu - v)
+            (v, g, h), step = feasible[0], nu - feasible[0][0]
+            log_hint = math.log(g) + h * step
+            if len(feasible) > 1:  # h's secant slope through the two nearest
+                v2, _, h2 = feasible[1]
+                log_hint += 0.5 * (h - h2) / (v - v2) * step * step
             hint = math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
         gamma, h = f(nu, hint)
         seen[nu] = (gamma, h) if math.isfinite(gamma) else (math.inf, math.inf)
@@ -379,8 +403,9 @@ def _optimize(
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A,
-    searched at `nodes` (CQAM: at most SEARCH_NODES) and re-solved at
-    `nodes` when those differ.
+    searched at `nodes` (CQAM: at most SEARCH_NODES).  Where those differ,
+    gamma_unif and gamma_A(nu*) are each solved at SEARCH_NODES and
+    refined at `nodes`.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -404,34 +429,56 @@ def _optimize(
             f"target rate {target:.6f} is at or above the entropy ceiling"
         )
     gamma_cap = capacity_gamma(target, scheme.dimension)
-    gamma_unif = snr_for_rate(scheme.baseline(nodes), solve_target, gamma_cap)
+
+    def solve(
+        curve: Curve, hint: float, curvature: float | None
+    ) -> tuple[float, float | None, float, float]:
+        """Solve curve(gamma) = target from hint, borrowing curvature (see
+        `snr_for_rate`).  Returns gamma, the curvature d slope / d ln gamma
+        of the solve's last two evaluations for the next solve to borrow
+        (the borrowed one after a single evaluation), and the slope and
+        d rate / d nu at gamma, which the solve may not have evaluated:
+        both are extrapolated linearly in ln gamma from those two."""
+        seen = []
+        gamma = snr_for_rate(
+            lambda g: seen.append((math.log(g), *curve(g))) or seen[-1][1:],
+            solve_target, hint, curvature=curvature,
+        )
+        (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = seen[-2:] if len(seen) > 1 else seen * 2
+        if t1 != t0:
+            w = (math.log(gamma) - t1) / (t1 - t0)
+            curvature = (slope - slope0) / (t1 - t0)
+            slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
+        return gamma, curvature, slope, d_nu
+
+    # a complex `nodes` above SEARCH_NODES refines the coarse solve's gamma
+    gamma_unif, curvature, _, _ = solve(scheme.baseline(search_nodes), gamma_cap, None)
+    if search_nodes != nodes:
+        gamma_unif = solve(scheme.baseline(nodes), gamma_unif, curvature)[0]
 
     def gamma_of_nu(nu_val: float, n: int, hint: float | None) -> tuple[float, float]:
         """(gamma_A, d ln gamma_A / d nu) at nu_val, solved from hint (by
-        default gamma_unif, and at least gamma_cap); (inf, inf) where the
+        default gamma_unif, and at least gamma_cap) borrowing the last
+        solve's curvature, which it then replaces; (inf, inf) where the
         target is unreachable."""
+        nonlocal curvature
         prior = scheme.prior(nu_val)
         if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
-        curve, seen = scheme.curve(prior, n), []
         try:
-            gamma = snr_for_rate(
-                lambda g: seen.append((math.log(g), *curve(g))) or seen[-1][1:],
-                solve_target, gamma_unif if hint is None else max(hint, gamma_cap),
+            gamma, curvature, slope, d_nu = solve(
+                scheme.curve(prior, n),
+                gamma_unif if hint is None else max(hint, gamma_cap), curvature,
             )
         except UnreachableRateError:
             return math.inf, math.inf
         # gamma_A(nu) keeps rate = target: d ln gamma / d nu = -(d rate / d nu)
-        # / (d rate / d ln gamma), both at the returned gamma, which the solve
-        # may not have evaluated: they are extrapolated linearly in ln gamma
-        # from its last two evaluations.  A flat curve met the target only
-        # within RATE_RESIDUAL_TOL at its ceiling, which no finite gamma crosses.
-        (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = seen[-2:] if len(seen) > 1 else seen * 2
-        w = (math.log(gamma) - t1) / (t1 - t0) if t1 != t0 else 0.0
-        slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
+        # / (d rate / d ln gamma).  A flat curve met the target only within
+        # RATE_RESIDUAL_TOL at its ceiling, which no finite gamma crosses.
         return (gamma, -d_nu / slope) if slope > 0.0 else (math.inf, math.inf)
 
     if nu is not None:
+        curvature = None  # no neighbouring solve: a cold start
         nu_star, (gamma_a, _) = nu, gamma_of_nu(nu, nodes, None)
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
@@ -645,8 +692,9 @@ def optimize_cqam(
     is set); the potential-gain baseline gamma_unif is always the
     unstretched construction under uniform priors, so the reported
     potential gain isolates what shaping plus stretching can recover.
-    The nu search runs at min(nodes, SEARCH_NODES) nodes, and the
-    returned operating point is re-solved at `nodes` when that is larger.
+    The baseline and the nu search run at min(nodes, SEARCH_NODES)
+    nodes; when `nodes` is larger, gamma_unif and the returned operating
+    point are refined at `nodes`.
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu

@@ -57,9 +57,10 @@ class MaxwellBoltzmann:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         # subtract the minimum exponent before exponentiating for stability;
-        # a huge nu overflows outer exponents to -inf, whose weight is 0
+        # a huge nu overflows outer exponents to -inf, whose weight is 0.
+        # nu = 0 is the uniform prior, even where a^2 overflows (0 inf)
         with np.errstate(over="ignore"):
-            expo = -nu * amps**2
+            expo = -nu * amps**2 if nu > 0.0 else np.zeros(amps.shape)
         if expo.max() == -np.inf:
             # every exponent overflowed: the nu -> inf limit, equal mass on
             # the smallest |a|

@@ -186,6 +186,90 @@ def test_snr_for_rate_on_a_high_snr_baseline_matches_bisection():
         assert abs(math.log(newton) - math.log(bisected)) <= LOG_GAMMA_TOL
 
 
+def _log_capacity_curvature(target):
+    # d slope / d ln gamma of _capacity at its root: slope = g / ((1 + 2g) ln 2)
+    g = (4.0**target - 1.0) / 2.0
+    return g / ((1.0 + 2.0 * g) ** 2 * math.log(2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.floats(0.01, 10.0),
+    st.floats(-12.0, -2.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]),
+)
+def test_snr_for_rate_with_borrowed_curvature_lands_as_a_cold_solve(
+    target, log10_offset, sign, scale
+):
+    # the curvature of a neighbouring solve lets a warm solve stop on its
+    # first Newton step; borrowed from a curve twice as curved, from a flat
+    # one or with the wrong sign, the end still lies within LOG_GAMMA_TOL
+    # of a cold solve's and of the root
+    root = (4.0**target - 1.0) / 2.0
+    hint = root * math.exp(sign * 10.0**log10_offset)
+    cold = snr_for_rate(_capacity, target, hint)
+    calls = []
+    warm = snr_for_rate(
+        lambda g: calls.append(g) or _capacity(g), target, hint,
+        curvature=scale * _log_capacity_curvature(target),
+    )
+    assert abs(math.log(warm) - math.log(cold)) <= LOG_GAMMA_TOL
+    assert abs(math.log(warm) - math.log(root)) <= LOG_GAMMA_TOL
+    if 10.0**log10_offset <= 0.5 * optimizer.PREDICTED_STEP_MAX:
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("curvature", [None, 0.0, 0.1, -0.1])
+@pytest.mark.parametrize(
+    "offset",
+    [-1e-3, -2.0 * optimizer.PREDICTED_STEP_MAX, 1.01 * optimizer.PREDICTED_STEP_MAX, 0.1],
+)
+def test_snr_for_rate_evaluates_a_first_step_longer_than_predicted_step_max(
+    offset, curvature
+):
+    # rate = ln gamma: the Newton step from any hint lands on the root, and
+    # a borrowed curvature of 0 predicts no error at all; still, a step
+    # longer than PREDICTED_STEP_MAX is evaluated before the solve stops
+    calls = []
+    g = snr_for_rate(
+        lambda g: calls.append(g) or (math.log(g), 1.0), 1.0, math.e * math.exp(offset),
+        curvature=curvature,
+    )
+    assert len(calls) == 2
+    assert calls[1] == pytest.approx(math.e, rel=1e-15)
+    assert abs(math.log(g) - 1.0) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        lambda: optimizer._cqam_scheme(Prime(5), CqamParams()),
+        lambda: optimizer._ask_scheme("ts", Prime(13), 1.0, None),
+    ],
+    ids=["cqam-5", "ask-13"],
+)
+def test_refinement_at_more_nodes_lands_as_a_cold_solve(scheme):
+    # the driver's refinement: a solve at 48 nodes hands its gamma and its
+    # last two evaluations' curvature to a one-evaluation solve at 96 nodes,
+    # which lands within LOG_GAMMA_TOL of a cold solve at 96 nodes
+    scheme = scheme()
+    target = 2.0 * 1.5 if scheme.dimension == "complex" else 2.5
+    seen = []
+    coarse = snr_for_rate(
+        lambda g: seen.append((math.log(g), *scheme.baseline(48)(g))) or seen[-1][1:],
+        target, 1.0,
+    )
+    (t0, _, s0, _), (t1, _, s1, _) = seen[-2:]
+    calls, fine = [], scheme.baseline(96)
+    warm = snr_for_rate(
+        lambda g: calls.append(g) or fine(g), target, coarse, curvature=(s1 - s0) / (t1 - t0)
+    )
+    cold = snr_for_rate(fine, target, 1.0)
+    assert len(calls) == 1
+    assert abs(math.log(warm) - math.log(cold)) <= LOG_GAMMA_TOL
+
+
 @pytest.mark.parametrize("hint", [None, 1e-200, math.inf])
 def test_snr_for_rate_range_ends_raise_their_own_errors(hint):
     # the rate saturates below the target: Newton heads past GAMMA_MAX,
@@ -215,15 +299,26 @@ def _recorded(f):
 
 
 def _assert_hints_follow_the_nearest_solve(calls):
-    # each solve starts from the nearest solved nu moved along its gradient
+    # each solve starts from the nearest solved nu moved along its gradient,
+    # to second order once two nu are solved: h's secant slope through the
+    # two nearest stands for d h / d nu
     assert calls[0][1] is None
+    second_order = 0
     for i, (nu, hint, _, _) in enumerate(calls[1:], 1):
-        solved = [c for c in calls[:i] if math.isfinite(c[2])]
+        solved = sorted(
+            (c for c in calls[:i] if math.isfinite(c[2])), key=lambda c: abs(c[0] - nu)
+        )
         if not solved:
             assert hint is None
             continue
-        near, _, gamma, h = min(solved, key=lambda c: abs(c[0] - nu))
-        assert hint == pytest.approx(gamma * math.exp(h * (nu - near)), rel=1e-12)
+        (near, _, gamma, h), step = solved[0], nu - solved[0][0]
+        log_hint = math.log(gamma) + h * step
+        if len(solved) > 1:
+            second_order += 1
+            (near2, _, _, h2) = solved[1]
+            log_hint += 0.5 * (h - h2) / (near - near2) * step**2
+        assert hint == pytest.approx(math.exp(log_hint), rel=1e-12)
+    return second_order
 
 
 def test_nu_search_finds_an_interior_minimum():
@@ -234,7 +329,10 @@ def test_nu_search_finds_an_interior_minimum():
     assert nu == pytest.approx(0.3, abs=1e-12)
     assert gamma == min(c[2] for c in calls)
     assert len(calls) <= 4
-    _assert_hints_follow_the_nearest_solve(calls)
+    assert _assert_hints_follow_the_nearest_solve(calls) > 0
+    # h is linear in nu, so the second-order hint is exact from the third
+    # solve on
+    assert [c[1] for c in calls[2:]] == pytest.approx([c[2] for c in calls[2:]], rel=1e-12)
     # a curved gradient takes a few secant steps more
     f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
     nu, _ = optimizer._minimize_nu(f, 2.0)
@@ -524,9 +622,9 @@ def test_nu_search_hints_never_fall_below_capacity(monkeypatch):
     # hint is clamped there
     hints, solve = [], optimizer.snr_for_rate
 
-    def recorded(f, target, hint):
+    def recorded(f, target, hint, **kwargs):
         hints.append(hint)
-        return solve(f, target, hint)
+        return solve(f, target, hint, **kwargs)
 
     monkeypatch.setattr(optimizer, "snr_for_rate", recorded)
     solution = optimize_time_sharing(Prime(13), Fraction(4, 5), convention="shaped")
@@ -676,7 +774,7 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
     # the CQAM nu search runs at min(nodes, SEARCH_NODES = 48) nodes; only a
-    # larger `nodes` re-solves its optimum
+    # larger `nodes` refines the baseline and the optimum there
     counts, rules = _count_solves(monkeypatch), []
     kernel = optimizer.mi_complex_points
 
@@ -691,9 +789,12 @@ def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
     counts.update(solves=0, search=0)
     rules.clear()
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
-    # baseline at 64, search at 48, re-solve at 64
-    assert [n for n, _ in itertools.groupby(rules)] == [64, 48, 64]
-    assert counts["solves"] == counts["search"] + 2
+    # baseline at 48, refined at 64; search at 48, optimum refined at 64;
+    # each refinement starts from the 48-node gamma and curvature and costs
+    # one kernel call
+    assert [n for n, _ in itertools.groupby(rules)] == [48, 64, 48, 64]
+    assert rules.count(64) == 2
+    assert counts["solves"] == counts["search"] + 3
 
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):

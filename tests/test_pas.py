@@ -115,6 +115,13 @@ def test_encode_rejects_bad_input():
         encode(dense, [0.5, 1.9, 2, 3])
     # integral floats are kept
     assert encode(dense, [0.0, 1.0, 2.0, 3.0]).tolist() == encode(dense, [0, 1, 2, 3]).tolist()
+    # complex, object and string symbols are refused before any cast, even
+    # where the value is integral
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([1 + 0j, 0, 0, 0], np.array([1, 0, 0, 0], dtype=object), ["1", "0", "0", "0"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                encode(dense, bad)
 
 
 def test_codespec_validation():
@@ -132,6 +139,8 @@ def test_codespec_validation():
         for bad in (1.5, np.nan):
             with pytest.raises(ValueError, match="parity entries must be integers"):
                 CodeSpec(P5, 6, 4, [[bad, 2], [3, 0], [4, 4], [2, 1]])
+        with pytest.raises(ValueError, match="parity entries must be integers"):
+            CodeSpec(P5, 6, 4, [[1 + 0j, 2], [3, 0], [4, 4], [2, 1]])
 
 
 def test_random_dense_column_weights():

@@ -56,6 +56,14 @@ def test_large_nu_concentrates_on_zero():
     assert mirrored.probs.tolist() == [0.0, 0.5, 0.5]
 
 
+def test_zero_nu_is_uniform_where_the_squares_overflow():
+    # 1e200^2 overflows to inf, and 0 inf would make the weights NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prior = MaxwellBoltzmann.from_amplitudes(0.0, [1e200, 1.0, -1e200])
+    assert prior.probs.tolist() == [1 / 3] * 3
+
+
 def test_negative_nu_rejected():
     with pytest.raises(ValueError):
         mb_ask_prior(Prime(7), -0.5)

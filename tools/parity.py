@@ -45,9 +45,13 @@ COMMANDS = {
     "table-ts-shaped": ["table", "--convention", "shaped", "--format", "json"],
     "table-ts-time-averaged": ["table", "--convention", "time-averaged", "--format", "json"],
     "table-cqam-json": [
-        "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--format", "json",
+        "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--rc", "3/4",
+        "--rc", "5/6", "--format", "json",
     ],
-    "table-cqam-csv": ["table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3"],
+    "table-cqam-csv": [
+        "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--rc", "3/4",
+        "--rc", "5/6",
+    ],
     "pas-p7": ["pas", "-p", "7", "-o", "report.json", "--dump-frames", "frames.csv"],
     "pas-p13": ["pas", "-p", "13", "-o", "report.json", "--dump-frames", "frames.csv"],
     # unstretched, so its shells are packed; and a stretch of its own
