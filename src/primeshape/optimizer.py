@@ -162,7 +162,7 @@ def snr_for_rate(
     target: float,
     hint: float | None = None,
     *,
-    curvature: float | None = None,
+    curvature: float = math.nan,
 ) -> float:
     """Invert a monotone rate curve: the gamma where rate crosses target.
 
@@ -184,7 +184,7 @@ def snr_for_rate(
     1983, ch. 2), at most LOG_GAMMA_TOL / 4, f'' taken from the slopes
     of the last two evaluations.  At the first evaluation f'' is
     `curvature`, d slope / d ln gamma borrowed from a neighbouring solve;
-    without it the first step is never predicted.  It returns that
+    without it (nan) the first step is never predicted.  It returns that
     step's end without evaluating it.  It also stops on a bracket
     narrower than LOG_GAMMA_TOL.  A hint near the crossing, such as the
     gamma of a neighbouring solve, saves rate evaluations, and with that
@@ -231,7 +231,7 @@ def snr_for_rate(
         # from the slopes of this evaluation and the previous one, or the
         # borrowed curvature at the first
         if last is None:
-            curv = math.nan if curvature is None else curvature
+            curv = curvature
         else:
             curv = (slope - last[1]) / (t - last[0]) if t != last[0] else math.nan
         last, f_next = (t, slope), 0.5 * curv * step * step
@@ -431,8 +431,8 @@ def _optimize(
     gamma_cap = capacity_gamma(target, scheme.dimension)
 
     def solve(
-        curve: Curve, hint: float, curvature: float | None
-    ) -> tuple[float, float | None, float, float]:
+        curve: Curve, hint: float, curvature: float
+    ) -> tuple[float, float, float, float]:
         """Solve curve(gamma) = target from hint, borrowing curvature (see
         `snr_for_rate`).  Returns gamma, the curvature d slope / d ln gamma
         of the solve's last two evaluations for the next solve to borrow
@@ -452,7 +452,7 @@ def _optimize(
         return gamma, curvature, slope, d_nu
 
     # a complex `nodes` above SEARCH_NODES refines the coarse solve's gamma
-    gamma_unif, curvature, _, _ = solve(scheme.baseline(search_nodes), gamma_cap, None)
+    gamma_unif, curvature, _, _ = solve(scheme.baseline(search_nodes), gamma_cap, math.nan)
     if search_nodes != nodes:
         gamma_unif = solve(scheme.baseline(nodes), gamma_unif, curvature)[0]
 
@@ -478,7 +478,7 @@ def _optimize(
         return (gamma, -d_nu / slope) if slope > 0.0 else (math.inf, math.inf)
 
     if nu is not None:
-        curvature = None  # no neighbouring solve: a cold start
+        curvature = math.nan  # no neighbouring solve: a cold start
         nu_star, (gamma_a, _) = nu, gamma_of_nu(nu, nodes, None)
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
