@@ -76,11 +76,12 @@ from __future__ import annotations
 import math
 import threading
 from functools import lru_cache
-from typing import Callable, Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .constellations import Constellation
+from .sumdist import check_pmf
 
 #: Default Gauss-Hermite node count per real dimension.
 DEFAULT_NODES = 96
@@ -103,6 +104,12 @@ _WEIGHT_FLOOR = 1e-16
 #: 2^16 the 13^2 row fastest (1.88 and 1.82 s); 2^12 was slowest (0.46 s;
 #: 4.31 s).  Alternated, 2^15 and 2^16 stayed within 3% on both rows.
 _BLOCK_TERMS = 1 << 15
+
+#: Prepared kernel states `_prepare` keeps, least recently used out first.
+#: A time-sharing evaluation calls two curves, its shaped and its uniform
+#: term, and the uniform term is every solve's; a few more keep a table's
+#: alternating alphabets.
+_PREPARED_MAX = 8
 
 #: Per-thread scratch buffer for two blocks of the kernel's terms.  Kept
 #: between calls, so a call allocates nothing of that size and its cost
@@ -178,13 +185,78 @@ def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _mi_points(
-    points: np.ndarray, priors: np.ndarray, cond: np.ndarray, weights: np.ndarray,
-    sigma: float, nodes: int,
-) -> tuple[float, float, np.ndarray]:
-    """I(X; Y) in bits of points (P, dim) with priors, in noise of deviation
-    sigma per real component, averaged over the conditioning points cond
-    (C, dim) with the given weights.
+class _Kernel(NamedTuple):
+    """The sigma-independent state of `_mi_points`: points (P, dim), their
+    log priors (-inf at a zero prior), the conditioning points (C, dim)
+    and weights with a positive weight, which of the given weights are
+    positive (None when all are), the transposed conditioning points
+    (dim, C, 1), rows per block, and the rule (nodes (K, dim), weights,
+    |node|^2).  Read-only."""
+
+    points: np.ndarray
+    logp: np.ndarray
+    cond: np.ndarray
+    weights: np.ndarray
+    keep: np.ndarray | None
+    cond_t: np.ndarray
+    rows: int
+    t: np.ndarray
+    w: np.ndarray
+    t2: np.ndarray
+
+
+def _contents(x: object, dtype: type) -> tuple[tuple[int, ...], bytes]:
+    """An array argument as its shape and bytes in dtype: a memo key part."""
+    a = np.asarray(x, dtype=dtype)
+    return a.shape, a.tobytes()
+
+
+@lru_cache(maxsize=_PREPARED_MAX)
+def _prepare(
+    dim: int, nodes: int, points: tuple, priors: tuple, cond: tuple, weights: tuple
+) -> _Kernel:
+    """The `_Kernel` of points with priors, conditioned on cond with
+    weights, each given by `_contents` (complex points when dim is 2), on
+    the nodes-point rule.  Memoized on those contents, so a curve's calls
+    share one state, and an array changed in place is a new key.
+
+    Raises ValueError for mismatched lengths, priors that are not a
+    distribution (`sumdist.check_pmf`), points or conditioning points
+    that are not finite, and weights that are not nonnegative and finite.
+    """
+    dtype = float if dim == 1 else complex
+
+    def array(key: tuple) -> np.ndarray:
+        a = np.frombuffer(key[1], dtype).reshape(key[0])
+        return a[:, None] if dim == 1 else a.view(float).reshape(-1, 2)
+
+    points, cond = array(points), array(cond)
+    priors, weights = (np.frombuffer(k[1]).reshape(k[0]) for k in (priors, weights))
+    if len(points) != len(priors) or len(cond) != len(weights):
+        raise ValueError("every point needs a prior, every conditioning point a weight")
+    check_pmf(priors, "prior")
+    if not (np.isfinite(points).all() and np.isfinite(cond).all()):
+        raise ValueError("points and conditioning points must be finite")
+    # NaN fails both comparisons; initial=0.0 lets an empty array pass
+    if not (weights.min(initial=0.0) >= 0.0 and weights.max(initial=0.0) < math.inf):
+        raise ValueError("conditioning weights must be nonnegative and finite")
+    keep = weights > 0.0
+    cond = cond[keep]
+    logp = np.log(priors, out=np.full(len(priors), -np.inf), where=priors > 0.0)
+    state = _Kernel(
+        points, logp, cond, weights[keep], None if keep.all() else keep, cond.T[:, :, None],
+        max(1, _BLOCK_TERMS // max(len(points), 1)), *_rule(nodes, dim),
+    )
+    for a in state[:6]:
+        if a is not None:
+            a.flags.writeable = False
+    return state
+
+
+def _mi_points(kernel: _Kernel, sigma: float) -> tuple[float, float, np.ndarray]:
+    """I(X; Y) in bits of the kernel's points with their priors, in noise of
+    deviation sigma per real component, averaged over its conditioning
+    points with their weights.
 
     Returns (bits, d I / d ln gamma, divergences).  The slope, in bits at
     fixed signal energy, is by I-MMSE (Guo, Shamai and Verdu,
@@ -200,15 +272,9 @@ def _mi_points(
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    if len(points) != len(priors) or len(cond) != len(weights):
-        raise ValueError("every point needs a prior, every conditioning point a weight")
+    points, logp, cond, weights, keep, cond_t, rows, t, w, t2 = kernel
     dim = points.shape[1]
-    t, w, t2 = _rule(nodes, dim)
-    keep = weights > 0.0
-    cond, weights = cond[keep], weights[keep]
     y = (cond[:, None, :] + math.sqrt(2.0) * sigma * t).reshape(-1, dim)
-    logp = np.log(priors, out=np.full(len(priors), -np.inf), where=priors > 0.0)
-    rows = max(1, _BLOCK_TERMS // max(len(points), 1))
     buf = getattr(_scratch, "buf", np.empty(0))
     if buf.size < 2 * rows * len(points):
         buf = _scratch.buf = np.empty(2 * max(_BLOCK_TERMS, len(points)))
@@ -228,41 +294,38 @@ def _mi_points(
         np.divide(points.T @ a, a.sum(axis=0), out=mean[:, i : i + rows])
     integrand = (-t2 - lse.reshape(len(cond), len(t))) / _LN2
     div = integrand @ w
-    bits = float(np.dot(weights, div) / math.pi ** (dim / 2))
-    err = mean.reshape(dim, len(cond), len(t)) - cond.T[:, :, None]
-    mmse = np.dot(weights, np.square(err, out=err).sum(axis=0) @ w) / math.pi ** (dim / 2)
-    divergences = np.zeros(len(keep))
-    divergences[keep] = div / math.pi ** (dim / 2)
+    norm = math.pi ** (dim / 2)
+    bits = float(np.dot(weights, div) / norm)
+    err = mean.reshape(dim, len(cond), len(t)) - cond_t
+    mmse = np.dot(weights, np.square(err, out=err).sum(axis=0) @ w) / norm
+    if keep is None:
+        divergences = div / norm
+    else:
+        divergences = np.zeros(len(keep))
+        divergences[keep] = div / norm
     return bits, float(mmse / (2.0 * sigma**2 * _LN2)), divergences
 
 
-def _linear(x: np.ndarray) -> np.ndarray:
-    """Real values as an (n, 1) float array."""
-    return np.asarray(x, dtype=float)[:, None]
-
-
-def _planar(z: np.ndarray) -> np.ndarray:
-    """Complex values as an (n, 2) float view of their real and imaginary parts."""
-    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-
-
-def _kernel_args(
+def _kernel(
+    dim: int,
     points: np.ndarray,
     priors: np.ndarray,
+    nodes: int,
     condition_on: np.ndarray | None,
     condition_weights: np.ndarray | None,
-    embed: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Points, priors, conditioning points and weights as `_mi_points` takes
-    them, points embedded in real components; by default every point is
-    conditioned on with its prior."""
+) -> _Kernel:
+    """The prepared kernel of a public call, points embedded in dim real
+    components; by default every point is conditioned on with its prior."""
     if (condition_on is None) != (condition_weights is None):
         raise ValueError("condition_on and condition_weights go together")
-    priors = np.asarray(priors, dtype=float)
+    dtype = float if dim == 1 else complex
+    points, priors = _contents(points, dtype), _contents(priors, float)
     if condition_on is None:
-        condition_on, condition_weights = points, priors
-    weights = np.asarray(condition_weights, dtype=float)
-    return embed(points), priors, embed(condition_on), weights
+        return _prepare(dim, nodes, points, priors, points, priors)
+    return _prepare(
+        dim, nodes, points, priors,
+        _contents(condition_on, dtype), _contents(condition_weights, float),
+    )
 
 
 def mi_real_points(
@@ -295,10 +358,8 @@ def mi_real_points(
         D(p(y|x) || p(y)) in bits (0.0 at a zero weight), which the
         weights average to the bits.
     """
-    return _mi_points(
-        *_kernel_args(points, priors, condition_on, condition_weights, _linear),
-        sigma, nodes,
-    )
+    kernel = _kernel(1, points, priors, nodes, condition_on, condition_weights)
+    return _mi_points(kernel, sigma)
 
 
 def mi_complex_points(
@@ -318,10 +379,8 @@ def mi_complex_points(
     representative points (exact whenever the prior and geometry share a
     symmetry group acting transitively on each orbit).
     """
-    return _mi_points(
-        *_kernel_args(points, priors, condition_on, condition_weights, _planar),
-        sigma, nodes,
-    )
+    kernel = _kernel(2, points, priors, nodes, condition_on, condition_weights)
+    return _mi_points(kernel, sigma)
 
 
 def shell_conditioning(c: Constellation) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,11 @@ def ask_amplitudes(field: Prime) -> np.ndarray:
     return np.where(s <= field.half, s, s - field.p)
 
 
+def is_int(value: object) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def frozen_array(obj: object, name: str, dtype: type) -> np.ndarray:
     """Store a read-only `dtype` copy of obj.<name> on the frozen
     dataclass `obj` and return it; the caller's array stays its own."""

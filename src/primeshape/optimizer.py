@@ -91,6 +91,7 @@ R_c = 1, no solve runs at all.  Every other ValueError is an input error
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -128,6 +129,14 @@ PREDICTED_STEP_MAX = LOG_GAMMA_TOL / (4.0 * 5e-4)
 #: larger residual means the curve jumps over the target.
 RATE_RESIDUAL_TOL = 1e-7
 
+#: Accuracy in log gamma of the nu probes that only steer the nu search:
+#: every probe but the converged one.  The steps a probe's gamma and
+#: gradient take the search to move by far less than the nu tolerance
+#: (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal., 1982, on inexact
+#: inner solves): at 3e-7 every time-sharing and CQAM table row moved by
+#: under 1.3e-12 dB, and at 1e-6 a row's gamma_A moved by 1.6e-9 dB.
+PROBE_LOG_GAMMA_TOL = 3e-7
+
 #: Relative width, to the upper edge of its bracket, of the secant step (or
 #: the bracket) on which the nu search stops.  The search solves at that
 #: step's end, which lies far closer to nu*, since the secant converges
@@ -163,6 +172,7 @@ def snr_for_rate(
     hint: float | None = None,
     *,
     curvature: float = math.nan,
+    tol: float = LOG_GAMMA_TOL,
 ) -> float:
     """Invert a monotone rate curve: the gamma where rate crosses target.
 
@@ -177,9 +187,12 @@ def snr_for_rate(
     evaluations, not one per unit of log gamma.  Where the Newton step
     leaves the bracket, or the slope is not positive and finite, it
     evaluates the range end the crossing lies toward while that end is
-    untried, and bisects the bracket once both ends are known.  It stops
-    on a Newton step inside the bracket that is at most LOG_GAMMA_TOL / 4,
-    or that is predicted to land: at most PREDICTED_STEP_MAX long, with
+    untried, and bisects the bracket once both ends are known.
+
+    It solves to `tol` in t, by default LOG_GAMMA_TOL; the limits below
+    are stated at that default, and each scales with tol.  It stops on a
+    Newton step inside the bracket that is at most LOG_GAMMA_TOL / 4, or
+    that is predicted to land: at most PREDICTED_STEP_MAX long, with
     Newton's error after it, |f'' / (2 f')| step^2 (Dennis & Schnabel,
     1983, ch. 2), at most LOG_GAMMA_TOL / 4, f'' taken from the slopes
     of the last two evaluations.  At the first evaluation f'' is
@@ -189,16 +202,22 @@ def snr_for_rate(
     narrower than LOG_GAMMA_TOL.  A hint near the crossing, such as the
     gamma of a neighbouring solve, saves rate evaluations, and with that
     solve's curvature one evaluation can suffice; neither changes the
-    result beyond that tolerance.  Raises UnreachableRateError when the
-    target exceeds the rate at GAMMA_MAX, ValueError for a nonpositive
-    target, a hint that is not positive or a target reached at
+    result beyond the tolerance.
+
+    Raises UnreachableRateError when the target exceeds the rate at
+    GAMMA_MAX, ValueError for a target or a tol that is not positive and
+    finite, a hint that is not positive or a target reached at
     GAMMA_MIN, and RuntimeError for a non-finite rate or when the
     converged rate misses the target by more than RATE_RESIDUAL_TOL bits
     (the curve jumps over it), the residual at a predicted stop being
     the Newton model's, 1/2 f'' step^2.
     """
-    if target <= 0.0:
-        raise ValueError("target rate must be positive")
+    # NaN fails every comparison, so each check states what must hold
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target rate must be positive and finite, got {target}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"SNR tolerance must be positive and finite, got {tol}")
+    scale = tol / LOG_GAMMA_TOL
     if hint is not None and not hint > 0.0:
         raise ValueError(f"SNR hint must be positive, got {hint}")
     t_min, t_max = math.log(GAMMA_MIN), math.log(GAMMA_MAX)
@@ -236,10 +255,10 @@ def snr_for_rate(
             curv = (slope - last[1]) / (t - last[0]) if t != last[0] else math.nan
         last, f_next = (t, slope), 0.5 * curv * step * step
         predicted = (
-            abs(step) <= PREDICTED_STEP_MAX
-            and abs(f_next) <= 0.25 * LOG_GAMMA_TOL * slope  # Newton's error in t
+            abs(step) <= PREDICTED_STEP_MAX * scale
+            and abs(f_next) <= 0.25 * tol * slope  # Newton's error in t
         )
-        if (abs(step) <= 0.25 * LOG_GAMMA_TOL or predicted) and lo < t + step < hi:
+        if (abs(step) <= 0.25 * tol or predicted) and lo < t + step < hi:
             t, f = t + step, f_next if predicted else f
             break
         # Newton steps toward an untried upper end that do not halve: a curve
@@ -252,12 +271,12 @@ def snr_for_rate(
             t = t_min
         elif f_hi is None:
             t = t_max
-        elif hi - lo < LOG_GAMMA_TOL:
+        elif hi - lo < tol:
             t, f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
             break
         else:
             t = 0.5 * (lo + hi)
-    if abs(f) > RATE_RESIDUAL_TOL:
+    if abs(f) > RATE_RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"SNR solve did not converge: rate misses the target by "
             f"{abs(f):.3g} bits at gamma = {math.exp(t):.6g}"
@@ -266,14 +285,15 @@ def snr_for_rate(
 
 
 def _minimize_nu(
-    f: Callable[[float, float | None], tuple[float, float]], nu_max: float
+    f: Callable[[float, float | None, float], tuple[float, float]], nu_max: float
 ) -> tuple[float, float]:
     """Minimize gamma_A over nu >= 0 by a safeguarded secant method on
     h(nu) = d ln gamma_A / d nu, from the bracket [0, nu_max].
 
-    f(nu, hint) solves gamma_A at nu from the SNR hint (None while no nu is
-    solved) and returns (gamma_A, h); gamma_A is inf where the target is
-    unreachable, and such a nu counts as h > 0.  The search keeps a sign
+    f(nu, hint, tol) solves gamma_A at nu from the SNR hint (None while no
+    nu is solved) to tol in log gamma, and returns (gamma_A, h); gamma_A
+    is inf where the target is unreachable, and such a nu counts as h > 0.
+    The search keeps a sign
     bracket, h < 0 at lo and h >= 0 at hi, an untried end counting as
     such.  It starts at nu_max / 2 and steps to the secant root of h
     through the last two feasible nu.  A secant root beyond an untried
@@ -286,13 +306,17 @@ def _minimize_nu(
     stops; it also stops on a bracket narrower than that, once both its
     ends are solved (nu = 0 alone may reach a target that no nu > 0 does).  An upper edge
     with h < 0 holds no minimum: the edge doubles, up to six times.
+    The probes that steer the search are solved to PROBE_LOG_GAMMA_TOL;
+    the converged one, and any probe inside a bracket already narrower
+    than the nu tolerance, to LOG_GAMMA_TOL.  Where the smallest gamma_A
+    is a steering probe's, that nu is solved again to LOG_GAMMA_TOL.
     Returns the solved (nu, gamma_A) with the smallest gamma_A.
     """
-    seen: dict[float, tuple[float, float]] = {}
+    seen: dict[float, tuple[float, float, float]] = {}  # nu -> (gamma_A, h, tol)
 
-    def probe(nu: float) -> float:
+    def probe(nu: float, tol: float) -> float:
         feasible = sorted(
-            ((v, g, h) for v, (g, h) in seen.items() if math.isfinite(h)),
+            ((v, g, h) for v, (g, h, _) in seen.items() if math.isfinite(h)),
             key=lambda s: abs(s[0] - nu),
         )
         hint = None
@@ -303,14 +327,14 @@ def _minimize_nu(
                 v2, _, h2 = feasible[1]
                 log_hint += 0.5 * (h - h2) / (v - v2) * step * step
             hint = math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
-        gamma, h = f(nu, hint)
-        seen[nu] = (gamma, h) if math.isfinite(gamma) else (math.inf, math.inf)
+        gamma, h = f(nu, hint, tol)
+        seen[nu] = (gamma, h, tol) if math.isfinite(gamma) else (math.inf, math.inf, tol)
         return seen[nu][1]
 
     lo, hi, tol = 0.0, nu_max, NU_REL_TOL * nu_max  # tol doubles with the edge
-    x, last = 0.5 * nu_max, []  # the last two feasible (nu, h)
+    x, last, closed = 0.5 * nu_max, [], False  # the last two feasible (nu, h)
     while True:
-        h = probe(x)
+        h = probe(x, LOG_GAMMA_TOL if closed else PROBE_LOG_GAMMA_TOL)
         if h < 0.0 and x == hi:  # gamma_A still falls at the upper edge
             if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
                 raise RuntimeError("nu bracket widening failed to contain the optimum")
@@ -329,22 +353,26 @@ def _minimize_nu(
             new = x1 - h1 * (x1 - x0) / (h1 - h0) if h1 != h0 else -h1 * math.inf
             if abs(new - x1) <= tol:  # solve at the converged nu, then stop
                 if lo < new < hi:
-                    probe(new)
+                    probe(new, LOG_GAMMA_TOL)
                 break
+        closed = hi - lo <= tol
         if lo < new < hi:
             x = new
-        elif (new >= hi or hi - lo <= tol) and hi not in seen:
+        elif (new >= hi or closed) and hi not in seen:
             x = hi  # beyond, or closed at, the untried upper edge
-        elif (new <= lo or hi - lo <= tol) and lo not in seen:
+        elif (new <= lo or closed) and lo not in seen:
             x = lo  # beyond, or closed at, the untried lower end
-        elif hi - lo > tol:
+        elif not closed:
             x = 0.5 * (lo + hi)
         else:
             break
-    nu, (gamma, _) = min(seen.items(), key=lambda s: s[1][0])
-    if not math.isfinite(gamma):
-        raise UnreachableRateError("target rate unreachable at every shaping parameter")
-    return nu, gamma
+    while True:
+        nu, (gamma, _, solved_to) = min(seen.items(), key=lambda s: s[1][0])
+        if not math.isfinite(gamma):
+            raise UnreachableRateError("target rate unreachable at every shaping parameter")
+        if solved_to == LOG_GAMMA_TOL:
+            return nu, gamma
+        probe(nu, LOG_GAMMA_TOL)  # a steering probe came out best
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,18 +459,19 @@ def _optimize(
     gamma_cap = capacity_gamma(target, scheme.dimension)
 
     def solve(
-        curve: Curve, hint: float, curvature: float
+        curve: Curve, hint: float, curvature: float, tol: float = LOG_GAMMA_TOL
     ) -> tuple[float, float, float, float]:
-        """Solve curve(gamma) = target from hint, borrowing curvature (see
-        `snr_for_rate`).  Returns gamma, the curvature d slope / d ln gamma
-        of the solve's last two evaluations for the next solve to borrow
-        (the borrowed one after a single evaluation), and the slope and
-        d rate / d nu at gamma, which the solve may not have evaluated:
-        both are extrapolated linearly in ln gamma from those two."""
+        """Solve curve(gamma) = target from hint to tol in log gamma,
+        borrowing curvature (see `snr_for_rate`).  Returns gamma, the
+        curvature d slope / d ln gamma of the solve's last two evaluations
+        for the next solve to borrow (the borrowed one after a single
+        evaluation), and the slope and d rate / d nu at gamma, which the
+        solve may not have evaluated: both are extrapolated linearly in ln
+        gamma from those two."""
         seen = []
         gamma = snr_for_rate(
             lambda g: seen.append((math.log(g), *curve(g))) or seen[-1][1:],
-            solve_target, hint, curvature=curvature,
+            solve_target, hint, curvature=curvature, tol=tol,
         )
         (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = seen[-2:] if len(seen) > 1 else seen * 2
         if t1 != t0:
@@ -456,9 +485,11 @@ def _optimize(
     if search_nodes != nodes:
         gamma_unif = solve(scheme.baseline(nodes), gamma_unif, curvature)[0]
 
-    def gamma_of_nu(nu_val: float, n: int, hint: float | None) -> tuple[float, float]:
-        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved from hint (by
-        default gamma_unif, and at least gamma_cap) borrowing the last
+    def gamma_of_nu(
+        nu_val: float, n: int, hint: float | None, tol: float = LOG_GAMMA_TOL
+    ) -> tuple[float, float]:
+        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved to tol from hint
+        (by default gamma_unif, and at least gamma_cap) borrowing the last
         solve's curvature, which it then replaces; (inf, inf) where the
         target is unreachable."""
         nonlocal curvature
@@ -468,7 +499,7 @@ def _optimize(
         try:
             gamma, curvature, slope, d_nu = solve(
                 scheme.curve(prior, n),
-                gamma_unif if hint is None else max(hint, gamma_cap), curvature,
+                gamma_unif if hint is None else max(hint, gamma_cap), curvature, tol,
             )
         except UnreachableRateError:
             return math.inf, math.inf
@@ -484,7 +515,7 @@ def _optimize(
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         nu_star, gamma_a = _minimize_nu(
-            lambda v, hint: gamma_of_nu(v, search_nodes, hint), scheme.nu_max
+            lambda v, hint, tol: gamma_of_nu(v, search_nodes, hint, tol), scheme.nu_max
         )
         if search_nodes != nodes:
             gamma_a, _ = gamma_of_nu(nu_star, nodes, gamma_a)
@@ -541,17 +572,12 @@ def _curve(
     return curve
 
 
-def _real_curve(
-    points: np.ndarray, probs: np.ndarray, energy: float, n: int,
-    d_probs: np.ndarray | None = None, d_log_energy: float = 0.0,
-) -> Curve:
-    """The `_curve` of p-ASK on the real channel; d_probs is d probs / d nu.
-
-    The prior gives symbols s and -s the same mass on mirrored points,
-    so the MI is conditioned on the points x >= 0, each x > 0 with twice
-    its prior (the mirror reduction of `mi_real_points`); the folded
-    weights move by twice d_probs.  Raises ValueError when points or
-    prior are not mirror-symmetric.
+def _mirror_fold(points: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror reduction of `mi_real_points` for p-ASK on the real
+    channel: the mask of the points x >= 0, on which the MI is
+    conditioned, and the factor 2 of each x > 0 (1 at x = 0), by which a
+    prior with equal mass on x and -x, and its derivative in nu, fold onto
+    them.  Raises ValueError when points or probs are not mirror-symmetric.
     """
     mirror = -np.arange(len(points)) % len(points)
     if not (
@@ -559,13 +585,7 @@ def _real_curve(
     ):
         raise ValueError("the p-ASK points and prior must be mirror-symmetric")
     half = points >= 0.0
-    cond = points[half]
-    fold = np.where(cond > 0.0, 2.0, 1.0)
-    d_weights = fold * (0.0 if d_probs is None else d_probs[half])
-    return _curve(
-        mi_real_points, points, probs, cond, fold * probs[half], energy, n,
-        d_weights, d_log_energy,
-    )
+    return half, np.where(points[half] > 0.0, 2.0, 1.0)
 
 
 def _ask_scheme(
@@ -578,32 +598,54 @@ def _ask_scheme(
     At share = 1 (full shaping) the uniform term is dropped, so a solve
     evaluates one MI per gamma, and both conventions give the shaped
     prior its own energy.
+
+    The curves are mirror-folded (`_mirror_fold`).  The fold and the
+    amplitudes |a| are found once per scheme: an MB prior is a function
+    of |a|, so every prior the scheme builds keeps the uniform prior's
+    mirror symmetry.  Under "shaped" the uniform term is the baseline,
+    and the two share one curve per node count.
     """
     p = field.p
     pts, unif = build_ask(field).points.real, np.full(p, 1.0 / p)
+    half, fold = _mirror_fold(pts, unif)
+    cond, amps = pts[half], np.abs(pts)
     e_unif = (p * p - 1.0) / 12.0
+
+    def real_curve(
+        probs: np.ndarray, energy: float, n: int, d_probs: np.ndarray, d_log_energy: float
+    ) -> Curve:
+        return _curve(
+            mi_real_points, pts, probs, cond, fold * probs[half], energy, n,
+            fold * d_probs[half], d_log_energy,
+        )
+
+    # one curve per node count: under "shaped" each solve's uniform term
+    baseline = functools.cache(lambda n: real_curve(unif, e_unif, n, np.zeros(p), 0.0))
 
     def curve(prior: MaxwellBoltzmann, n: int) -> Curve:
         e_sh, d_probs, d_log_sh = _mb_derivative(prior)
-        e_un, d_log_un = e_unif, 0.0
         if convention == "time-averaged":
             e_avg = share * e_sh + (1.0 - share) * e_unif
             # one energy for both terms; only the shaped share's moves with nu
-            d_log_sh = d_log_un = share * e_sh * d_log_sh / e_avg
-            e_sh = e_un = e_avg
-        shaped = _real_curve(pts, prior.probs, e_sh, n, d_probs, d_log_sh)
+            d_log_sh = share * e_sh * d_log_sh / e_avg
+            e_sh, uniform = e_avg, real_curve(unif, e_avg, n, np.zeros(p), d_log_sh)
+        else:
+            uniform = baseline(n)
+        shaped = real_curve(prior.probs, e_sh, n, d_probs, d_log_sh)
         if share == 1.0:
             return shaped
-        uniform = _real_curve(pts, unif, e_un, n, None, d_log_un)
-        # the mix carries rate, slope and nu derivative by linearity
-        return lambda g: tuple(
-            share * a + (1.0 - share) * b for a, b in zip(shaped(g), uniform(g))
-        )
+
+        def mix(gamma: float) -> tuple[float, float, float]:
+            # the mix carries rate, slope and nu derivative by linearity
+            (a0, a1, a2), (b0, b1, b2) = shaped(gamma), uniform(gamma)
+            u = 1.0 - share
+            return share * a0 + u * b0, share * a1 + u * b1, share * a2 + u * b2
+
+        return mix
 
     return _Scheme(
-        name, lambda nu: mb_ask_prior(field, nu), curve,
-        lambda n: _real_curve(pts, unif, e_unif, n), share,
-        (1.0 - share) * math.log2(p), 2.0 / field.half, "real", convention,
+        name, lambda nu: MaxwellBoltzmann.from_amplitudes(nu, amps), curve, baseline,
+        share, (1.0 - share) * math.log2(p), 2.0 / field.half, "real", convention,
     )
 
 

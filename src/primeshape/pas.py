@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Prime, frozen_array, symbol_array
+from .field import Prime, frozen_array, is_int, symbol_array
 from .shaping import CompositionPlan, MaxwellBoltzmann, ccdm_encode
 
 #: Default distribution-matcher block length of `generate_frames`.
@@ -169,6 +169,8 @@ def generate_frames(
     and the composition plan actually used (its counts/N are the exact
     shell distribution of full blocks).
     """
+    if not is_int(num_frames):
+        raise ValueError(f"num_frames must be an integer, got {num_frames!r}")
     if num_frames < 1:
         raise ValueError("need at least one frame")
     half = _frame_half(code)

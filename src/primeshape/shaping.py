@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import Prime, ask_amplitudes, frozen_array
+from .field import Prime, ask_amplitudes, frozen_array, is_int
 from .sumdist import check_pmf
 
 
@@ -124,8 +124,11 @@ class CompositionPlan:
                 f"need one count per symbol of F_{self.field.p}, "
                 f"got {len(self.counts)}"
             )
-        if any(c < 0 for c in self.counts):
-            raise ValueError("composition counts must be nonnegative")
+        # a float or bool count passes the sum and fails later, in the factorials
+        if not all(is_int(c) and c >= 0 for c in self.counts):
+            raise ValueError(
+                f"composition counts must be nonnegative integers, got {self.counts}"
+            )
         if sum(self.counts) != self.block_length:
             raise ValueError(
                 f"counts sum to {sum(self.counts)}, expected {self.block_length}"

@@ -469,13 +469,18 @@ def test_real_kernel_threads_agree_with_serial():
 
 
 def test_real_kernel_without_active_points_is_zero():
-    # a fresh thread starts with no scratch buffer; these calls need none
-    cases = [([], []), ([1.0, 2.0], [0.0, 0.0])]
+    # a fresh thread starts with no scratch buffer; a call whose conditioning
+    # weights are all 0 has no rows to reduce.  No prior mass at all is not
+    # a distribution, and is refused
+    pts, pri = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+    kw = {"condition_on": pts, "condition_weights": np.zeros(2)}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for pts, pri in cases:
-            pts, pri = np.array(pts), np.array(pri)
-            assert pool.submit(mi_real_points, pts, pri, 1.0).result(timeout=60)[0] == 0.0
-            assert mi_complex_points(pts + 0j, pri, 1.0)[0] == 0.0
+        assert pool.submit(mi_real_points, pts, pri, 1.0, **kw).result(timeout=60)[0] == 0.0
+    assert mi_complex_points(pts + 0j, pri, 1.0, **kw)[0] == 0.0
+    for pts, pri in (([], []), ([1.0, 2.0], [0.0, 0.0])):
+        for kernel in (mi_real_points, mi_complex_points):
+            with pytest.raises(ValueError, match="prior sums to 0.0"):
+                kernel(np.array(pts), np.array(pri), 1.0)
 
 
 def test_real_kernel_allocates_no_full_size_temporaries():

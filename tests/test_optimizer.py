@@ -290,7 +290,7 @@ def _recorded(f):
     (nu, hint, gamma_A, h)."""
     calls = []
 
-    def g(nu, hint):
+    def g(nu, hint, tol):
         gamma, h = f(nu)
         calls.append((nu, hint, gamma, h))
         return gamma, h
@@ -357,7 +357,7 @@ def test_nu_search_treats_an_infeasible_nu_as_rising():
     _assert_hints_follow_the_nearest_solve(calls)
     # unreachable everywhere: no nu is feasible
     with pytest.raises(UnreachableRateError, match="every shaping parameter"):
-        optimizer._minimize_nu(lambda nu, hint: (math.inf, math.inf), 1.0)
+        optimizer._minimize_nu(lambda nu, hint, tol: (math.inf, math.inf), 1.0)
 
 
 def test_nu_search_edge_minima():
@@ -418,7 +418,7 @@ def test_nu_search_gives_up_after_six_widenings():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(RuntimeError, match="widening failed"):
-            optimizer._minimize_nu(lambda v, hint: (math.exp(-v), -1.0), 0.1)
+            optimizer._minimize_nu(lambda v, hint, tol: (math.exp(-v), -1.0), 0.1)
     assert sum("widening the bracket" in str(w.message) for w in caught) == 6
 
 
@@ -586,9 +586,9 @@ def _count_solves(monkeypatch) -> dict:
         return solve(*args, **kwargs)
 
     def counted_minimize(f, *args, **kwargs):
-        def counted_f(nu, hint):
+        def counted_f(*args):
             counts["search"] += 1
-            return f(nu, hint)
+            return f(*args)
 
         return minimize(counted_f, *args, **kwargs)
 
@@ -653,14 +653,16 @@ def test_real_curve_rejects_a_prior_without_mirror_symmetry():
     pts = np.arange(7.0) - 3.0  # p-ASK, though not in symbol order
     prior = np.full(7, 1 / 7)
     with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._real_curve(pts, prior, 4.0, NODES)
+        optimizer._mirror_fold(pts, prior)
     pts = np.array([0.0, 1.0, 2.0, 3.0, -3.0, -2.0, -1.0])  # symbol order
-    assert optimizer._real_curve(pts, prior, 4.0, NODES)(1.0)[0] > 0.0
+    half, fold = optimizer._mirror_fold(pts, prior)
+    npt.assert_array_equal(pts[half], [0.0, 1.0, 2.0, 3.0])
+    npt.assert_array_equal(fold, [1.0, 2.0, 2.0, 2.0])
     tilted = prior * np.linspace(0.9, 1.1, 7)
     with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._real_curve(pts, tilted / tilted.sum(), 4.0, NODES)
+        optimizer._mirror_fold(pts, tilted / tilted.sum())
     with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._real_curve(pts + 0.5, prior, 4.0, NODES)
+        optimizer._mirror_fold(pts + 0.5, prior)
 
 
 def test_real_curve_conditions_on_the_nonnegative_half(monkeypatch):
@@ -896,8 +898,8 @@ def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run):
     (f,) = searches
     h = 1e-4
     for nu in (0.02, 0.1, 0.2):
-        gamma, grad = f(nu, None)
-        up, down = f(nu + h, gamma)[0], f(nu - h, gamma)[0]
+        gamma, grad = f(nu, None, LOG_GAMMA_TOL)
+        up, down = f(nu + h, gamma, LOG_GAMMA_TOL)[0], f(nu - h, gamma, LOG_GAMMA_TOL)[0]
         assert abs(grad - (math.log(up) - math.log(down)) / (2.0 * h)) <= 1e-6
 
 
