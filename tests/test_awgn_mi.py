@@ -106,6 +106,41 @@ def test_conditioning_arguments_are_checked_alike(kernel, embed):
         kernel(pts, np.full(3, 1 / 3), 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel, embed", [(mi_real_points, float), (mi_complex_points, complex)])
+@pytest.mark.parametrize(
+    "points, priors, kw, message",
+    [
+        ([-1, 1], [1.5, -0.5], {}, "prior entries must be nonnegative"),
+        ([-1, 1], [0.3, 0.3], {}, "prior sums to 0.6"),
+        ([-1, 1], [NAN, 1.0], {}, "prior entries must be nonnegative"),
+        ([-1, 1], [INF, 0.0], {}, "prior sums to inf"),
+        ([-1, NAN], [0.5, 0.5], {}, "points and conditioning points must be finite"),
+        ([-1, INF], [0.5, 0.5], {}, "points and conditioning points must be finite"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [INF], "condition_weights": [1.0]},
+         "points and conditioning points must be finite"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [1.0], "condition_weights": [NAN]},
+         "weights must be nonnegative and finite"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [1.0], "condition_weights": [INF]},
+         "weights must be nonnegative and finite"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [1.0, -1.0], "condition_weights": [2.0, -1.0]},
+         "weights must be nonnegative and finite"),
+    ],
+)
+def test_kernel_refuses_priors_points_and_weights_it_would_misread(
+    kernel, embed, points, priors, kw, message
+):
+    # [1.5, -0.5] read as -0.877 bits and [0.3, 0.3] was accepted; a negative
+    # weight was dropped as a zero one.  The checks run in the prepare step,
+    # once per curve, and warn about nothing on the way
+    kw = {k: np.array(v, dtype=embed if k == "condition_on" else float) for k, v in kw.items()}
+    with pytest.raises(ValueError, match=message):
+        kernel(np.array(points, dtype=embed), np.array(priors), 0.5, **kw)
+
+
 def test_shell_nonuniform_priors_rejected():
     cq = build_cqam(Prime(5))
     priors = np.full(25, 1 / 25)

@@ -10,20 +10,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import ChannelSnr, mi_complex_cqam
-from primeshape import constellations, optimizer
-from primeshape.awgn_mi import capacity_gamma
+from primeshape import awgn_mi, constellations, optimizer
+from primeshape.awgn_mi import capacity_gamma, mi_complex_points, mi_real_points
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import CqamParams, Stretch, build_cqam
 from primeshape.field import Prime
 from primeshape.optimizer import (
     LOG_GAMMA_TOL,
+    PROBE_LOG_GAMMA_TOL,
     UnreachableRateError,
     optimize_cqam,
     optimize_shaped_ask,
     optimize_time_sharing,
     snr_for_rate,
 )
-from primeshape.shaping import cqam_prior
+from primeshape.shaping import MaxwellBoltzmann, cqam_prior, mb_ask_prior
 
 # reduced node counts keep unit tests fast; the resulting dB shifts are far
 # below the assertion tolerances used here (full precision runs live in
@@ -107,6 +108,46 @@ def test_snr_for_rate_rejects_a_hint_that_is_not_positive(hint):
         snr_for_rate(lambda g: calls.append(g) or _capacity(g), 1.0, hint)
     assert not isinstance(exc.value, UnreachableRateError)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "target, tol, message",
+    [
+        (math.nan, LOG_GAMMA_TOL, "target rate must be positive and finite"),
+        (math.inf, LOG_GAMMA_TOL, "target rate must be positive and finite"),
+        (0.0, LOG_GAMMA_TOL, "target rate must be positive and finite"),
+        (1.0, math.nan, "SNR tolerance must be positive and finite"),
+        (1.0, math.inf, "SNR tolerance must be positive and finite"),
+        (1.0, 0.0, "SNR tolerance must be positive and finite"),
+        (1.0, -LOG_GAMMA_TOL, "SNR tolerance must be positive and finite"),
+    ],
+)
+def test_snr_for_rate_refuses_a_target_or_tol_that_is_not_positive_and_finite(
+    target, tol, message
+):
+    # a NaN target passed the old `target <= 0.0` check and returned gamma = 1
+    calls = []
+    with pytest.raises(ValueError, match=message) as exc:
+        snr_for_rate(lambda g: calls.append(g) or _capacity(g), target, tol=tol)
+    assert not isinstance(exc.value, UnreachableRateError)
+    assert calls == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.floats(0.01, 10.0), st.floats(-8.0, 0.0), st.sampled_from([-1.0, 1.0]))
+def test_snr_for_rate_at_the_probe_tolerance_lands_within_it(target, log10_offset, sign):
+    # every stopping rule and the residual check scale with tol, so a solve
+    # to PROBE_LOG_GAMMA_TOL lands within it of the root, and stops no later
+    # than the same solve to LOG_GAMMA_TOL, whose iterates it shares
+    root = (4.0**target - 1.0) / 2.0
+    hint = root * math.exp(sign * 10.0**log10_offset)
+    loose_calls, calls = [], []
+    loose = snr_for_rate(
+        lambda g: loose_calls.append(g) or _capacity(g), target, hint, tol=PROBE_LOG_GAMMA_TOL
+    )
+    snr_for_rate(lambda g: calls.append(g) or _capacity(g), target, hint)
+    assert abs(math.log(loose) - math.log(root)) <= PROBE_LOG_GAMMA_TOL
+    assert loose_calls == calls[: len(loose_calls)]
 
 
 def test_snr_for_rate_clamps_an_infinite_hint_to_gamma_max():
@@ -410,6 +451,43 @@ def test_target_within_the_residual_tolerance_of_the_ceiling_is_unreachable(monk
     with pytest.raises(UnreachableRateError, match="entropy ceiling"):
         optimize_time_sharing(Prime(7), Fraction(99999999, 100000000), nodes=NODES)
     assert counts["solves"] == 0
+
+
+def test_nu_search_solves_only_the_nu_it_returns_to_full_tolerance():
+    # the probes that steer the secant are solved to PROBE_LOG_GAMMA_TOL.  On
+    # this quadratic the secant lands on nu* = 0.3 exactly: that probe closes
+    # the bracket, so no converged probe follows, and the returned nu is
+    # solved again to LOG_GAMMA_TOL
+    def quadratic(nu):
+        return math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)
+
+    tols = []
+
+    def f(nu, hint, tol):
+        tols.append((nu, tol))
+        return quadratic(nu)
+
+    assert optimizer._minimize_nu(f, 1.0) == (pytest.approx(0.3, abs=1e-15), 1.0)
+    assert tols[-1] == (tols[-2][0], LOG_GAMMA_TOL)
+    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
+    # a steering probe whose loose gamma reads lowest is solved again before
+    # it may be returned: here nu = 0.25 reads 1% low, and its full solve
+    # hands the result back to nu = 0.3
+    tols.clear()
+
+    def low(nu, hint, tol):
+        tols.append((nu, tol))
+        gamma, h = quadratic(nu)
+        return (0.99 * gamma if nu == 0.25 and tol == PROBE_LOG_GAMMA_TOL else gamma), h
+
+    assert optimizer._minimize_nu(low, 1.0)[0] == pytest.approx(0.3, abs=1e-15)
+    assert (0.25, LOG_GAMMA_TOL) in tols
+    # a converged secant step inside the bracket is the one full solve
+    tols.clear()
+    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
+    nu, _ = optimizer._minimize_nu(lambda *args: tols.append(args[::2]) or f(*args), 2.0)
+    assert tols[-1] == (nu, LOG_GAMMA_TOL)
+    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -727,6 +805,70 @@ def test_time_sharing_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_time_sharing(Prime(13), Fraction(19, 20), convention="shaped")
     assert 0 < len(calls) <= 32
+
+
+def test_time_sharing_shaped_row_mi_call_budget(monkeypatch):
+    # 23 kernel calls; the steering probes solved to PROBE_LOG_GAMMA_TOL
+    # took the whole 12-row table from 322 calls to 292
+    calls = _count_mi_calls(monkeypatch)
+    optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped")
+    assert 0 < len(calls) <= 23
+
+
+def test_time_sharing_prepares_each_curve_once():
+    # the baseline, which under "shaped" is also every solve's uniform term,
+    # and the shaped curve at the forced nu: two kernel states for all calls
+    awgn_mi._prepare.cache_clear()
+    optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped", nodes=NODES, nu=0.1)
+    info = awgn_mi._prepare.cache_info()
+    assert info.misses == 2 and info.hits >= 3
+
+
+def _mirror_folded(p, nu):
+    """A p-ASK alphabet in symbol order, its MB prior at nu, and the mirror
+    fold's conditioning points and weights, as the optimizer passes them."""
+    pts = constellations.build_ask(Prime(p)).points.real
+    pri = mb_ask_prior(Prime(p), nu).probs.copy()
+    half = pts >= 0.0
+    return pts, pri, {"condition_on": pts[half], "condition_weights": 2.0 * pri[half]}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_prepared_kernel_memo_gives_cold_bits_and_sees_changes_in_place(kind):
+    # a hit returns the bits of a cold call; a curve whose arrays change in
+    # place has new contents, so it is prepared anew, never served stale
+    if kind == "real":
+        kernel, (pts, pri, kw) = mi_real_points, _mirror_folded(7, 0.1)
+    else:
+        c = build_cqam(Prime(5))
+        prior = MaxwellBoltzmann.from_amplitudes(0.3, c.shells.radii)
+        kernel, pts, pri, kw = mi_complex_points, c.points, cqam_prior(prior, Prime(5)), {}
+
+    def cold():
+        awgn_mi._prepare.cache_clear()
+        return kernel(pts, pri, 0.6, 24, **kw)
+
+    def same(a, b):
+        return a[:2] == b[:2] and np.array_equal(a[2], b[2])
+
+    first = cold()
+    assert same(kernel(pts, pri, 0.6, 24, **kw), first)
+    assert awgn_mi._prepare.cache_info().hits == 1
+    pri[:] = np.roll(pri, 1)  # the same array objects, other contents
+    changed = kernel(pts, pri, 0.6, 24, **kw)
+    assert changed[0] != first[0]
+    assert same(changed, cold())
+
+
+def test_prepared_kernel_memo_stays_within_its_size():
+    pts = np.array([-1.0, 1.0])
+    info = awgn_mi._prepare.cache_info()
+    assert info.maxsize == awgn_mi._PREPARED_MAX
+    for i in range(3 * awgn_mi._PREPARED_MAX):
+        q = (i + 1) / (3 * awgn_mi._PREPARED_MAX + 1)
+        mi_real_points(pts, np.array([q, 1.0 - q]), 1.0, 16)
+        assert awgn_mi._prepare.cache_info().currsize <= awgn_mi._PREPARED_MAX
+    assert awgn_mi._prepare.cache_info().currsize == awgn_mi._PREPARED_MAX
 
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))

@@ -287,6 +287,15 @@ def test_generate_frames_rejects_empty():
         generate_frames(code, prior, num_frames=0, seed=1)
 
 
+@pytest.mark.parametrize("num_frames", [1.5, 2.0, True, "2"])
+def test_generate_frames_refuses_a_frame_count_that_is_not_an_integer(num_frames):
+    # a float count reached the slicing and failed there; a bool passed as 1
+    code, prior = _chain_pieces()
+    with pytest.raises(ValueError, match="num_frames must be an integer"):
+        generate_frames(code, prior, num_frames=num_frames, seed=1)
+    assert generate_frames(code, prior, num_frames=np.int64(2), seed=1)[0].shape == (2, 6)
+
+
 def test_generate_frames_refuses_odd_length_before_matching(monkeypatch):
     def matcher(*args):
         raise AssertionError("the matcher ran for a code no frame can use")

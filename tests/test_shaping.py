@@ -157,6 +157,18 @@ def test_multinomial_and_input_length():
     assert (plan.num_sequences(), plan.input_length()) == (2, 0)
 
 
+@pytest.mark.parametrize(
+    "counts", [(1.5, 1.5, 1, 0, 0), (True, True, 1, 1, 0), (2.0, 1, 1, 0, 0), (5, -1, 0, 0, 0)]
+)
+def test_composition_counts_must_be_nonnegative_integers(counts):
+    # a float count summed to the block length and failed later, in
+    # input_length's factorials; a bool passed as 0 or 1
+    with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+        CompositionPlan(Prime(5), 4, counts)
+    plan = CompositionPlan(Prime(5), 4, tuple(np.array([2, 1, 1, 0, 0])))
+    assert plan.input_length() == 1
+
+
 def test_degenerate_composition():
     f5 = Prime(5)
     plan = CompositionPlan(f5, 6, (6, 0, 0, 0, 0))
