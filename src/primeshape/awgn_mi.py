@@ -35,6 +35,20 @@ keeps 52 of its 96 nodes and the 2-D rule 2164 of its 9216, and the
 dropped ones carry under 1e-16 of the weight mass.  Up to 24 nodes the
 1-D rule keeps every node.
 
+A call runs in two steps.  The prepare step builds what does not depend
+on sigma: the points and conditioning points in real components, the
+mask of positive conditioning weights, the log priors, the conditioning
+points' transpose and the rule.  It also checks the inputs once: the
+priors must be a distribution (`sumdist.check_pmf`), the points and
+conditioning points finite and the weights nonnegative and finite.  The
+step is memoized in a bounded LRU cache (_PREPARED_MAX states) keyed on
+the contents of its inputs, the bytes of each array with the kind and
+node count, so the calls along one rate curve, which differ in sigma
+alone, prepare once.  The state is built from those bytes and is
+read-only, so an array changed in place is a new key, never a stale
+hit.  The evaluation then runs the same arithmetic on the same values
+whether the state was cached or not, and the bits do not change.
+
 Both kernels can restrict the outer expectation to representative
 points (`condition_on` with `condition_weights`), which is exact
 whenever the prior and the geometry share a symmetry group acting
@@ -224,11 +238,10 @@ def _prepare(
     distribution (`sumdist.check_pmf`), points or conditioning points
     that are not finite, and weights that are not nonnegative and finite.
     """
-    dtype = float if dim == 1 else complex
-
     def array(key: tuple) -> np.ndarray:
-        a = np.frombuffer(key[1], dtype).reshape(key[0])
-        return a[:, None] if dim == 1 else a.view(float).reshape(-1, 2)
+        if dim == 1:
+            return np.frombuffer(key[1]).reshape(key[0])[:, None]
+        return np.frombuffer(key[1], complex).view(float).reshape(-1, 2)
 
     points, cond = array(points), array(cond)
     priors, weights = (np.frombuffer(k[1]).reshape(k[0]) for k in (priors, weights))
