@@ -319,7 +319,7 @@ def _mi_points(kernel: _Kernel, sigma: float) -> tuple[float, float, np.ndarray]
     return bits, float(mmse / (2.0 * sigma**2 * _LN2)), divergences
 
 
-def _kernel(
+def _prepared(
     dim: int,
     points: np.ndarray,
     priors: np.ndarray,
@@ -371,7 +371,7 @@ def mi_real_points(
         D(p(y|x) || p(y)) in bits (0.0 at a zero weight), which the
         weights average to the bits.
     """
-    kernel = _kernel(1, points, priors, nodes, condition_on, condition_weights)
+    kernel = _prepared(1, points, priors, nodes, condition_on, condition_weights)
     return _mi_points(kernel, sigma)
 
 
@@ -392,7 +392,7 @@ def mi_complex_points(
     representative points (exact whenever the prior and geometry share a
     symmetry group acting transitively on each orbit).
     """
-    kernel = _kernel(2, points, priors, nodes, condition_on, condition_weights)
+    kernel = _prepared(2, points, priors, nodes, condition_on, condition_weights)
     return _mi_points(kernel, sigma)
 
 

@@ -39,7 +39,7 @@ def check_pmf(probs: np.ndarray, what: str, tol: float = NORMALIZATION_TOL) -> N
     """Raise ValueError unless `probs` is nonnegative and sums to 1 within tol;
     `what` names the distribution in the message."""
     # NaN fails every comparison, so each check states what must hold
-    if not (probs >= 0.0).all():
+    if not np.all(probs >= 0.0):
         raise ValueError(f"{what} entries must be nonnegative numbers")
     total = probs.sum()
     if not abs(total - 1.0) <= tol:
