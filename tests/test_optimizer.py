@@ -454,40 +454,41 @@ def test_target_within_the_residual_tolerance_of_the_ceiling_is_unreachable(monk
 
 
 def test_nu_search_solves_only_the_nu_it_returns_to_full_tolerance():
-    # the probes that steer the secant are solved to PROBE_LOG_GAMMA_TOL.  On
-    # this quadratic the secant lands on nu* = 0.3 exactly: that probe closes
-    # the bracket, so no converged probe follows, and the returned nu is
-    # solved again to LOG_GAMMA_TOL
-    def quadratic(nu):
-        return math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)
-
+    # the probes that steer the secant are solved to PROBE_LOG_GAMMA_TOL
     tols = []
 
-    def f(nu, hint, tol):
-        tols.append((nu, tol))
-        return quadratic(nu)
+    def solved(fn):
+        def f(nu, hint, tol):
+            tols.append((nu, tol))
+            return fn(nu, tol)
 
-    assert optimizer._minimize_nu(f, 1.0) == (pytest.approx(0.3, abs=1e-15), 1.0)
+        return f
+
+    def quadratic(nu, tol):
+        return math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)
+
+    # a converged secant step inside the bracket is the one full solve
+    curved = solved(lambda nu, tol: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
+    nu, _ = optimizer._minimize_nu(curved, 2.0)
+    assert tols[-1] == (nu, LOG_GAMMA_TOL)
+    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
+    # here the secant lands on nu* = 0.3 exactly: that probe closes the
+    # bracket, so no converged probe follows, and nu* is solved again
+    tols.clear()
+    assert optimizer._minimize_nu(solved(quadratic), 1.0) == (pytest.approx(0.3, abs=1e-15), 1.0)
     assert tols[-1] == (tols[-2][0], LOG_GAMMA_TOL)
     assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
     # a steering probe whose loose gamma reads lowest is solved again before
-    # it may be returned: here nu = 0.25 reads 1% low, and its full solve
-    # hands the result back to nu = 0.3
+    # it may be returned: nu = 0.25 reads 1% low, and its full solve hands
+    # the result back to nu = 0.3
     tols.clear()
 
-    def low(nu, hint, tol):
-        tols.append((nu, tol))
-        gamma, h = quadratic(nu)
+    def low(nu, tol):
+        gamma, h = quadratic(nu, tol)
         return (0.99 * gamma if nu == 0.25 and tol == PROBE_LOG_GAMMA_TOL else gamma), h
 
-    assert optimizer._minimize_nu(low, 1.0)[0] == pytest.approx(0.3, abs=1e-15)
+    assert optimizer._minimize_nu(solved(low), 1.0)[0] == pytest.approx(0.3, abs=1e-15)
     assert (0.25, LOG_GAMMA_TOL) in tols
-    # a converged secant step inside the bracket is the one full solve
-    tols.clear()
-    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
-    nu, _ = optimizer._minimize_nu(lambda *args: tols.append(args[::2]) or f(*args), 2.0)
-    assert tols[-1] == (nu, LOG_GAMMA_TOL)
-    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -824,21 +825,15 @@ def test_time_sharing_prepares_each_curve_once():
     assert info.misses == 2 and info.hits >= 3
 
 
-def _mirror_folded(p, nu):
-    """A p-ASK alphabet in symbol order, its MB prior at nu, and the mirror
-    fold's conditioning points and weights, as the optimizer passes them."""
-    pts = constellations.build_ask(Prime(p)).points.real
-    pri = mb_ask_prior(Prime(p), nu).probs.copy()
-    half = pts >= 0.0
-    return pts, pri, {"condition_on": pts[half], "condition_weights": 2.0 * pri[half]}
-
-
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_prepared_kernel_memo_gives_cold_bits_and_sees_changes_in_place(kind):
     # a hit returns the bits of a cold call; a curve whose arrays change in
     # place has new contents, so it is prepared anew, never served stale
-    if kind == "real":
-        kernel, (pts, pri, kw) = mi_real_points, _mirror_folded(7, 0.1)
+    if kind == "real":  # mirror-folded 7-ASK, as the optimizer calls it
+        pts = constellations.build_ask(Prime(7)).points.real
+        kernel, pri = mi_real_points, mb_ask_prior(Prime(7), 0.1).probs.copy()
+        half, fold = optimizer._mirror_fold(pts, pri)
+        kw = {"condition_on": pts[half], "condition_weights": fold * pri[half]}
     else:
         c = build_cqam(Prime(5))
         prior = MaxwellBoltzmann.from_amplitudes(0.3, c.shells.radii)
