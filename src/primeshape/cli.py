@@ -17,6 +17,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -360,7 +361,10 @@ def cmd_pas(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; `main` parses
+    every argv with it, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="primeshape",
         description="Shaping toolkit for prime-field constellations",

@@ -61,8 +61,8 @@ d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
 by linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
-the first nu from gamma_unif, and each CQAM refinement at `nodes` from
-the gamma its solve at SEARCH_NODES found.  It ends on a Newton step it
+the first nu from gamma_unif, and each CQAM rung from the gamma its solve
+on the rung below found (see below).  It ends on a Newton step it
 does not evaluate once that step is short and Newton's predicted error
 after it is far below the tolerance.  That error needs the curvature
 d slope / d ln gamma, which a solve takes from its last two evaluations;
@@ -81,12 +81,28 @@ reaches the target at or below gamma_cap (each is at most the capacity,
 and a time-averaged mix of two is at most the capacity of their mean
 energy, by Jensen's inequality), so every hint is raised to gamma_cap.
 
+A complex rate evaluation costs as its rule's size, which grows as the
+square of the node count, so CQAM solves on a ladder of rules:
+min(nodes, COLD_NODES), then SEARCH_NODES, then `nodes`, a rung dropped
+where it equals the one below.  Its two cold solves climb it, each rung
+from the gamma and curvature of the solve on the rung below, which then
+costs about one evaluation (nested iteration).  The baseline starts on
+the first rung from gamma_cap and climbs to `nodes`; a nu solve without a
+hint (the search's first probe, one after only infeasible probes, or a
+forced nu) starts there from gamma_unif and climbs to the node count it
+is asked for: SEARCH_NODES in the search, `nodes` for a forced nu.  The
+steering probes, which start from a solved neighbour, run at
+SEARCH_NODES alone, so nu* is found from SEARCH_NODES gradients, and the
+optimum is refined at `nodes` from its search solve.  The p-ASK schemes
+solve at `nodes` alone.
+
 A nu probe's gamma and gradient only steer the search, so each probe is
 solved to PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL: an
 inexact inner solve (Dembo, Eisenstat and Steihaug, 1982).  Every solve
 whose gamma is reported stays at LOG_GAMMA_TOL: the baseline gamma_unif,
 the converged probe (or a steering probe that reads smallest, solved
-again), a forced nu, and each CQAM refinement at `nodes`.
+again), a forced nu, and each CQAM refinement at `nodes`.  A CQAM rung
+below the top is solved to the tolerance of the solve it serves.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -163,6 +179,22 @@ NU_REL_TOL = 1e-4
 #: by under 1e-12 dB.  The p-ASK schemes search at `nodes`: at 48 nodes the
 #: time-sharing row p = 7, R_c = 19/20 moved by 6e-7 dB.
 SEARCH_NODES = 48
+
+#: Node count of the first rung of the CQAM ladder, or `nodes` when that
+#: is smaller.  CQAM's two cold solves, the baseline from gamma_cap and a
+#: nu solve without a hint, start here and climb to SEARCH_NODES, the
+#: baseline and a forced nu on to `nodes`, about one evaluation a rung,
+#: each from the gamma and curvature of the rung below (nested iteration: Hackbusch, Multi-Grid
+#: Methods and Applications, 1985).  The 2-D rule keeps 252 nodes at 16,
+#: 1044 at 48 and 2164 at 96, and the 16-node gamma_unif lies 6.1e-6 dB
+#: (1.4e-6 in ln gamma, inside PREDICTED_STEP_MAX) from the 48-node one
+#: on 7^2, 3.0e-6 dB on 13^2.  Over p in {5, 7, 11, 13} and R_c in {2/3,
+#: 3/4, 5/6, 9/10} every row moved by under 7e-12 dB, made 3-5 fewer
+#: 48-node calls and kept two 96-node calls; a direct 16 -> 96 step needed
+#: a second 96-node call on 11 of the 16 rows.  The p-ASK schemes have no
+#: ladder: a real call costs mostly its fixed overhead, so a rung would
+#: add a call and save nothing.
+COLD_NODES = 16
 
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
 GAMMA_MIN, GAMMA_MAX = 1e-300, 1e15
@@ -442,9 +474,11 @@ def _optimize(
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A,
-    searched at `nodes` (CQAM: at most SEARCH_NODES).  Where those differ,
-    gamma_unif and gamma_A(nu*) are each solved at SEARCH_NODES and
-    refined at `nodes`.
+    searched at `nodes` (CQAM: at most SEARCH_NODES).  A complex scheme's
+    cold solves climb the ladder min(nodes, COLD_NODES), SEARCH_NODES,
+    `nodes` (see the module docstring): gamma_unif climbs all of it, and a
+    nu solve without a hint climbs to its node count.  Where the search's
+    node count is below `nodes`, gamma_A(nu*) is refined at `nodes`.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -454,6 +488,10 @@ def _optimize(
         )
     _rule(nodes, 1)  # rejects a bad node count before any solve; cached
     search_nodes = min(nodes, SEARCH_NODES) if scheme.dimension == "complex" else nodes
+    # the node counts a cold solve climbs, about one evaluation a rung past the first
+    ladder = [nodes]
+    if scheme.dimension == "complex":
+        ladder = sorted({min(nodes, COLD_NODES), search_nodes, nodes})
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
@@ -491,25 +529,33 @@ def _optimize(
             slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
         return gamma, curvature, slope, d_nu
 
-    # a complex `nodes` above SEARCH_NODES refines the coarse solve's gamma
-    gamma_unif, curvature, _, _ = solve(scheme.baseline(search_nodes), gamma_cap, math.nan)
-    if search_nodes != nodes:
-        gamma_unif = solve(scheme.baseline(nodes), gamma_unif, curvature)[0]
+    def climb(
+        curve: Callable[[int], Curve], rungs: list[int], hint: float, curvature: float,
+        tol: float = LOG_GAMMA_TOL,
+    ) -> tuple[float, float, float, float]:
+        """`solve` curve(n) at each node count n of rungs in turn, each from
+        the gamma and curvature of the one before."""
+        for n in rungs:
+            hint, curvature, slope, d_nu = solve(curve(n), hint, curvature, tol)
+        return hint, curvature, slope, d_nu
+
+    gamma_unif, curvature, _, _ = climb(scheme.baseline, ladder, gamma_cap, math.nan)
 
     def gamma_of_nu(
         nu_val: float, n: int, hint: float | None, tol: float = LOG_GAMMA_TOL
     ) -> tuple[float, float]:
-        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved to tol from hint
-        (by default gamma_unif, and at least gamma_cap) borrowing the last
-        solve's curvature, which it then replaces; (inf, inf) where the
-        target is unreachable."""
+        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved at n nodes to tol
+        from hint, at least gamma_cap, borrowing the last solve's curvature,
+        which it then replaces; (inf, inf) where the target is unreachable.
+        Without a hint it climbs the ladder's rungs below n from gamma_unif."""
         nonlocal curvature
         prior = scheme.prior(nu_val)
         if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
+        rungs = [n] if hint is not None else [r for r in ladder if r < n] + [n]
         try:
-            gamma, curvature, slope, d_nu = solve(
-                scheme.curve(prior, n),
+            gamma, curvature, slope, d_nu = climb(
+                lambda m: scheme.curve(prior, m), rungs,
                 gamma_unif if hint is None else max(hint, gamma_cap), curvature, tol,
             )
         except UnreachableRateError:
@@ -745,9 +791,12 @@ def optimize_cqam(
     is set); the potential-gain baseline gamma_unif is always the
     unstretched construction under uniform priors, so the reported
     potential gain isolates what shaping plus stretching can recover.
-    The baseline and the nu search run at min(nodes, SEARCH_NODES)
-    nodes; when `nodes` is larger, gamma_unif and the returned operating
-    point are refined at `nodes`.
+    The nu search runs at min(nodes, SEARCH_NODES) nodes.  The baseline
+    solves cold at min(nodes, COLD_NODES) nodes and is refined at the
+    search's node count and then at `nodes`; the search's first probe
+    solves cold there too and is refined at its node count, and a forced
+    nu climbs the same rungs as the baseline.  When `nodes` is larger
+    than the search's, the returned operating point is refined at `nodes`.
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import Prime, frozen_array
+from .field import Prime, frozen_array, is_int
 
 #: Tolerance on sum(probs) == 1 for validated distributions.
 NORMALIZATION_TOL = 1e-12
@@ -82,6 +82,8 @@ def sum_distribution_dft(
 ) -> SymbolDistribution:
     """PMF of the mod-p sum of `repeat` independent copies of each factor.
 
+    `repeat` is an integer of at least 1 (a bool is refused).
+
     numpy's length-p DFT is the character transform of Z_p evaluated at
     w^(-1): the product of the m factors' forward transforms, raised to
     the power `repeat` and inverted, gives the PMF.  Cost O(m * p log p)
@@ -91,6 +93,8 @@ def sum_distribution_dft(
     """
     factors = list(factors)
     fld = _common_field(factors)
+    if not is_int(repeat):  # a float is a fractional power of the transform
+        raise ValueError(f"repeat must be an integer, got {repeat!r}")
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
     probs = np.array([f.probs for f in factors])

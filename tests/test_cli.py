@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -828,3 +831,29 @@ def test_parser_builds_help_for_all_subcommands():
     text = parser.format_help()
     for name in ("sum-dist", "construct", "table", "pas"):
         assert name in text
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, tmp_path):
+    # main parses every argv with the one parser build_parser keeps: failing
+    # calls leave nothing behind in it, and table and pas, whose commands
+    # change their Namespace, write the bytes of a fresh process
+    assert build_parser() is build_parser()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in (
+        ["table", "--mode", "qam"],  # argparse refuses it: SystemExit(2)
+        ["table", "--mode", "cqam", "--convention", "shaped"],  # exit 2
+        ["table", "-p", "7", "--rc", "2/3", "--rc", "4/5"],
+        ["table", "-p", "5", "--rc", "3/4", "--convention", "shaped", "--format", "json"],
+        ["pas", "-p", "5", "--frames", "40", "--dump-frames", "-"],
+        ["table", "-p", "7", "--rc", "2/3", "--rc", "4/5"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "primeshape.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -308,6 +309,48 @@ def test_refinement_at_more_nodes_lands_as_a_cold_solve(scheme):
     )
     cold = snr_for_rate(fine, target, 1.0)
     assert len(calls) == 1
+    assert abs(math.log(warm) - math.log(cold)) <= LOG_GAMMA_TOL
+
+
+@pytest.mark.parametrize(
+    "p, shaped, tol, rung_calls",
+    [
+        (5, False, LOG_GAMMA_TOL, 2),
+        (7, False, LOG_GAMMA_TOL, 1),
+        (7, True, PROBE_LOG_GAMMA_TOL, 1),
+    ],
+    ids=["baseline-5", "baseline-7", "probe-7"],
+)
+def test_ladder_rung_lands_as_a_cold_solve(p, shaped, tol, rung_calls):
+    # CQAM's cold solves, the baseline from gamma_cap and a nu solve without
+    # a hint from gamma_unif, run at COLD_NODES = 16 and hand their gamma and
+    # curvature to a solve at SEARCH_NODES = 48, which lands within
+    # LOG_GAMMA_TOL of a cold solve at 48 nodes.  The 16-node gamma_unif lies
+    # 1.4e-6 in ln gamma from the 48-node one on 7^2, inside
+    # PREDICTED_STEP_MAX, and 8.6e-6 on 5^2, which takes one call more.  The
+    # search's first probe is solved to PROBE_LOG_GAMMA_TOL, as the driver
+    # solves it, and still lands within LOG_GAMMA_TOL (2e-12 here)
+    assert (optimizer.COLD_NODES, optimizer.SEARCH_NODES) == (16, 48)
+    scheme = optimizer._cqam_scheme(Prime(p), CqamParams(stretch=REFERENCE_STRETCH.get(p)))
+    target = 2.0 * float(Fraction(2, 3)) * math.log2(p)
+    gamma_cap = capacity_gamma(target / 2.0, "complex")
+    if shaped:  # the search's first probe, from the baseline's gamma
+        curve = functools.partial(scheme.curve, scheme.prior(0.5 * scheme.nu_max))
+        start = snr_for_rate(scheme.baseline(96), target, gamma_cap)
+    else:
+        curve, start = scheme.baseline, gamma_cap
+    seen, rung = [], curve(16)
+    coarse = snr_for_rate(
+        lambda g: seen.append((math.log(g), *rung(g))) or seen[-1][1:], target, start, tol=tol
+    )
+    (t0, _, s0, _), (t1, _, s1, _) = seen[-2:]
+    calls, fine = [], curve(48)
+    warm = snr_for_rate(
+        lambda g: calls.append(g) or fine(g), target, coarse,
+        curvature=(s1 - s0) / (t1 - t0), tol=tol,
+    )
+    cold = snr_for_rate(fine, target, start)
+    assert len(calls) == rung_calls
     assert abs(math.log(warm) - math.log(cold)) <= LOG_GAMMA_TOL
 
 
@@ -802,6 +845,38 @@ def test_cqam_row_mi_call_budget(monkeypatch):
     assert 0 < len(calls) <= 18
 
 
+def _complex_nodes(monkeypatch) -> list:
+    """Record the node count of each complex kernel call, in order."""
+    rules, kernel = [], optimizer.mi_complex_points
+
+    def recorded(*args, **kwargs):
+        rules.append(args[3])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "mi_complex_points", recorded)
+    return rules
+
+
+def test_cqam_row_calls_by_rung(monkeypatch):
+    # the 7^2 row of the cqam-p7 workload: the two cold solves' six
+    # evaluations run on the 16-node rule (252 nodes), leaving 8 calls at
+    # 48 nodes (12 without the ladder) and the two 96-node refinements
+    rules = _complex_nodes(monkeypatch)
+    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
+    assert rules.count(48) <= 8
+    assert rules.count(96) == 2
+    assert set(rules) == {16, 48, 96}
+
+
+def test_p_ask_schemes_have_no_ladder(monkeypatch):
+    # a real kernel call costs mostly its fixed overhead, so the p-ASK
+    # schemes solve at `nodes` alone
+    calls = _count_mi_calls(monkeypatch)
+    optimize_time_sharing(Prime(7), Fraction(2, 3))
+    optimize_shaped_ask(Prime(7), Fraction(2, 3))
+    assert calls and {args[3] for args in calls} == {96}
+
+
 def test_time_sharing_row_mi_call_budget(monkeypatch):
     calls = _count_mi_calls(monkeypatch)
     optimize_time_sharing(Prime(13), Fraction(19, 20), convention="shaped")
@@ -868,9 +943,17 @@ def test_prepared_kernel_memo_stays_within_its_size():
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))
 def test_forced_nu_solves_baseline_and_one_point(monkeypatch, scheme):
-    counts = _count_solves(monkeypatch)
+    # a p-ASK baseline and forced nu take one solve each at `nodes`; CQAM
+    # (at 24 nodes here) solves each cold at COLD_NODES = 16 and refines it
+    # at 24, a second solve
+    counts, rules = _count_solves(monkeypatch), _complex_nodes(monkeypatch)
     FORCED[scheme](0.1, Fraction(2, 3))
-    assert counts == {"solves": 2, "search": 0}
+    if scheme == "cqam":
+        assert counts == {"solves": 4, "search": 0}
+        assert [n for n, _ in itertools.groupby(rules)] == [16, 24, 16, 24]
+    else:
+        assert counts == {"solves": 2, "search": 0}
+        assert rules == []
 
 
 @pytest.mark.parametrize("scheme", sorted(FORCED))
@@ -909,28 +992,29 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
-    # the CQAM nu search runs at min(nodes, SEARCH_NODES = 48) nodes; only a
-    # larger `nodes` refines the baseline and the optimum there
-    counts, rules = _count_solves(monkeypatch), []
-    kernel = optimizer.mi_complex_points
-
-    def recorded_kernel(*args, **kwargs):
-        rules.append(args[3])  # the node count
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "mi_complex_points", recorded_kernel)
+    # the CQAM baseline and the search's first probe solve cold at
+    # COLD_NODES = 16 and climb to min(nodes, SEARCH_NODES = 48), where the
+    # steering probes solve; only a larger `nodes` refines the baseline and
+    # the optimum there.  Each rung past the first is a solve of its own
+    counts, rules = _count_solves(monkeypatch), _complex_nodes(monkeypatch)
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=24)
-    assert counts["search"] > 0 and set(rules) == {24}
-    assert counts["solves"] == counts["search"] + 1  # the baseline only
+    assert [n for n, _ in itertools.groupby(rules)] == [16, 24, 16, 24]
+    # the baseline's two rungs, and the first probe's second
+    assert counts["solves"] == counts["search"] + 2 + 1
     counts.update(solves=0, search=0)
     rules.clear()
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
-    # baseline at 48, refined at 64; search at 48, optimum refined at 64;
-    # each refinement starts from the 48-node gamma and curvature and costs
-    # one kernel call
-    assert [n for n, _ in itertools.groupby(rules)] == [48, 64, 48, 64]
+    # baseline 16 -> 48 -> 64; first probe 16 -> 48, the search at 48, the
+    # optimum refined at 64; each 64-node refinement costs one kernel call
+    assert [n for n, _ in itertools.groupby(rules)] == [16, 48, 64, 16, 48, 64]
     assert rules.count(64) == 2
-    assert counts["solves"] == counts["search"] + 3
+    # the baseline's three rungs, the first probe's second and the refinement
+    assert counts["solves"] == counts["search"] + 3 + 1 + 1
+    counts.update(solves=0, search=0)
+    rules.clear()
+    optimize_cqam(Prime(5), Fraction(2, 3), nodes=16)
+    assert set(rules) == {16}
+    assert counts["solves"] == counts["search"] + 1  # a one-rung ladder
 
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):

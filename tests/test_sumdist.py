@@ -186,6 +186,23 @@ def test_repeat_below_one_is_refused():
             sum_distribution_dft([SymbolDistribution.uniform(Prime(3))], repeat)
 
 
+@pytest.mark.parametrize("repeat", [2.5, 2.0, True, np.float64(3.0), "2", None])
+def test_repeat_that_is_not_an_integer_is_refused(repeat):
+    # 2.5 took a fractional power of the transform, [0.266, 0.228, 0.177,
+    # 0.165, 0.165], the law of no sum; True read as 1
+    factor = SymbolDistribution(Prime(5), [0.5, 0.2, 0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="repeat must be an integer"):
+        sum_distribution_dft([factor], repeat)
+
+
+def test_numpy_integer_repeat_is_an_integer():
+    factor = SymbolDistribution(Prime(5), [0.5, 0.2, 0.1, 0.1, 0.1])
+    npt.assert_array_equal(
+        sum_distribution_dft([factor], np.int64(3)).probs,
+        sum_distribution_dft([factor], 3).probs,
+    )
+
+
 def test_imaginary_residue_is_refused(monkeypatch):
     ifft = np.fft.ifft
     monkeypatch.setattr(sumdist.np.fft, "ifft", lambda x: ifft(x) + 1j * sumdist.IMAG_TOL * 2)

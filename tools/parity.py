@@ -52,6 +52,12 @@ COMMANDS = {
         "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--rc", "3/4",
         "--rc", "5/6",
     ],
+    # unstretched primes, and the high rate, where the CQAM ladder's rungs
+    # step farthest
+    "table-cqam-wide": [
+        "table", "--mode", "cqam", "-p", "5", "-p", "11", "--rc", "2/3", "--rc", "9/10",
+        "--format", "json",
+    ],
     "pas-p7": ["pas", "-p", "7", "-o", "report.json", "--dump-frames", "frames.csv"],
     "pas-p13": ["pas", "-p", "13", "-o", "report.json", "--dump-frames", "frames.csv"],
     # unstretched, so its shells are packed; and a stretch of its own
