@@ -316,6 +316,11 @@ def cmd_pas(args: argparse.Namespace) -> int:
         raise ValueError("--dump-frames and -o/--output name the same destination")
     field = Prime(args.prime)
     rc = _parse_fraction(args.rc)
+    if not Fraction(1, 2) <= rc < 1:
+        raise ValueError(
+            f"coding rate {rc} outside [1/2, 1); a PAS frame needs its shaped half "
+            "among the k systematic symbols and at least one parity symbol"
+        )
     if args.block_n is not None:
         n = args.block_n
         if n % 2 or (n * rc.numerator) % rc.denominator:

@@ -61,8 +61,9 @@ d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
 by linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
-the first nu from gamma_unif, and each CQAM rung from the gamma its solve
-on the rung below found (see below).  It ends on a Newton step it
+the first nu from gamma_unif, each CQAM rung from the gamma its solve on
+the rung below found, and CQAM's fine nu search from its coarse one's
+(see below).  It ends on a Newton step it
 does not evaluate once that step is short and Newton's predicted error
 after it is far below the tolerance.  That error needs the curvature
 d slope / d ln gamma, which a solve takes from its last two evaluations;
@@ -84,17 +85,21 @@ energy, by Jensen's inequality), so every hint is raised to gamma_cap.
 A complex rate evaluation costs as its rule's size, which grows as the
 square of the node count, so CQAM solves on a ladder of rules:
 min(nodes, COLD_NODES), then SEARCH_NODES, then `nodes`, a rung dropped
-where it equals the one below.  Its two cold solves climb it, each rung
-from the gamma and curvature of the solve on the rung below, which then
-costs about one evaluation (nested iteration).  The baseline starts on
-the first rung from gamma_cap and climbs to `nodes`; a nu solve without a
-hint (the search's first probe, one after only infeasible probes, or a
-forced nu) starts there from gamma_unif and climbs to the node count it
-is asked for: SEARCH_NODES in the search, `nodes` for a forced nu.  The
-steering probes, which start from a solved neighbour, run at
-SEARCH_NODES alone, so nu* is found from SEARCH_NODES gradients, and the
-optimum is refined at `nodes` from its search solve.  The p-ASK schemes
-solve at `nodes` alone.
+where it equals the one below.  The baseline starts on the first rung
+from gamma_cap and climbs to `nodes`, each rung from the gamma and
+curvature of the solve on the rung below, which then costs about one
+evaluation (nested iteration); a forced nu climbs the same rungs from
+gamma_unif.  The nu search is nested the same way, on two levels.  The
+coarse level steers: a secant search on the first rung, from gamma_unif,
+whose gamma is never reported, so it solves no probe at its converged nu
+and none again.  The fine level converges: a search at min(nodes,
+SEARCH_NODES) starts at the coarse optimum, from its gamma and the last
+coarse solve's curvature, and steps first by Newton's method on the
+coarse secant slope of the gradient, then by its own secant.  So nu* is
+found from the fine level's gradients under its own NU_REL_TOL, and the
+optimum is refined at `nodes` from its search solve.  A one-rung ladder
+(the p-ASK schemes, which solve at `nodes` alone, or CQAM at `nodes` <=
+COLD_NODES) searches on the fine level alone, from the bracket.
 
 A nu probe's gamma and gradient only steer the search, so each probe is
 solved to PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL: an
@@ -102,7 +107,8 @@ inexact inner solve (Dembo, Eisenstat and Steihaug, 1982).  Every solve
 whose gamma is reported stays at LOG_GAMMA_TOL: the baseline gamma_unif,
 the converged probe (or a steering probe that reads smallest, solved
 again), a forced nu, and each CQAM refinement at `nodes`.  A CQAM rung
-below the top is solved to the tolerance of the solve it serves.
+below the top is solved to the tolerance of the solve it serves, and
+every probe of the coarse nu search to PROBE_LOG_GAMMA_TOL.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -171,29 +177,33 @@ PROBE_LOG_GAMMA_TOL = 3e-7
 #: superlinearly: every table row moved by under 1e-11 dB at 2.5e-6.
 NU_REL_TOL = 1e-4
 
-#: Gauss-Hermite node count per real dimension of the CQAM solves, or
-#: `nodes` when that is smaller.  A larger `nodes` refines the baseline and
-#: the optimum there, each in one evaluation from its SEARCH_NODES solve.
-#: The complex rule's size grows as the square of the node count, so the
-#: coarser search pays there, and moved the 7^2 and 13^2 rows at R_c = 2/3
-#: by under 1e-12 dB.  The p-ASK schemes search at `nodes`: at 48 nodes the
-#: time-sharing row p = 7, R_c = 19/20 moved by 6e-7 dB.
+#: Gauss-Hermite node count per real dimension on which the CQAM nu
+#: search converges (its fine level), or `nodes` when that is smaller, so
+#: nu* comes from gradients on this rule.  A larger `nodes` refines the
+#: baseline and the optimum there, each in one evaluation from its
+#: SEARCH_NODES solve.  The complex rule's size grows as the square of the
+#: node count, so the coarser search pays there, and moved the 7^2 and
+#: 13^2 rows at R_c = 2/3 by under 1e-12 dB; converging at 32 nodes moved
+#: 7^2 at R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search at `nodes`: at
+#: 48 nodes the time-sharing row p = 7, R_c = 19/20 moved by 6e-7 dB.
 SEARCH_NODES = 48
 
 #: Node count of the first rung of the CQAM ladder, or `nodes` when that
-#: is smaller.  CQAM's two cold solves, the baseline from gamma_cap and a
-#: nu solve without a hint, start here and climb to SEARCH_NODES, the
-#: baseline and a forced nu on to `nodes`, about one evaluation a rung,
-#: each from the gamma and curvature of the rung below (nested iteration: Hackbusch, Multi-Grid
-#: Methods and Applications, 1985).  The 2-D rule keeps 252 nodes at 16,
-#: 1044 at 48 and 2164 at 96, and the 16-node gamma_unif lies 6.1e-6 dB
-#: (1.4e-6 in ln gamma, inside PREDICTED_STEP_MAX) from the 48-node one
-#: on 7^2, 3.0e-6 dB on 13^2.  Over p in {5, 7, 11, 13} and R_c in {2/3,
-#: 3/4, 5/6, 9/10} every row moved by under 7e-12 dB, made 3-5 fewer
-#: 48-node calls and kept two 96-node calls; a direct 16 -> 96 step needed
-#: a second 96-node call on 11 of the 16 rows.  The p-ASK schemes have no
-#: ladder: a real call costs mostly its fixed overhead, so a rung would
-#: add a call and save nothing.
+#: is smaller.  The baseline solves cold here from gamma_cap and climbs to
+#: SEARCH_NODES and `nodes`, as a forced nu does from gamma_unif, about one
+#: evaluation a rung, each from the gamma and curvature of the rung below
+#: (nested iteration: Hackbusch, Multi-Grid Methods and Applications,
+#: 1985).  The 2-D rule keeps 252 nodes at 16, 1044 at 48 and 2164 at 96,
+#: and the 16-node gamma_unif lies 6.1e-6 dB (1.4e-6 in ln gamma, inside
+#: PREDICTED_STEP_MAX) from the 48-node one on 7^2, 3.0e-6 dB on 13^2; a
+#: direct 16 -> 96 step needed a second 96-node call on 11 of the 16 rows
+#: below.  The nu search steers here, and its fine level at SEARCH_NODES
+#: starts from where it converged.  Over p in {5, 7, 11, 13} and R_c in
+#: {2/3, 3/4, 5/6, 9/10} the baseline's rung took the 48-node calls from
+#: 202 to 146 and the steering search from 146 to 76, every row keeping
+#: two 96-node calls and moving by under 1e-10 dB.  The
+#: p-ASK schemes have no ladder: a real call costs mostly its fixed
+#: overhead, so a rung would add a call and save nothing.
 COLD_NODES = 16
 
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
@@ -328,9 +338,15 @@ def snr_for_rate(
     return math.exp(t)
 
 
+#: (nu, gamma_A, slope of h in nu): where a coarse nu search hands over
+#: to a finer one (see `_minimize_nu`)
+Seed = tuple[float, float, float]
+
+
 def _minimize_nu(
-    f: Callable[[float, float | None, float], tuple[float, float]], nu_max: float
-) -> tuple[float, float]:
+    f: Callable[[float, float | None, float], tuple[float, float]], nu_max: float,
+    seed: Seed | None = None, *, coarse: bool = False,
+) -> tuple[float, float] | tuple[float, Seed]:
     """Minimize gamma_A over nu >= 0 by a safeguarded secant method on
     h(nu) = d ln gamma_A / d nu, from the bracket [0, nu_max].
 
@@ -354,30 +370,45 @@ def _minimize_nu(
     than the nu tolerance, to LOG_GAMMA_TOL.  Returns the solved (nu,
     gamma_A) with the smallest gamma_A, which is always a solve to
     LOG_GAMMA_TOL: a steering probe that reads smallest is solved again.
+
+    A `seed` (nu_0, gamma_0, c) starts the search at nu_0 instead, solved
+    from gamma_0 while no nu is solved, and steps from one feasible nu by
+    Newton's method on the slope c, to its secant once two are solved.
+    A `coarse` search only steers a finer one: it solves every probe to
+    PROBE_LOG_GAMMA_TOL, none at its converged nu and none again, and
+    returns its last upper edge and the seed at its converged secant root,
+    or at its smallest gamma_A where that root lies outside the bracket,
+    with gamma_0 extrapolated from the nearest probe as a hint is, and c
+    h's secant slope through its last two feasible nu (nan without two).
     """
     seen: dict[float, tuple[float, float, float]] = {}  # nu -> (gamma_A, h, tol)
 
-    def probe(nu: float, tol: float) -> float:
+    def hint_at(nu: float) -> float | None:
         feasible = sorted(
             ((v, g, h) for v, (g, h, _) in seen.items() if math.isfinite(h)),
             key=lambda s: abs(s[0] - nu),
         )
-        hint = None
-        if feasible:
-            (v, g, h), step = feasible[0], nu - feasible[0][0]
-            log_hint = math.log(g) + h * step
-            if len(feasible) > 1:  # h's secant slope through the two nearest
-                v2, _, h2 = feasible[1]
-                log_hint += 0.5 * (h - h2) / (v - v2) * step * step
-            hint = math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
-        gamma, h = f(nu, hint, tol)
+        if not feasible:
+            return None if seed is None else seed[1]
+        (v, g, h), step = feasible[0], nu - feasible[0][0]
+        log_hint = math.log(g) + h * step
+        if len(feasible) > 1:  # h's secant slope through the two nearest
+            v2, _, h2 = feasible[1]
+            log_hint += 0.5 * (h - h2) / (v - v2) * step * step
+        return math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
+
+    def probe(nu: float, tol: float) -> float:
+        gamma, h = f(nu, hint_at(nu), tol)
         seen[nu] = (gamma, h, tol) if math.isfinite(gamma) else (math.inf, math.inf, tol)
         return seen[nu][1]
 
     lo, hi, tol = 0.0, nu_max, NU_REL_TOL * nu_max  # tol doubles with the edge
-    x, last, closed = 0.5 * nu_max, [], False  # the last two feasible (nu, h)
+    edge = nu_max  # the upper edge, which only a widening moves
+    slope = math.nan if seed is None else seed[2]  # of h: the secant's once it has one
+    # the last two feasible (nu, h)
+    x, last, closed = 0.5 * nu_max if seed is None else seed[0], [], False
     while True:
-        h = probe(x, LOG_GAMMA_TOL if closed else PROBE_LOG_GAMMA_TOL)
+        h = probe(x, LOG_GAMMA_TOL if closed and not coarse else PROBE_LOG_GAMMA_TOL)
         if h < 0.0 and x == hi:  # gamma_A still falls at the upper edge
             if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
                 raise RuntimeError("nu bracket widening failed to contain the optimum")
@@ -386,7 +417,7 @@ def _minimize_nu(
                 f"widening the bracket to {2 * hi:.4g}",
                 stacklevel=4,
             )
-            hi, tol = 2.0 * hi, 2.0 * tol
+            hi, edge, tol = 2.0 * hi, 2.0 * hi, 2.0 * tol
         lo, hi = (x, hi) if h < 0.0 else (lo, x)
         if math.isfinite(h):
             last = [*last[-1:], (x, h)]
@@ -394,10 +425,14 @@ def _minimize_nu(
         if len(last) == 2:
             (x0, h0), (x1, h1) = last
             new = x1 - h1 * (x1 - x0) / (h1 - h0) if h1 != h0 else -h1 * math.inf
-            if abs(new - x1) <= tol:  # solve at the converged nu, then stop
-                if lo < new < hi:
-                    probe(new, LOG_GAMMA_TOL)
-                break
+            slope = (h1 - h0) / (x1 - x0)
+        elif last:  # a Newton step on the seed's slope; none without a seed
+            ((x1, h1),) = last
+            new = x1 - h1 / slope if slope != 0.0 else -h1 * math.inf
+        if last and abs(new - x1) <= tol:  # solve at the converged nu, then stop
+            if lo < new < hi and not coarse:
+                probe(new, LOG_GAMMA_TOL)
+            break
         closed = hi - lo <= tol
         if lo < new < hi:
             x = new
@@ -413,6 +448,9 @@ def _minimize_nu(
         nu, (gamma, _, solved_to) = min(seen.items(), key=lambda s: s[1][0])
         if not math.isfinite(gamma):
             raise UnreachableRateError("target rate unreachable at every shaping parameter")
+        if coarse:
+            nu = new if lo < new < hi else nu
+            return edge, (nu, hint_at(nu), slope)
         if solved_to == LOG_GAMMA_TOL:
             return nu, gamma
         probe(nu, LOG_GAMMA_TOL)  # a steering probe came out best
@@ -474,11 +512,12 @@ def _optimize(
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A,
-    searched at `nodes` (CQAM: at most SEARCH_NODES).  A complex scheme's
-    cold solves climb the ladder min(nodes, COLD_NODES), SEARCH_NODES,
-    `nodes` (see the module docstring): gamma_unif climbs all of it, and a
-    nu solve without a hint climbs to its node count.  Where the search's
-    node count is below `nodes`, gamma_A(nu*) is refined at `nodes`.
+    searched at `nodes` (CQAM: at most SEARCH_NODES).  A complex scheme
+    solves on the ladder min(nodes, COLD_NODES), SEARCH_NODES, `nodes` (see
+    the module docstring): gamma_unif and a forced nu climb all of it, and
+    where the search's node count lies above the first rung, a coarse nu
+    search there seeds the search at its node count.  Where that node count
+    is below `nodes`, gamma_A(nu*) is refined at `nodes`.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -542,17 +581,16 @@ def _optimize(
     gamma_unif, curvature, _, _ = climb(scheme.baseline, ladder, gamma_cap, math.nan)
 
     def gamma_of_nu(
-        nu_val: float, n: int, hint: float | None, tol: float = LOG_GAMMA_TOL
+        rungs: list[int], nu_val: float, hint: float | None, tol: float = LOG_GAMMA_TOL
     ) -> tuple[float, float]:
-        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved at n nodes to tol
-        from hint, at least gamma_cap, borrowing the last solve's curvature,
-        which it then replaces; (inf, inf) where the target is unreachable.
-        Without a hint it climbs the ladder's rungs below n from gamma_unif."""
+        """(gamma_A, d ln gamma_A / d nu) at nu_val, solved on each node
+        count of rungs in turn (`climb`) to tol from hint, at least gamma_cap,
+        or from gamma_unif without one, borrowing the last solve's curvature,
+        which it then replaces; (inf, inf) where the target is unreachable."""
         nonlocal curvature
         prior = scheme.prior(nu_val)
         if at_ceiling(prior):
             return math.inf, math.inf  # unreachable at any gamma: skip the solve
-        rungs = [n] if hint is not None else [r for r in ladder if r < n] + [n]
         try:
             gamma, curvature, slope, d_nu = climb(
                 lambda m: scheme.curve(prior, m), rungs,
@@ -567,15 +605,19 @@ def _optimize(
 
     if nu is not None:
         curvature = math.nan  # no neighbouring solve: a cold start
-        nu_star, (gamma_a, _) = nu, gamma_of_nu(nu, nodes, None)
+        nu_star, (gamma_a, _) = nu, gamma_of_nu(ladder, nu, None)
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
-        nu_star, gamma_a = _minimize_nu(
-            lambda v, hint, tol: gamma_of_nu(v, search_nodes, hint, tol), scheme.nu_max
-        )
+        search = functools.partial(gamma_of_nu, [search_nodes])
+        if ladder[0] < search_nodes:  # steer on the first rung, converge on the search's
+            steer = functools.partial(gamma_of_nu, ladder[:1])
+            edge, seed = _minimize_nu(steer, scheme.nu_max, coarse=True)
+            nu_star, gamma_a = _minimize_nu(search, edge, seed)
+        else:
+            nu_star, gamma_a = _minimize_nu(search, scheme.nu_max)
         if search_nodes != nodes:
-            gamma_a, _ = gamma_of_nu(nu_star, nodes, gamma_a)
+            gamma_a, _ = gamma_of_nu([nodes], nu_star, gamma_a)
     return ShapingSolution(
         scheme=scheme.name,
         p=field.p,
@@ -791,12 +833,13 @@ def optimize_cqam(
     is set); the potential-gain baseline gamma_unif is always the
     unstretched construction under uniform priors, so the reported
     potential gain isolates what shaping plus stretching can recover.
-    The nu search runs at min(nodes, SEARCH_NODES) nodes.  The baseline
-    solves cold at min(nodes, COLD_NODES) nodes and is refined at the
-    search's node count and then at `nodes`; the search's first probe
-    solves cold there too and is refined at its node count, and a forced
-    nu climbs the same rungs as the baseline.  When `nodes` is larger
-    than the search's, the returned operating point is refined at `nodes`.
+    The baseline solves cold at min(nodes, COLD_NODES) nodes and is
+    refined at min(nodes, SEARCH_NODES) and then at `nodes`, and a forced
+    nu climbs the same rungs.  The nu search steers at min(nodes,
+    COLD_NODES) nodes and converges at min(nodes, SEARCH_NODES) from the
+    coarse optimum, its first step a Newton step on the coarse slope of d
+    ln gamma_A / d nu.  When `nodes` is larger than the search's, the
+    returned operating point is refined at `nodes`.
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu

@@ -1,15 +1,17 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from primeshape import cli, constellations
+from primeshape import cli, constellations, optimizer
 from primeshape.awgn_mi import mi_complex_points, mi_real_points
 from primeshape.cli import build_parser, main
 from primeshape.constellations import Constellation, Stretch, build_cqam, min_distance
@@ -341,6 +343,22 @@ def test_table_non_convergence_exits_3(monkeypatch, capsys):
     assert out == ""
 
 
+def test_cqam_table_nu_search_gives_up_after_six_widenings_exit_3(monkeypatch, capsys):
+    # nu* ~ 0.28 lies past 64 times a first edge of 1e-4: the coarse search
+    # announces six doublings and gives up, and the row fails the command
+    build = optimizer._cqam_scheme
+    monkeypatch.setattr(
+        optimizer, "_cqam_scheme",
+        lambda *args: dataclasses.replace(build(*args), nu_max=1e-4),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["table", "--mode", "cqam", "-p", "5", "--rc", "2/3"])
+    assert code == 3 and out == ""
+    assert err == "error: nu bracket widening failed to contain the optimum\n"
+    assert sum("widening the bracket" in str(w.message) for w in caught) == 6
+
+
 TABLE_HEAD = [
     "p", "Rc", "target_rate", "potential_gain_db", "gap_db",
     "effective_gain_db", "nu_star", "gamma_A_db",
@@ -660,6 +678,14 @@ def test_pas_rejects_bad_rates(capsys):
         capsys, ["pas", "-p", "5", "--rc", "2/3", "--block-n", "8", "--frames", "50"]
     )
     assert code == 2  # 8 * 2/3 not an integer
+
+
+@pytest.mark.parametrize("rc", ["1", "3/2", "0"])
+def test_pas_names_the_coding_rate_range(capsys, rc):
+    # as table does: the rate and the range, not the code dimensions
+    code, out, err = _run(capsys, ["pas", "-p", "7", "--rc", rc, "--frames", "50"])
+    assert code == 2 and out == ""
+    assert f"error: coding rate {rc} outside [1/2, 1)" in err
 
 
 def test_pas_rejects_a_negative_seed(capsys):

@@ -544,6 +544,76 @@ def test_nu_search_gives_up_after_six_widenings():
     assert sum("widening the bracket" in str(w.message) for w in caught) == 6
 
 
+#: convex ln gamma_A(nu) families with their minimizer m and a scale a in
+#: 1 / nu: nu -> (ln gamma_A, h)
+NU_FAMILIES = {
+    "quadratic": lambda m, a: lambda nu: (a * a * (nu - m) ** 2, 2.0 * a * a * (nu - m)),
+    # asymmetric: steep above m, flat below
+    "exponential": lambda m, a: lambda nu: (
+        0.01 * (math.exp(a * (nu - m)) - a * (nu - m)),
+        0.01 * a * (math.exp(a * (nu - m)) - 1.0),
+    ),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(NU_FAMILIES)),
+    st.floats(0.2, 2.0),  # nu_max
+    st.floats(0.02, 0.98),  # m / nu_max
+    st.floats(0.0, 1.0),  # start / nu_max
+    st.floats(0.5, 8.0),  # a nu_max
+    st.floats(-0.5, 1.0),  # relative error of the seed's slope
+)
+def test_seeded_nu_search_finds_the_minimum_inside_its_bracket(
+    family, nu_max, m_rel, start_rel, a, slope_error
+):
+    # a finer search seeded with a start, a gamma hint and h's slope there,
+    # off by up to -50% / +100%, lands within the nu tolerance of the
+    # minimizer, solves what it returns to LOG_GAMMA_TOL and never widens
+    m, start = m_rel * nu_max, start_rel * nu_max
+    log_gamma = NU_FAMILIES[family](m, a / nu_max)
+    slope = (log_gamma(start + 1e-6)[1] - log_gamma(start - 1e-6)[1]) / 2e-6
+    tols = []
+
+    def f(nu, hint, tol):
+        tols.append((nu, hint, tol))
+        value, h = log_gamma(nu)
+        return math.exp(value), h
+
+    seed = (start, math.exp(log_gamma(start)[0]), slope * (1.0 + slope_error))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nu, gamma = optimizer._minimize_nu(f, nu_max, seed)
+    assert abs(nu - m) <= optimizer.NU_REL_TOL * nu_max
+    assert (nu, LOG_GAMMA_TOL) in {(v, tol) for v, _, tol in tols}
+    assert gamma == math.exp(log_gamma(nu)[0])
+    assert tols[0][:2] == seed[:2]  # the first solve starts at the seed
+
+
+def test_coarse_nu_search_only_steers():
+    # every probe to PROBE_LOG_GAMMA_TOL, none at the converged secant root,
+    # which it hands on with gamma_A there, extrapolated from its nearest
+    # probe, and h's secant slope, near h' = 12 nu^2 at nu* = 4^(-1/3)
+    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
+    tols = []
+    edge, (nu, gamma, slope) = optimizer._minimize_nu(
+        lambda v, hint, tol: tols.append(tol) or f(v, hint, tol), 2.0, coarse=True
+    )
+    assert edge == 2.0 and set(tols) == {PROBE_LOG_GAMMA_TOL}
+    assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 2.0)
+    assert nu not in [c[0] for c in calls]
+    assert gamma == pytest.approx(math.exp(nu**4 - nu), rel=1e-7)
+    assert slope == pytest.approx(12.0 * nu**2, rel=1e-2)
+    # a bracket widened twice hands on its last edge
+    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        edge, (nu, _, _) = optimizer._minimize_nu(f, 0.2, coarse=True)
+    assert (edge, len(caught)) == (0.8, 2)
+    assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 0.8)
+
+
 # ---------------------------------------------------------------------------
 # time sharing
 # ---------------------------------------------------------------------------
@@ -641,6 +711,29 @@ def test_nu_bracket_widening_warns_at_the_caller(monkeypatch):
     default = optimize_time_sharing(
         Prime(7), Fraction(2, 3), convention="shaped", nodes=24
     )
+    assert abs(sol.gamma_A_db - default.gamma_A_db) <= 1e-9
+
+
+def test_cqam_nu_bracket_widening_warns_once_per_doubling_at_the_caller(monkeypatch):
+    # the coarse search on 16 nodes widens 0.01 -> 0.32 around nu* ~ 0.283,
+    # as the one-level search at 48 nodes did; the fine search starts inside
+    # that final edge, so the five doublings are all that is announced, each
+    # at the caller
+    build = optimizer._cqam_scheme
+    with monkeypatch.context() as narrow, warnings.catch_warnings(record=True) as caught:
+        narrow.setattr(
+            optimizer, "_cqam_scheme",
+            lambda *args: dataclasses.replace(build(*args), nu_max=0.01),
+        )
+        warnings.simplefilter("always")
+        sol = optimize_cqam(Prime(5), Fraction(2, 3), nodes=48)
+    edges = [0.01 * 2**i for i in range(6)]
+    assert [str(w.message) for w in caught] == [
+        f"shaping optimum at the nu grid edge ({a:.4g}); widening the bracket to {b:.4g}"
+        for a, b in zip(edges, edges[1:])
+    ]
+    assert all(w.filename == __file__ for w in caught)
+    default = optimize_cqam(Prime(5), Fraction(2, 3), nodes=48)
     assert abs(sol.gamma_A_db - default.gamma_A_db) <= 1e-9
 
 
@@ -868,6 +961,69 @@ def test_cqam_row_calls_by_rung(monkeypatch):
     assert set(rules) == {16, 48, 96}
 
 
+def test_cqam_row_steers_its_nu_search_on_the_first_rung(monkeypatch):
+    # the 7^2 row of the cqam-p7 workload: the search steers on 16 nodes and
+    # converges on 48 from the coarse optimum, one probe or two and the
+    # converged solve, beside the baseline's 48-node rung; the one-level
+    # search at 48 nodes made 8 calls there
+    rules = _complex_nodes(monkeypatch)
+    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
+    assert rules.count(48) <= 4
+    assert rules.count(96) == 2
+
+
+def _cqam_solves(monkeypatch) -> list:
+    """Record each SNR solve of the CQAM rows run after it as (nu, node
+    count, tol, gamma), nu None for the uniform baseline."""
+    solves, evals, nus = [], [], {}
+    build, solve = optimizer._cqam_scheme, optimizer.snr_for_rate
+
+    def tagged(curve, nu, n):
+        return lambda gamma: evals.append((nu, n)) or curve(gamma)
+
+    def scheme(*args):
+        s = build(*args)
+
+        def prior(nu):
+            built = s.prior(nu)
+            nus[id(built)] = (nu, built)  # kept alive, so its id is not reused
+            return built
+
+        return dataclasses.replace(
+            s, prior=prior,
+            curve=lambda pri, n: tagged(s.curve(pri, n), nus[id(pri)][0], n),
+            baseline=lambda n: tagged(s.baseline(n), None, n),
+        )
+
+    def recorded(*args, tol=LOG_GAMMA_TOL, **kwargs):
+        evals.clear()
+        gamma = solve(*args, tol=tol, **kwargs)
+        (point,) = set(evals)  # one nu on one rule
+        solves.append((*point, tol, gamma))
+        return gamma
+
+    monkeypatch.setattr(optimizer, "_cqam_scheme", scheme)
+    monkeypatch.setattr(optimizer, "snr_for_rate", recorded)
+    return solves
+
+
+def test_cqam_optimum_is_solved_at_the_search_rung_then_at_nodes(monkeypatch):
+    # nu* and gamma_A come from a LOG_GAMMA_TOL solve at min(nodes,
+    # SEARCH_NODES) = 48 and its refinement at nodes = 96; the 16-node rung
+    # only steers: its probes are solved to PROBE_LOG_GAMMA_TOL, none at nu*
+    solves = _cqam_solves(monkeypatch)
+    sol = optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
+    *_, search, refined = solves
+    assert search[:3] == (sol.nu_star, 48, LOG_GAMMA_TOL)
+    assert refined[:3] == (sol.nu_star, 96, LOG_GAMMA_TOL)
+    assert optimizer._db(refined[3]) == sol.gamma_A_db
+    assert [s[1] for s in solves if s[0] is None] == [16, 48, 96]  # the baseline
+    coarse = [s for s in solves if s[0] is not None and s[1] == 16]
+    assert len(coarse) >= 3 and {s[2] for s in coarse} == {PROBE_LOG_GAMMA_TOL}
+    assert sol.nu_star not in {s[0] for s in coarse}
+    assert {s[1] for s in solves} == {16, 48, 96}
+
+
 def test_p_ask_schemes_have_no_ladder(monkeypatch):
     # a real kernel call costs mostly its fixed overhead, so the p-ASK
     # schemes solve at `nodes` alone
@@ -992,24 +1148,25 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
-    # the CQAM baseline and the search's first probe solve cold at
-    # COLD_NODES = 16 and climb to min(nodes, SEARCH_NODES = 48), where the
-    # steering probes solve; only a larger `nodes` refines the baseline and
-    # the optimum there.  Each rung past the first is a solve of its own
+    # the CQAM baseline solves cold at COLD_NODES = 16 and climbs to
+    # min(nodes, SEARCH_NODES = 48); the nu search steers on 16 nodes and
+    # converges at the baseline's second rung; only a larger `nodes` refines
+    # the baseline and the optimum there.  Each rung past the first is a
+    # solve of its own, and each probe of either search one solve
     counts, rules = _count_solves(monkeypatch), _complex_nodes(monkeypatch)
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=24)
     assert [n for n, _ in itertools.groupby(rules)] == [16, 24, 16, 24]
-    # the baseline's two rungs, and the first probe's second
-    assert counts["solves"] == counts["search"] + 2 + 1
+    # the baseline's two rungs
+    assert counts["solves"] == counts["search"] + 2
     counts.update(solves=0, search=0)
     rules.clear()
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
-    # baseline 16 -> 48 -> 64; first probe 16 -> 48, the search at 48, the
-    # optimum refined at 64; each 64-node refinement costs one kernel call
+    # baseline 16 -> 48 -> 64; the search steered at 16 and converged at 48,
+    # the optimum refined at 64; each 64-node refinement costs one kernel call
     assert [n for n, _ in itertools.groupby(rules)] == [16, 48, 64, 16, 48, 64]
     assert rules.count(64) == 2
-    # the baseline's three rungs, the first probe's second and the refinement
-    assert counts["solves"] == counts["search"] + 3 + 1 + 1
+    # the baseline's three rungs and the refinement
+    assert counts["solves"] == counts["search"] + 3 + 1
     counts.update(solves=0, search=0)
     rules.clear()
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=16)
@@ -1094,29 +1251,34 @@ def test_scheme_nu_slope_is_central_difference(name, nu, log_gamma):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, levels",
     [
-        lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped"),
-        lambda: optimize_time_sharing(Prime(7), Fraction(4, 5)),
-        lambda: optimize_cqam(Prime(5), Fraction(2, 3)),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), convention="shaped"), 1),
+        (lambda: optimize_time_sharing(Prime(7), Fraction(4, 5)), 1),
+        (lambda: optimize_cqam(Prime(5), Fraction(2, 3)), 2),
     ],
     ids=["ts-shaped", "ts-time-averaged", "cqam"],
 )
-def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run):
+def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run, levels):
     # the search's f returns d ln gamma_A / d nu = -(d rate / d nu) /
     # (d rate / d ln gamma) at the solved gamma; a central difference of
     # solved ln gamma_A in nu (h = 1e-4) agreed to 8e-8 on these rows at 96
     # nodes, mostly its truncation error.  At 48 nodes the 7-ASK rows reach
     # gamma where sigma is below half the ASK spacing; the rule then
     # integrates the slopes more coarsely than the rates, and the two sides
-    # part by up to 1.2e-5
+    # part by up to 1.2e-5.  CQAM steers on COLD_NODES first; its second
+    # search is the one at 96 nodes
     monkeypatch.setattr(optimizer, "SEARCH_NODES", 96)  # CQAM searches at 96 too
     searches = []
-    monkeypatch.setattr(
-        optimizer, "_minimize_nu", lambda f, nu_max: searches.append(f) or (0.1, 1.0)
-    )
+
+    def search(f, nu_max, seed=None, *, coarse=False):
+        searches.append(f)
+        return (nu_max, (0.1, 1.0, 1.0)) if coarse else (0.1, 1.0)
+
+    monkeypatch.setattr(optimizer, "_minimize_nu", search)
     run()
-    (f,) = searches
+    assert len(searches) == levels
+    f = searches[-1]
     h = 1e-4
     for nu in (0.02, 0.1, 0.2):
         gamma, grad = f(nu, None, LOG_GAMMA_TOL)

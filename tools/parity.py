@@ -44,9 +44,10 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "table-ts-shaped": ["table", "--convention", "shaped", "--format", "json"],
     "table-ts-time-averaged": ["table", "--convention", "time-averaged", "--format", "json"],
+    # 9/10 too, where the nu search's coarse rung lies farthest from its fine one
     "table-cqam-json": [
         "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--rc", "3/4",
-        "--rc", "5/6", "--format", "json",
+        "--rc", "5/6", "--rc", "9/10", "--format", "json",
     ],
     "table-cqam-csv": [
         "table", "--mode", "cqam", "-p", "7", "-p", "13", "--rc", "2/3", "--rc", "3/4",
