@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("pas", help="run a shaping chain, report statistics")
     ps.add_argument("-p", "--prime", type=int, required=True)
-    ps.add_argument("--rc", default="2/3", help="coding rate k/n (>= 1/2)")
+    ps.add_argument("--rc", default="2/3", help="coding rate k/n, in [1/2, 1)")
     ps.add_argument(
         "--block-n", type=int, help="code length n (default: smallest even length)"
     )

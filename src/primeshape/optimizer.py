@@ -63,9 +63,9 @@ t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
 the first nu from gamma_unif, each CQAM rung from the gamma its solve on
 the rung below found, and CQAM's fine nu search from its coarse one's
-(see below).  It ends on a Newton step it
-does not evaluate once that step is short and Newton's predicted error
-after it is far below the tolerance.  That error needs the curvature
+(see below).  It ends on a Newton step it does not evaluate once that
+step is short and Newton's predicted error after it is far below the
+tolerance.  That error needs the curvature
 d slope / d ln gamma, which a solve takes from its last two evaluations;
 each solve hands it to the next, which borrows it for its first, so a
 solve from a hint close enough to the crossing costs one evaluation.
@@ -201,9 +201,9 @@ SEARCH_NODES = 48
 #: starts from where it converged.  Over p in {5, 7, 11, 13} and R_c in
 #: {2/3, 3/4, 5/6, 9/10} the baseline's rung took the 48-node calls from
 #: 202 to 146 and the steering search from 146 to 76, every row keeping
-#: two 96-node calls and moving by under 1e-10 dB.  The
-#: p-ASK schemes have no ladder: a real call costs mostly its fixed
-#: overhead, so a rung would add a call and save nothing.
+#: two 96-node calls and moving by under 1e-10 dB.  The p-ASK schemes
+#: have no ladder: a real call costs mostly its fixed overhead, so a rung
+#: would add a call and save nothing.
 COLD_NODES = 16
 
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.

@@ -606,7 +606,6 @@ def test_coarse_nu_search_only_steers():
     assert gamma == pytest.approx(math.exp(nu**4 - nu), rel=1e-7)
     assert slope == pytest.approx(12.0 * nu**2, rel=1e-2)
     # a bracket widened twice hands on its last edge
-    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         edge, (nu, _, _) = optimizer._minimize_nu(f, 0.2, coarse=True)
@@ -715,10 +714,9 @@ def test_nu_bracket_widening_warns_at_the_caller(monkeypatch):
 
 
 def test_cqam_nu_bracket_widening_warns_once_per_doubling_at_the_caller(monkeypatch):
-    # the coarse search on 16 nodes widens 0.01 -> 0.32 around nu* ~ 0.283,
-    # as the one-level search at 48 nodes did; the fine search starts inside
-    # that final edge, so the five doublings are all that is announced, each
-    # at the caller
+    # the coarse search on 16 nodes widens 0.01 -> 0.32 around nu* ~ 0.283;
+    # the fine search at 48 starts inside that final edge, so these five
+    # doublings are all that is announced, each at the caller
     build = optimizer._cqam_scheme
     with monkeypatch.context() as narrow, warnings.catch_warnings(record=True) as caught:
         narrow.setattr(
@@ -964,8 +962,7 @@ def test_cqam_row_calls_by_rung(monkeypatch):
 def test_cqam_row_steers_its_nu_search_on_the_first_rung(monkeypatch):
     # the 7^2 row of the cqam-p7 workload: the search steers on 16 nodes and
     # converges on 48 from the coarse optimum, one probe or two and the
-    # converged solve, beside the baseline's 48-node rung; the one-level
-    # search at 48 nodes made 8 calls there
+    # converged solve, beside the baseline's 48-node rung
     rules = _complex_nodes(monkeypatch)
     optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
     assert rules.count(48) <= 4
