@@ -95,6 +95,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .constellations import Constellation
+from .field import is_int
 from .sumdist import check_pmf
 
 #: Default Gauss-Hermite node count per real dimension.
@@ -134,8 +135,8 @@ _scratch = threading.local()
 
 
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+    if not (is_int(nodes) and nodes >= 2):
+        raise ValueError(f"need at least 2 quadrature nodes, as an integer count, got {nodes!r}")
     # hermgauss solves a nodes x nodes eigenproblem, so a count past the
     # overflow is refused before it is built; the finiteness check stays
     # for a numpy whose recurrence overflows earlier
@@ -179,7 +180,7 @@ def _logsumexp_last(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(m) + a_max
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: 16.0 misses 16's entry and is refused
 def _rule(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite rule in dim: nodes (K, dim), weights, |node|^2.
 
@@ -225,7 +226,7 @@ def _contents(x: object, dtype: type) -> tuple[tuple[int, ...], bytes]:
     return a.shape, a.tobytes()
 
 
-@lru_cache(maxsize=_PREPARED_MAX)
+@lru_cache(maxsize=_PREPARED_MAX, typed=True)  # typed, as `_rule` is
 def _prepare(
     dim: int, nodes: int, points: tuple, priors: tuple, cond: tuple, weights: tuple
 ) -> _Kernel:

@@ -78,8 +78,9 @@ def symbol_array(values: object, field: Prime, what: str) -> np.ndarray:
 
     Raises ValueError, naming `what`, for a value that is not an integer
     (NaN included), where a cast would truncate it, for an array that is
-    not boolean, integer or float, and for a value outside 0..p-1.  An
-    integral float is kept, and an int64 array is returned as it is.
+    not boolean, integer or float, and for a value outside 0..p-1, naming
+    p and the first such value.  An integral float is kept, and an int64
+    array is returned as it is.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "biuf":  # complex, object, str: refused before a cast
@@ -95,6 +96,8 @@ def symbol_array(values: object, field: Prime, what: str) -> np.ndarray:
         arr = ints
     # one 1-D reduction checks both bounds: as uint64, a negative symbol
     # reads as 2**63 or more; ndarray.min() and max() cost more per frame
-    if arr.size and np.maximum.reduce(arr.ravel().view(np.uint64)) >= field.p:
-        raise ValueError(f"{what} must lie in 0..p-1")
+    flat = arr.ravel().view(np.uint64)
+    if flat.size and np.maximum.reduce(flat) >= field.p:
+        bad = arr.ravel()[np.argmax(flat >= field.p)]
+        raise ValueError(f"{what} must lie in 0..p-1 for p = {field.p}, got {bad}")
     return arr

@@ -61,11 +61,10 @@ d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
 by linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
-the first nu from gamma_unif, each CQAM rung from the gamma its solve on
-the rung below found, and CQAM's fine nu search from its coarse one's
-(see below).  It ends on a Newton step it does not evaluate once that
-step is short and Newton's predicted error after it is far below the
-tolerance.  That error needs the curvature
+the first nu from gamma_unif, and each rung of a quadrature ladder from
+the rung below (see below).  It ends on a Newton step it does not
+evaluate once that step is short and Newton's predicted error after it
+is far below the tolerance.  That error needs the curvature
 d slope / d ln gamma, which a solve takes from its last two evaluations;
 each solve hands it to the next, which borrows it for its first, so a
 solve from a hint close enough to the crossing costs one evaluation.
@@ -82,33 +81,40 @@ reaches the target at or below gamma_cap (each is at most the capacity,
 and a time-averaged mix of two is at most the capacity of their mean
 energy, by Jensen's inequality), so every hint is raised to gamma_cap.
 
-A complex rate evaluation costs as its rule's size, which grows as the
-square of the node count, so CQAM solves on a ladder of rules:
-min(nodes, COLD_NODES), then SEARCH_NODES, then `nodes`, a rung dropped
-where it equals the one below.  The baseline starts on the first rung
-from gamma_cap and climbs to `nodes`, each rung from the gamma and
-curvature of the solve on the rung below, which then costs about one
-evaluation (nested iteration); a forced nu climbs the same rungs from
-gamma_unif.  The nu search is nested the same way, on two levels.  The
-coarse level steers: a secant search on the first rung, from gamma_unif,
-whose gamma is never reported, so it solves no probe at its converged nu
-and none again.  The fine level converges: a search at min(nodes,
-SEARCH_NODES) starts at the coarse optimum, from its gamma and the last
-coarse solve's curvature, and steps first by Newton's method on the
-coarse secant slope of the gradient, then by its own secant.  So nu* is
-found from the fine level's gradients under its own NU_REL_TOL, and the
-optimum is refined at `nodes` from its search solve.  A one-rung ladder
-(the p-ASK schemes, which solve at `nodes` alone, or CQAM at `nodes` <=
-COLD_NODES) searches on the fine level alone, from the bracket.
+Every solve and every nu search is one walk up a ladder of quadrature
+rules.  A complex rate evaluation costs as its rule's size, which grows
+as the square of the node count, so CQAM's ladder is min(nodes,
+COLD_NODES), min(nodes, SEARCH_NODES), `nodes`, a rung dropped where it
+equals the one below; a real call costs mostly its fixed overhead, so
+the p-ASK ladder is `nodes` alone.  The search rung, on which nu* is
+found, is min(nodes, SEARCH_NODES) for CQAM and `nodes` for p-ASK.
+
+* A solve climbs its rungs: the first from its hint, each next from the
+  gamma and curvature of the solve on the rung below, which then costs
+  about one evaluation (nested iteration).  The baseline climbs the
+  whole ladder from gamma_cap, and a forced nu from gamma_unif.
+* The nu search runs a coarse secant search on each rung below the
+  search rung, from gamma_unif on the first.  A coarse search only
+  steers, and its gamma is never reported, so it solves no probe at its
+  converged nu and none again.  It hands the next rung its upper edge
+  and a seed: its optimum with a gamma hint there, and the secant slope
+  of the gradient, on which the next rung takes its first step by
+  Newton's method, borrowing the last coarse solve's curvature.  On the
+  search rung the search converges under NU_REL_TOL, so nu* comes from
+  that rung's gradients, and where the search rung lies below `nodes`,
+  the optimum is refined at `nodes` from its search solve.  A ladder
+  whose first rung is the search rung (p-ASK, or CQAM at `nodes` <=
+  COLD_NODES) runs no coarse search and searches from the bracket
+  [0, nu_max].
 
 A nu probe's gamma and gradient only steer the search, so each probe is
 solved to PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL: an
 inexact inner solve (Dembo, Eisenstat and Steihaug, 1982).  Every solve
 whose gamma is reported stays at LOG_GAMMA_TOL: the baseline gamma_unif,
 the converged probe (or a steering probe that reads smallest, solved
-again), a forced nu, and each CQAM refinement at `nodes`.  A CQAM rung
-below the top is solved to the tolerance of the solve it serves, and
-every probe of the coarse nu search to PROBE_LOG_GAMMA_TOL.
+again), a forced nu, and each refinement at `nodes`.  A rung below the
+top is solved to the tolerance of the solve it serves, and every probe
+of a coarse nu search to PROBE_LOG_GAMMA_TOL.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -177,28 +183,24 @@ PROBE_LOG_GAMMA_TOL = 3e-7
 #: superlinearly: every table row moved by under 1e-11 dB at 2.5e-6.
 NU_REL_TOL = 1e-4
 
-#: Gauss-Hermite node count per real dimension on which the CQAM nu
-#: search converges (its fine level), or `nodes` when that is smaller, so
-#: nu* comes from gradients on this rule.  A larger `nodes` refines the
-#: baseline and the optimum there, each in one evaluation from its
-#: SEARCH_NODES solve.  The complex rule's size grows as the square of the
-#: node count, so the coarser search pays there, and moved the 7^2 and
-#: 13^2 rows at R_c = 2/3 by under 1e-12 dB; converging at 32 nodes moved
-#: 7^2 at R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search at `nodes`: at
-#: 48 nodes the time-sharing row p = 7, R_c = 19/20 moved by 6e-7 dB.
+#: Gauss-Hermite node count per real dimension of the CQAM search rung,
+#: or `nodes` when that is smaller (see the module docstring).  A larger
+#: `nodes` refines the baseline and the optimum there, each in one
+#: evaluation from its SEARCH_NODES solve.  The coarser search moved the
+#: 7^2 and 13^2 rows at R_c = 2/3 by under 1e-12 dB; converging at 32
+#: nodes moved 7^2 at R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search
+#: at `nodes`: at 48 nodes the time-sharing row p = 7, R_c = 19/20 moved
+#: by 6e-7 dB.
 SEARCH_NODES = 48
 
 #: Node count of the first rung of the CQAM ladder, or `nodes` when that
-#: is smaller.  The baseline solves cold here from gamma_cap and climbs to
-#: SEARCH_NODES and `nodes`, as a forced nu does from gamma_unif, about one
-#: evaluation a rung, each from the gamma and curvature of the rung below
-#: (nested iteration: Hackbusch, Multi-Grid Methods and Applications,
-#: 1985).  The 2-D rule keeps 252 nodes at 16, 1044 at 48 and 2164 at 96,
-#: and the 16-node gamma_unif lies 6.1e-6 dB (1.4e-6 in ln gamma, inside
-#: PREDICTED_STEP_MAX) from the 48-node one on 7^2, 3.0e-6 dB on 13^2; a
-#: direct 16 -> 96 step needed a second 96-node call on 11 of the 16 rows
-#: below.  The nu search steers here, and its fine level at SEARCH_NODES
-#: starts from where it converged.  Over p in {5, 7, 11, 13} and R_c in
+#: is smaller: the rung on which the baseline and a forced nu solve cold
+#: and the nu search steers (nested iteration: Hackbusch, Multi-Grid
+#: Methods and Applications, 1985).  The 2-D rule keeps 252 nodes at 16,
+#: 1044 at 48 and 2164 at 96, and the 16-node gamma_unif lies 6.1e-6 dB
+#: (1.4e-6 in ln gamma, inside PREDICTED_STEP_MAX) from the 48-node one on
+#: 7^2, 3.0e-6 dB on 13^2; a direct 16 -> 96 step needed a second 96-node
+#: call on 11 of the 16 rows below.  Over p in {5, 7, 11, 13} and R_c in
 #: {2/3, 3/4, 5/6, 9/10} the baseline's rung took the 48-node calls from
 #: 202 to 146 and the steering search from 146 to 76, every row keeping
 #: two 96-node calls and moving by under 1e-10 dB.  The p-ASK schemes
@@ -354,17 +356,18 @@ def _minimize_nu(
     nu is solved) to tol in log gamma, and returns (gamma_A, h); gamma_A
     is inf where the target is unreachable, and such a nu counts as h > 0.
     The search keeps a sign bracket, h < 0 at lo and h >= 0 at hi, an
-    untried end counting as such.  It starts at nu_max / 2 and steps to the secant root of h
-    through the last two feasible nu.  A secant root beyond an untried
-    end evaluates that end; any other outside the bracket, or a missing
-    one, bisects it.  Each solve starts from the nearest solved nu:
-    gamma_near exp(h_near d + c d^2 / 2), d = nu - nu_near, where c is
-    h's secant slope through the two nearest feasible nu, or 0 while only
-    one is solved.  Once a secant step is at most
+    untried end counting as such.  It starts at nu_max / 2 and steps to
+    the secant root of h through the last two feasible nu.  A secant root
+    beyond an untried end evaluates that end; any other outside the
+    bracket, or a missing one, bisects it.  Each solve starts from the
+    nearest solved nu: gamma_near exp(h_near d + c d^2 / 2), d = nu -
+    nu_near, where c is h's secant slope through the two nearest feasible
+    nu, or 0 while only one is solved.  Once a secant step is at most
     NU_REL_TOL times the upper edge, the search solves at its end and
     stops; it also stops on a bracket narrower than that, once both its
-    ends are solved (nu = 0 alone may reach a target that no nu > 0 does).  An upper edge
-    with h < 0 holds no minimum: the edge doubles, up to six times.
+    ends are solved (nu = 0 alone may reach a target that no nu > 0
+    does).  An upper edge with h < 0 holds no minimum: the edge doubles,
+    up to six times, and the nu tolerance with it.
     The probes that steer the search are solved to PROBE_LOG_GAMMA_TOL;
     the converged one, and any probe inside a bracket already narrower
     than the nu tolerance, to LOG_GAMMA_TOL.  Returns the solved (nu,
@@ -402,8 +405,7 @@ def _minimize_nu(
         seen[nu] = (gamma, h, tol) if math.isfinite(gamma) else (math.inf, math.inf, tol)
         return seen[nu][1]
 
-    lo, hi, tol = 0.0, nu_max, NU_REL_TOL * nu_max  # tol doubles with the edge
-    edge = nu_max  # the upper edge, which only a widening moves
+    lo, hi, edge = 0.0, nu_max, nu_max  # edge: the upper one, which only a widening moves
     slope = math.nan if seed is None else seed[2]  # of h: the secant's once it has one
     # the last two feasible (nu, h)
     x, last, closed = 0.5 * nu_max if seed is None else seed[0], [], False
@@ -417,7 +419,7 @@ def _minimize_nu(
                 f"widening the bracket to {2 * hi:.4g}",
                 stacklevel=4,
             )
-            hi, edge, tol = 2.0 * hi, 2.0 * hi, 2.0 * tol
+            hi = edge = 2.0 * hi
         lo, hi = (x, hi) if h < 0.0 else (lo, x)
         if math.isfinite(h):
             last = [*last[-1:], (x, h)]
@@ -429,11 +431,12 @@ def _minimize_nu(
         elif last:  # a Newton step on the seed's slope; none without a seed
             ((x1, h1),) = last
             new = x1 - h1 / slope if slope != 0.0 else -h1 * math.inf
-        if last and abs(new - x1) <= tol:  # solve at the converged nu, then stop
+        # solve at the converged nu, then stop
+        if last and abs(new - x1) <= NU_REL_TOL * edge:
             if lo < new < hi and not coarse:
                 probe(new, LOG_GAMMA_TOL)
             break
-        closed = hi - lo <= tol
+        closed = hi - lo <= NU_REL_TOL * edge
         if lo < new < hi:
             x = new
         elif (new >= hi or closed) and hi not in seen:
@@ -511,13 +514,12 @@ def _optimize(
 ) -> ShapingSolution:
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
-    `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A,
-    searched at `nodes` (CQAM: at most SEARCH_NODES).  A complex scheme
-    solves on the ladder min(nodes, COLD_NODES), SEARCH_NODES, `nodes` (see
-    the module docstring): gamma_unif and a forced nu climb all of it, and
-    where the search's node count lies above the first rung, a coarse nu
-    search there seeds the search at its node count.  Where that node count
-    is below `nodes`, gamma_A(nu*) is refined at `nodes`.
+    `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A.
+    Each is one walk up the scheme's quadrature ladder (see the module
+    docstring): gamma_unif and a forced nu climb all of it; the nu search
+    steers on each rung below its search rung, each seeding the next,
+    converges on the search rung and refines gamma_A(nu*) at `nodes`
+    where that rung lies below.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -527,7 +529,7 @@ def _optimize(
         )
     _rule(nodes, 1)  # rejects a bad node count before any solve; cached
     search_nodes = min(nodes, SEARCH_NODES) if scheme.dimension == "complex" else nodes
-    # the node counts a cold solve climbs, about one evaluation a rung past the first
+    # the quadrature ladder (see the module docstring)
     ladder = [nodes]
     if scheme.dimension == "complex":
         ladder = sorted({min(nodes, COLD_NODES), search_nodes, nodes})
@@ -546,36 +548,29 @@ def _optimize(
         )
     gamma_cap = capacity_gamma(target, scheme.dimension)
 
-    def solve(
-        curve: Curve, hint: float, curvature: float, tol: float = LOG_GAMMA_TOL
-    ) -> tuple[float, float, float, float]:
-        """Solve curve(gamma) = target from hint to tol in log gamma,
-        borrowing curvature (see `snr_for_rate`).  Returns gamma, the
-        curvature d slope / d ln gamma of the solve's last two evaluations
-        for the next solve to borrow (the borrowed one after a single
-        evaluation), and the slope and d rate / d nu at gamma, which the
-        solve may not have evaluated: both are extrapolated linearly in ln
-        gamma from those two."""
-        seen = []
-        gamma = snr_for_rate(
-            lambda g: seen.append((math.log(g), *curve(g))) or seen[-1][1:],
-            solve_target, hint, curvature=curvature, tol=tol,
-        )
-        (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = seen[-2:] if len(seen) > 1 else seen * 2
-        if t1 != t0:
-            w = (math.log(gamma) - t1) / (t1 - t0)
-            curvature = (slope - slope0) / (t1 - t0)
-            slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
-        return gamma, curvature, slope, d_nu
-
     def climb(
         curve: Callable[[int], Curve], rungs: list[int], hint: float, curvature: float,
         tol: float = LOG_GAMMA_TOL,
     ) -> tuple[float, float, float, float]:
-        """`solve` curve(n) at each node count n of rungs in turn, each from
-        the gamma and curvature of the one before."""
+        """Solve curve(n)(gamma) = target to tol in log gamma at each node
+        count n of rungs in turn (`snr_for_rate`), the first from hint and
+        borrowing curvature, each next from the gamma and curvature of the
+        one before.  Returns the last rung's gamma, the curvature d slope /
+        d ln gamma of its last two evaluations for the next solve to borrow
+        (the borrowed one after a single evaluation), and the slope and d
+        rate / d nu at gamma, which the solve may not have evaluated: both
+        are extrapolated linearly in ln gamma from those two."""
         for n in rungs:
-            hint, curvature, slope, d_nu = solve(curve(n), hint, curvature, tol)
+            seen, rate = [], curve(n)
+            hint = snr_for_rate(
+                lambda g: seen.append((math.log(g), *rate(g))) or seen[-1][1:],
+                solve_target, hint, curvature=curvature, tol=tol,
+            )
+            (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = (seen * 2)[-2:]
+            if t1 != t0:
+                w = (math.log(hint) - t1) / (t1 - t0)
+                curvature = (slope - slope0) / (t1 - t0)
+                slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
         return hint, curvature, slope, d_nu
 
     gamma_unif, curvature, _, _ = climb(scheme.baseline, ladder, gamma_cap, math.nan)
@@ -609,13 +604,13 @@ def _optimize(
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
-        search = functools.partial(gamma_of_nu, [search_nodes])
-        if ladder[0] < search_nodes:  # steer on the first rung, converge on the search's
-            steer = functools.partial(gamma_of_nu, ladder[:1])
-            edge, seed = _minimize_nu(steer, scheme.nu_max, coarse=True)
-            nu_star, gamma_a = _minimize_nu(search, edge, seed)
-        else:
-            nu_star, gamma_a = _minimize_nu(search, scheme.nu_max)
+        # steer on each rung below the search rung, each handing the next
+        # its (edge, seed), and converge on the search rung: (nu*, gamma_A)
+        found = scheme.nu_max, None
+        for n in ladder[: ladder.index(search_nodes) + 1]:
+            f = functools.partial(gamma_of_nu, [n])
+            found = _minimize_nu(f, *found, coarse=n < search_nodes)
+        nu_star, gamma_a = found
         if search_nodes != nodes:
             gamma_a, _ = gamma_of_nu([nodes], nu_star, gamma_a)
     return ShapingSolution(
@@ -833,13 +828,10 @@ def optimize_cqam(
     is set); the potential-gain baseline gamma_unif is always the
     unstretched construction under uniform priors, so the reported
     potential gain isolates what shaping plus stretching can recover.
-    The baseline solves cold at min(nodes, COLD_NODES) nodes and is
-    refined at min(nodes, SEARCH_NODES) and then at `nodes`, and a forced
-    nu climbs the same rungs.  The nu search steers at min(nodes,
-    COLD_NODES) nodes and converges at min(nodes, SEARCH_NODES) from the
-    coarse optimum, its first step a Newton step on the coarse slope of d
-    ln gamma_A / d nu.  When `nodes` is larger than the search's, the
-    returned operating point is refined at `nodes`.
+    The solves and the nu search walk the ladder of quadrature rules
+    min(nodes, COLD_NODES), min(nodes, SEARCH_NODES), `nodes` (see the
+    module docstring), and the returned operating point is solved at
+    `nodes`.
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu

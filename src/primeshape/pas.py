@@ -182,8 +182,7 @@ def generate_frames(
 
     shaped: list[int] = []
     while len(shaped) < need:
-        u = rng.integers(0, p, size=d).tolist() if d else []
-        shaped.extend(ccdm_encode(plan, u))
+        shaped.extend(ccdm_encode(plan, rng.integers(0, p, size=d)))
     shells = np.array(shaped[:need], dtype=np.int64).reshape(num_frames, half)
     src_all = rng.integers(0, p, size=(num_frames, code.k - half))
     codewords = np.empty((num_frames, code.n), dtype=np.int64)
@@ -253,12 +252,13 @@ def empirical_distributions(
 ) -> dict:
     """Measure the symbol statistics a chain actually produced.
 
-    codewords and plan are the (frames, n) codewords and the composition
-    plan of `generate_frames`.  Reports the parity PMF with its
-    uniformity gap, the shell PMF against the target counts / N of the
-    plan, and a chi-square statistic of the per-point counts against the
-    product law target_shell x uniform-phase, with the 0.99 quantile for
-    reference.  The statistic and its degrees of freedom cover the
+    codewords and plan are the (frames, n) codewords, at least one frame,
+    and the composition plan of `generate_frames`; ValueError refuses
+    codewords of another shape or outside F_p.  Reports the parity PMF
+    with its uniformity gap, the shell PMF against the target counts / N
+    of the plan, and a chi-square statistic of the per-point counts
+    against the product law target_shell x uniform-phase, with the 0.99
+    quantile for reference.  The statistic and its degrees of freedom cover the
     points with a positive expected count; a point the frames use but
     the target excludes is rejected.
 
@@ -273,6 +273,9 @@ def empirical_distributions(
     if plan.field != code.field:
         raise ValueError(f"plan over F_{plan.field.p} does not fit a code over F_{code.field.p}")
     p = code.field.p
+    codewords = symbol_array(codewords, code.field, "codewords")
+    if codewords.shape[1:] != (code.n,) or not codewords.size:
+        raise ValueError(f"codewords must be (frames, {code.n}), got shape {codewords.shape}")
     shells, parity, _, points = (a.ravel() for a in split_frames(code, codewords))
 
     parity_pmf = np.bincount(parity, minlength=p) / parity.size

@@ -18,13 +18,12 @@ encoding unranks and decoding ranks with multinomial counts.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
 
-from .field import Prime, ask_amplitudes, frozen_array, is_int
+from .field import Prime, ask_amplitudes, frozen_array, is_int, symbol_array
 from .sumdist import check_pmf
 
 
@@ -117,8 +116,10 @@ class CompositionPlan:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.block_length < 1:
-            raise ValueError("block length must be positive")
+        if not is_int(self.block_length) or self.block_length < 1:
+            raise ValueError(
+                f"block_length must be a positive integer, got {self.block_length!r}"
+            )
         if len(self.counts) != self.field.p:
             raise ValueError(
                 f"need one count per symbol of F_{self.field.p}, "
@@ -149,6 +150,8 @@ class CompositionPlan:
         # looser than NORMALIZATION_TOL: PMFs from outside the library
         # only need to round to the same counts
         check_pmf(probs, "PMF", tol=1e-9)
+        if not is_int(block_length):  # before it scales the PMF
+            raise ValueError(f"block_length must be an integer, got {block_length!r}")
         ideal = probs * block_length
         counts = np.floor(ideal).astype(int)
         remainder = ideal - counts
@@ -183,39 +186,27 @@ def _input_grid(m: int, p: int) -> tuple[int, int]:
     return d, scale
 
 
-def _symbols(values: Sequence[int], p: int, what: str) -> list[int]:
-    """Validate symbols of F_p and return them as Python ints."""
-    out = []
-    for v in values:
-        try:
-            s = operator.index(v)
-        except TypeError:
-            raise ValueError(f"{what} {v!r} is not an integer") from None
-        if not 0 <= s < p:
-            raise ValueError(f"{what} {s} outside F_{p}")
-        out.append(s)
-    return out
-
-
 def ccdm_encode(plan: CompositionPlan, uniform_symbols: Sequence[int]) -> list[int]:
     """Map uniform input symbols to one constant-composition block.
 
-    Consumes exactly plan.input_length() symbols (each in 0..p-1), reads
-    them as a base-p integer u and outputs the admissible block of
-    lexicographic rank r = floor(u * M / p^d).  Unranking is exact in
-    integers: of the m completions left after a prefix of length
-    N - n, m * c_s / n start with symbol s, where c_s is the remaining
-    count of s (M(counts) * c_s / n = M(counts - e_s)).
+    Consumes exactly plan.input_length() symbols, the first of
+    uniform_symbols, checked by `field.symbol_array` (integers or integral
+    floats in 0..p-1) and refused with ValueError unless they fill a 1-D
+    block of that length.  It reads them as a base-p integer u and
+    outputs the admissible block of lexicographic rank
+    r = floor(u * M / p^d).  Unranking is exact in integers: of the m
+    completions left after a prefix of length N - n, m * c_s / n start
+    with symbol s, where c_s is the remaining count of s
+    (M(counts) * c_s / n = M(counts - e_s)).
     """
     p = plan.field.p
     m = plan.num_sequences()
     d, scale = _input_grid(m, p)
-    if len(uniform_symbols) < d:
-        raise ValueError(
-            f"matcher needs {d} input symbols per block, got {len(uniform_symbols)}"
-        )
+    digits = symbol_array(uniform_symbols[:d], plan.field, "input symbols")
+    if digits.shape != (d,):
+        raise ValueError(f"matcher needs {d} input symbols per block, got {digits.shape}")
     u = 0
-    for s in _symbols(uniform_symbols[:d], p, "input symbol"):
+    for s in digits.tolist():
         u = u * p + s
     r = u * m // scale
 
@@ -243,29 +234,27 @@ def ccdm_decode(plan: CompositionPlan, shaped: Sequence[int]) -> list[int]:
     Ranks the block lexicographically among the M blocks of its
     composition and returns the base-p digits of u = ceil(r * p^d / M),
     the smallest input whose rank floor(u * M / p^d) is at least r.
-    Blocks of the wrong composition, or blocks no input maps to
-    (compositions with M not a power of p have M - p^d of them, where
-    floor(u * M / p^d) != r), are rejected with ValueError.
+    The block's symbols are checked as `ccdm_encode`'s inputs are.  Blocks
+    that are not 1-D of the plan's length, blocks of the wrong composition,
+    or blocks no input maps to (compositions with M not a power of p have
+    M - p^d of them, where floor(u * M / p^d) != r), are rejected with
+    ValueError.
     """
     p = plan.field.p
-    shaped = _symbols(shaped, p, "symbol")
-    if len(shaped) != plan.block_length:
+    shaped = symbol_array(shaped, plan.field, "symbols")
+    if shaped.shape != (plan.block_length,):
         raise ValueError(
-            f"block length {len(shaped)} does not match plan ({plan.block_length})"
+            f"block of shape {shaped.shape} does not match plan ({plan.block_length})"
         )
-    observed = [0] * p
-    for s in shaped:
-        observed[s] += 1
-    if tuple(observed) != plan.counts:
-        raise ValueError(
-            f"block composition {tuple(observed)} does not match plan {plan.counts}"
-        )
+    observed = tuple(np.bincount(shaped, minlength=p).tolist())
+    if observed != plan.counts:
+        raise ValueError(f"block composition {observed} does not match plan {plan.counts}")
 
     m = plan.num_sequences()
     d, scale = _input_grid(m, p)
     remaining = list(plan.counts)
     r, left = 0, m
-    for n, s in zip(range(plan.block_length, 0, -1), shaped):
+    for n, s in zip(range(plan.block_length, 0, -1), shaped.tolist()):
         r += left * sum(remaining[:s]) // n
         left = left * remaining[s] // n
         remaining[s] -= 1

@@ -1142,6 +1142,17 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
     with pytest.raises(ValueError, match="need at least 2 quadrature nodes"):
         optimize_cqam(Prime(5), Fraction(2, 3), nodes=1)
     assert counts == {"solves": 0, "search": 0}
+    # a count that is not an integer is refused by name, even where it
+    # equals that of a cached rule and kernel; a bool is not read as 1
+    args = np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0
+    mi_real_points(*args, 16)
+    for nodes in (16.0, 17.5, True, "16"):
+        for run in (optimize_cqam, optimize_shaped_ask, optimize_time_sharing):
+            with pytest.raises(ValueError, match=f"integer count, got {nodes!r}"):
+                run(Prime(5), Fraction(2, 3), nodes=nodes)
+        with pytest.raises(ValueError, match="need at least 2 quadrature nodes"):
+            mi_real_points(*args, nodes)
+    assert counts == {"solves": 0, "search": 0}
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):

@@ -296,6 +296,13 @@ def test_generate_frames_refuses_a_frame_count_that_is_not_an_integer(num_frames
     assert generate_frames(code, prior, num_frames=np.int64(2), seed=1)[0].shape == (2, 6)
 
 
+def test_generate_frames_refuses_a_matcher_block_that_is_not_an_integer():
+    # the float length reached the matcher's slicing and failed there
+    code, prior = _chain_pieces()
+    with pytest.raises(ValueError, match="block_length must be an integer, got 1.5"):
+        generate_frames(code, prior, num_frames=2, seed=1, dm_block=1.5)
+
+
 def test_generate_frames_refuses_odd_length_before_matching(monkeypatch):
     def matcher(*args):
         raise AssertionError("the matcher ran for a code no frame can use")
@@ -331,6 +338,40 @@ def test_empirical_distributions_guards():
     # a plan over another field than the code's
     with pytest.raises(ValueError, match="plan over F_3 does not fit a code over F_5"):
         empirical_distributions(codewords, code, CompositionPlan(Prime(3), 64, (30, 20, 14)))
+
+
+def _frames_and_plan() -> tuple:
+    code, prior = _chain_pieces()
+    return code, *generate_frames(code, prior, num_frames=50, seed=1)
+
+
+def test_empirical_distributions_refuses_a_single_codeword():
+    # one 1-D codeword read as n frames of one symbol each
+    code, codewords, plan = _frames_and_plan()
+    with pytest.raises(ValueError, match=r"codewords must be \(frames, 6\), got shape \(6,\)"):
+        empirical_distributions(codewords[0], code, plan)
+    with pytest.raises(ValueError, match=r"got shape \(0, 6\)"):
+        empirical_distributions(codewords[:0], code, plan)
+
+
+def test_empirical_distributions_refuses_a_symbol_outside_the_field():
+    # an out-of-range point index raised IndexError in the expected counts
+    code, codewords, plan = _frames_and_plan()
+    codewords = codewords.copy()
+    codewords[3, 0] = 5
+    with pytest.raises(ValueError, match="codewords must lie in 0..p-1 for p = 5, got 5"):
+        empirical_distributions(codewords, code, plan)
+    with pytest.raises(ValueError, match="codewords must be integers"):
+        empirical_distributions(codewords + 0.5, code, plan)
+
+
+def test_empirical_distributions_refuses_a_wrong_width():
+    # a width other than n raised numpy's broadcast error
+    code, codewords, plan = _frames_and_plan()
+    for width in (5, 7):
+        frames = np.zeros((50, width), dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"got shape \(50, {width}\)"):
+            empirical_distributions(frames, code, plan)
 
 
 def test_all_lists_the_public_names():

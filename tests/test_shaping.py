@@ -169,6 +169,18 @@ def test_composition_counts_must_be_nonnegative_integers(counts):
     assert plan.input_length() == 1
 
 
+@pytest.mark.parametrize("length", [4.0, 1.5, True, "4"])
+def test_block_length_must_be_an_integer(length):
+    # a float or bool length was stored as given, and from_distribution's
+    # quantization scaled the PMF by it
+    probs = np.full(5, 0.2)
+    with pytest.raises(ValueError, match="block_length must be a positive integer"):
+        CompositionPlan(Prime(5), length, (1, 1, 1, 1, 0))
+    with pytest.raises(ValueError, match="block_length must be an integer"):
+        CompositionPlan.from_distribution(Prime(5), probs, length)
+    assert CompositionPlan.from_distribution(Prime(5), probs, np.int64(5)).counts == (1,) * 5
+
+
 def test_degenerate_composition():
     f5 = Prime(5)
     plan = CompositionPlan(f5, 6, (6, 0, 0, 0, 0))
@@ -252,6 +264,11 @@ def test_decode_rejects_wrong_composition():
         ccdm_decode(plan, [0, 0, 0, 1])  # composition (3,1,0)
     with pytest.raises(ValueError):
         ccdm_decode(plan, [0, 0, 1])  # wrong length
+    # a 2-D or 0-d block is refused by shape, not read row by row
+    with pytest.raises(ValueError, match=r"block of shape \(2, 2\) does not match plan"):
+        ccdm_decode(plan, [[0, 0], [1, 2]])
+    with pytest.raises(ValueError, match=r"block of shape \(\) does not match plan"):
+        ccdm_decode(plan, 0)
 
 
 def test_encode_rejects_short_or_invalid_input():
@@ -262,6 +279,8 @@ def test_encode_rejects_short_or_invalid_input():
         ccdm_encode(plan, [0] * (d - 1))
     with pytest.raises(ValueError):
         ccdm_encode(plan, [7] * d)
+    with pytest.raises(ValueError, match=rf"needs {d} input symbols per block, got \({d}, 2\)"):
+        ccdm_encode(plan, np.zeros((d, 2), dtype=int))
 
 
 def test_encode_accepts_numpy_symbols():
@@ -276,10 +295,28 @@ def test_encode_accepts_numpy_symbols():
         assert block == ccdm_encode(plan, u.tolist())
         assert ccdm_decode(plan, block) == u.tolist()
         assert ccdm_decode(plan, np.array(block)) == u.tolist()
-    with pytest.raises(ValueError, match="not an integer"):
-        ccdm_encode(plan, [1.0] + [0] * (d - 1))
-    with pytest.raises(ValueError, match="not an integer"):
-        ccdm_decode(plan, [float(s) for s in block])
+    # integral floats are kept, as `encode` keeps them
+    assert ccdm_encode(plan, [1.0] + [0] * (d - 1)) == ccdm_encode(plan, [1] + [0] * (d - 1))
+    assert ccdm_decode(plan, [float(s) for s in block]) == u.tolist()
+    # a non-integer, complex, object or string symbol is refused, and NaN
+    # without a cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1.5, np.nan, 1 + 0j, "1", None):
+            with pytest.raises(ValueError, match="input symbols must be integers"):
+                ccdm_encode(plan, [bad] + [0] * (d - 1))
+            with pytest.raises(ValueError, match="symbols must be integers"):
+                ccdm_decode(plan, [bad] + block[1:])
+        objects = np.array(block, dtype=object)
+        with pytest.raises(ValueError, match="input symbols must be integers"):
+            ccdm_encode(plan, objects[:d])
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            ccdm_decode(plan, objects)
+    # an out-of-range symbol is named with p
+    with pytest.raises(ValueError, match="must lie in 0..p-1 for p = 13, got -1"):
+        ccdm_encode(plan, [0] * (d - 1) + [-1])
+    with pytest.raises(ValueError, match="must lie in 0..p-1 for p = 13, got 13"):
+        ccdm_decode(plan, [13] + block[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,11 @@ COMMANDS = {
     "pas-p13": ["pas", "-p", "13", "-o", "report.json", "--dump-frames", "frames.csv"],
     # unstretched, so its shells are packed; and a stretch of its own
     "pas-p11": ["pas", "-p", "11", "-o", "report.json", "--dump-frames", "frames.csv"],
+    # the paper-scale chain: matcher blocks of the matcher workload's length
+    "pas-p13-long": [
+        "pas", "-p", "13", "--block-n", "1200", "--dm-block", "1024", "--frames", "2000",
+        "-o", "report.json", "--dump-frames", "frames.csv",
+    ],
     "pas-p7-stretch": [
         "pas", "-p", "7", "--stretch", "3.0", "0.9", "-o", "report.json",
         "--dump-frames", "frames.csv",
