@@ -566,6 +566,7 @@ def _optimize(
                 lambda g: seen.append((math.log(g), *rate(g))) or seen[-1][1:],
                 solve_target, hint, curvature=curvature, tol=tol,
             )
+            # the last two evaluations, or the only one twice
             (t0, _, slope0, d_nu0), (t1, _, slope, d_nu) = (seen * 2)[-2:]
             if t1 != t0:
                 w = (math.log(hint) - t1) / (t1 - t0)
