@@ -83,16 +83,18 @@ energy, by Jensen's inequality), so every hint is raised to gamma_cap.
 
 Every solve and every nu search is one walk up a ladder of quadrature
 rules.  A complex rate evaluation costs as its rule's size, which grows
-as the square of the node count, so CQAM's ladder is min(nodes,
-COLD_NODES), min(nodes, SEARCH_NODES), `nodes`, a rung dropped where it
-equals the one below; a real call costs mostly its fixed overhead, so
-the p-ASK ladder is `nodes` alone.  The search rung, on which nu* is
-found, is min(nodes, SEARCH_NODES) for CQAM and `nodes` for p-ASK.
+as the square of the node count, so CQAM has two ladders, each rung n
+standing for min(nodes, n) and dropped where it equals the one below:
+the cold solves' COLD_NODES, LANDING_NODES, `nodes`, and the nu
+search's COLD_NODES, SEARCH_NODES.  A real call costs mostly its fixed
+overhead, so p-ASK's ladders are `nodes` alone.  The search rung, on
+which nu* is found, is the top of the search's ladder.
 
 * A solve climbs its rungs: the first from its hint, each next from the
   gamma and curvature of the solve on the rung below, which then costs
   about one evaluation (nested iteration).  The baseline climbs the
-  whole ladder from gamma_cap, and a forced nu from gamma_unif.
+  cold ladder from gamma_cap, and a forced nu from gamma_unif; its
+  landing rung only lands the solve at `nodes`.
 * The nu search runs a coarse secant search on each rung below the
   search rung, from gamma_unif on the first.  A coarse search only
   steers, and its gamma is never reported, so it solves no probe at its
@@ -101,20 +103,21 @@ found, is min(nodes, SEARCH_NODES) for CQAM and `nodes` for p-ASK.
   of the gradient, on which the next rung takes its first step by
   Newton's method, borrowing the last coarse solve's curvature.  On the
   search rung the search converges under NU_REL_TOL, so nu* comes from
-  that rung's gradients, and where the search rung lies below `nodes`,
-  the optimum is refined at `nodes` from its search solve.  A ladder
-  whose first rung is the search rung (p-ASK, or CQAM at `nodes` <=
-  COLD_NODES) runs no coarse search and searches from the bracket
-  [0, nu_max].
+  that rung's gradients.  Where the search rung lies below `nodes`, the
+  search solves no probe at its converged nu either, and gamma_A(nu*)
+  is solved at `nodes` alone, from a hint extrapolated from the nearest
+  probe, in about one evaluation.  A ladder whose first rung is the
+  search rung (p-ASK, or CQAM at `nodes` <= COLD_NODES) runs no coarse
+  search and searches from the bracket [0, nu_max].
 
 A nu probe's gamma and gradient only steer the search, so each probe is
 solved to PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL: an
 inexact inner solve (Dembo, Eisenstat and Steihaug, 1982).  Every solve
 whose gamma is reported stays at LOG_GAMMA_TOL: the baseline gamma_unif,
+a forced nu, gamma_A(nu*) at `nodes`, and on a search rung at `nodes`
 the converged probe (or a steering probe that reads smallest, solved
-again), a forced nu, and each refinement at `nodes`.  A rung below the
-top is solved to the tolerance of the solve it serves, and every probe
-of a coarse nu search to PROBE_LOG_GAMMA_TOL.
+again).  A rung below the top is solved to the tolerance of the solve it
+serves, and every probe of a coarse nu search to PROBE_LOG_GAMMA_TOL.
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -185,15 +188,15 @@ NU_REL_TOL = 1e-4
 
 #: Gauss-Hermite node count per real dimension of the CQAM search rung,
 #: or `nodes` when that is smaller (see the module docstring).  A larger
-#: `nodes` refines the baseline and the optimum there, each in one
-#: evaluation from its SEARCH_NODES solve.  The coarser search moved the
+#: `nodes` solves the optimum there in about one evaluation, from a hint
+#: extrapolated from the search's nearest probe.  The coarser search moved the
 #: 7^2 and 13^2 rows at R_c = 2/3 by under 1e-12 dB; converging at 32
 #: nodes moved 7^2 at R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search
 #: at `nodes`: at 48 nodes the time-sharing row p = 7, R_c = 19/20 moved
 #: by 6e-7 dB.
 SEARCH_NODES = 48
 
-#: Node count of the first rung of the CQAM ladder, or `nodes` when that
+#: Node count of the first rung of both CQAM ladders, or `nodes` when that
 #: is smaller: the rung on which the baseline and a forced nu solve cold
 #: and the nu search steers (nested iteration: Hackbusch, Multi-Grid
 #: Methods and Applications, 1985).  The 2-D rule keeps 252 nodes at 16,
@@ -201,12 +204,27 @@ SEARCH_NODES = 48
 #: (1.4e-6 in ln gamma, inside PREDICTED_STEP_MAX) from the 48-node one on
 #: 7^2, 3.0e-6 dB on 13^2; a direct 16 -> 96 step needed a second 96-node
 #: call on 11 of the 16 rows below.  Over p in {5, 7, 11, 13} and R_c in
-#: {2/3, 3/4, 5/6, 9/10} the baseline's rung took the 48-node calls from
-#: 202 to 146 and the steering search from 146 to 76, every row keeping
-#: two 96-node calls and moving by under 1e-10 dB.  The p-ASK schemes
-#: have no ladder: a real call costs mostly its fixed overhead, so a rung
-#: would add a call and save nothing.
+#: {2/3, 3/4, 5/6, 9/10} a 48-node rung above it took the 48-node calls
+#: from 202 to 146 and the steering search from 146 to 76, every row
+#: keeping two 96-node calls and moving by under 1e-10 dB.  The p-ASK
+#: schemes have no ladder: a real call costs mostly its fixed overhead, so
+#: a rung would add a call and save nothing.
 COLD_NODES = 16
+
+#: Node count of the CQAM cold solves' middle rung, or `nodes` when that
+#: is smaller.  It steers nothing and only lands the solve at `nodes`:
+#: its gamma_unif lies 4.0e-8 in ln gamma from the 96-node one on 7^2 at
+#: R_c = 2/3 and 7.4e-8 on 5^2, inside PREDICTED_STEP_MAX, so that solve
+#: takes one evaluation.  Chosen by the complex MI time of the 16 rows
+#: above and of a forced-nu solve at each row's nu*, as calls times each
+#: (p, nodes) call's best-of-15 time: 3.70 s with SEARCH_NODES here (the
+#: rule keeps 1044 nodes), 3.19 s at 24 (468 nodes), 3.17 s at 28, 3.14 s
+#: at 30 (592 nodes), 3.20 s at 32 and 3.26 s at 36 (756 nodes).  A
+#: coarser rung lands worse (rows and forced solves took 76 96-node calls
+#: at 24, 66 at 30, 64 with SEARCH_NODES), a finer one costs more a call.
+#: At 30 the rows took 27 calls here, 31 at 48 nodes (76 before, the
+#: refined search included) and 33 at 96 (32), moving by under 2.4e-10 dB.
+LANDING_NODES = 30
 
 #: Search range of the SNR solve; beyond GAMMA_MAX a target is unreachable.
 GAMMA_MIN, GAMMA_MAX = 1e-300, 1e15
@@ -347,7 +365,7 @@ Seed = tuple[float, float, float]
 
 def _minimize_nu(
     f: Callable[[float, float | None, float], tuple[float, float]], nu_max: float,
-    seed: Seed | None = None, *, coarse: bool = False,
+    seed: Seed | None = None, *, coarse: bool = False, refined: bool = False,
 ) -> tuple[float, float] | tuple[float, Seed]:
     """Minimize gamma_A over nu >= 0 by a safeguarded secant method on
     h(nu) = d ln gamma_A / d nu, from the bracket [0, nu_max].
@@ -383,6 +401,10 @@ def _minimize_nu(
     or at its smallest gamma_A where that root lies outside the bracket,
     with gamma_0 extrapolated from the nearest probe as a hint is, and c
     h's secant slope through its last two feasible nu (nan without two).
+    A `refined` search, whose optimum the caller solves again on a finer
+    rule, converges as a full one but solves none at its converged secant
+    root inside the bracket; it returns that root with gamma_A there
+    extrapolated from the nearest probe, as a hint is.
     """
     seen: dict[float, tuple[float, float, float]] = {}  # nu -> (gamma_A, h, tol)
 
@@ -433,7 +455,7 @@ def _minimize_nu(
             new = x1 - h1 / slope if slope != 0.0 else -h1 * math.inf
         # solve at the converged nu, then stop
         if last and abs(new - x1) <= NU_REL_TOL * edge:
-            if lo < new < hi and not coarse:
+            if lo < new < hi and not (coarse or refined):
                 probe(new, LOG_GAMMA_TOL)
             break
         closed = hi - lo <= NU_REL_TOL * edge
@@ -454,6 +476,8 @@ def _minimize_nu(
         if coarse:
             nu = new if lo < new < hi else nu
             return edge, (nu, hint_at(nu), slope)
+        if refined and lo < new < hi:
+            return new, hint_at(new)
         if solved_to == LOG_GAMMA_TOL:
             return nu, gamma
         probe(nu, LOG_GAMMA_TOL)  # a steering probe came out best
@@ -515,11 +539,11 @@ def _optimize(
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A.
-    Each is one walk up the scheme's quadrature ladder (see the module
-    docstring): gamma_unif and a forced nu climb all of it; the nu search
-    steers on each rung below its search rung, each seeding the next,
-    converges on the search rung and refines gamma_A(nu*) at `nodes`
-    where that rung lies below.
+    Each is one walk up a quadrature ladder of the scheme (see the module
+    docstring): gamma_unif and a forced nu climb the cold ladder; the nu
+    search steers on each rung of its own below its search rung, each
+    seeding the next, converges on the search rung and, where that rung
+    lies below `nodes`, leaves gamma_A(nu*) to one solve at `nodes`.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -528,11 +552,12 @@ def _optimize(
             "needs at least half the symbols carrying shaped payload"
         )
     _rule(nodes, 1)  # rejects a bad node count before any solve; cached
-    search_nodes = min(nodes, SEARCH_NODES) if scheme.dimension == "complex" else nodes
-    # the quadrature ladder (see the module docstring)
-    ladder = [nodes]
+    # the quadrature ladders of the cold solves and of the nu search (see the
+    # module docstring); p-ASK's are `nodes` alone
+    cold = search = [nodes]
     if scheme.dimension == "complex":
-        ladder = sorted({min(nodes, COLD_NODES), search_nodes, nodes})
+        cold = sorted({min(nodes, COLD_NODES), min(nodes, LANDING_NODES), nodes})
+        search = sorted({min(nodes, COLD_NODES), min(nodes, SEARCH_NODES)})
     target = float(coding_rate) * math.log2(field.p)  # bits per real dimension
     solve_target = 2.0 * target if scheme.dimension == "complex" else target
 
@@ -574,7 +599,7 @@ def _optimize(
                 slope, d_nu = slope + w * (slope - slope0), d_nu + w * (d_nu - d_nu0)
         return hint, curvature, slope, d_nu
 
-    gamma_unif, curvature, _, _ = climb(scheme.baseline, ladder, gamma_cap, math.nan)
+    gamma_unif, curvature, _, _ = climb(scheme.baseline, cold, gamma_cap, math.nan)
 
     def gamma_of_nu(
         rungs: list[int], nu_val: float, hint: float | None, tol: float = LOG_GAMMA_TOL
@@ -601,18 +626,19 @@ def _optimize(
 
     if nu is not None:
         curvature = math.nan  # no neighbouring solve: a cold start
-        nu_star, (gamma_a, _) = nu, gamma_of_nu(ladder, nu, None)
+        nu_star, (gamma_a, _) = nu, gamma_of_nu(cold, nu, None)
         if not math.isfinite(gamma_a):
             raise UnreachableRateError(f"target rate unreachable at nu={nu}")
     else:
         # steer on each rung below the search rung, each handing the next
-        # its (edge, seed), and converge on the search rung: (nu*, gamma_A)
+        # its (edge, seed), and converge on the search rung: (nu*, gamma_A),
+        # or a hint of gamma_A where `nodes` solves it again
         found = scheme.nu_max, None
-        for n in ladder[: ladder.index(search_nodes) + 1]:
+        for n in search:
             f = functools.partial(gamma_of_nu, [n])
-            found = _minimize_nu(f, *found, coarse=n < search_nodes)
+            found = _minimize_nu(f, *found, coarse=n < search[-1], refined=n < nodes)
         nu_star, gamma_a = found
-        if search_nodes != nodes:
+        if search[-1] != nodes:
             gamma_a, _ = gamma_of_nu([nodes], nu_star, gamma_a)
     return ShapingSolution(
         scheme=scheme.name,
@@ -829,10 +855,10 @@ def optimize_cqam(
     is set); the potential-gain baseline gamma_unif is always the
     unstretched construction under uniform priors, so the reported
     potential gain isolates what shaping plus stretching can recover.
-    The solves and the nu search walk the ladder of quadrature rules
-    min(nodes, COLD_NODES), min(nodes, SEARCH_NODES), `nodes` (see the
-    module docstring), and the returned operating point is solved at
-    `nodes`.
+    The cold solves climb the quadrature rules min(nodes, COLD_NODES),
+    min(nodes, LANDING_NODES), `nodes`, and the nu search walks
+    min(nodes, COLD_NODES), min(nodes, SEARCH_NODES) (see the module
+    docstring); the returned operating point is solved at `nodes`.
     """
     return _optimize(
         _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu

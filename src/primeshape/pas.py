@@ -273,6 +273,7 @@ def empirical_distributions(
     if plan.field != code.field:
         raise ValueError(f"plan over F_{plan.field.p} does not fit a code over F_{code.field.p}")
     p = code.field.p
+    _frame_half(code)  # an odd n splits no frame into shells and phases
     codewords = symbol_array(codewords, code.field, "codewords")
     if codewords.shape[1:] != (code.n,) or not codewords.size:
         raise ValueError(f"codewords must be (frames, {code.n}), got shape {codewords.shape}")

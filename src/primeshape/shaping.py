@@ -202,7 +202,13 @@ def ccdm_encode(plan: CompositionPlan, uniform_symbols: Sequence[int]) -> list[i
     p = plan.field.p
     m = plan.num_sequences()
     d, scale = _input_grid(m, p)
-    digits = symbol_array(uniform_symbols[:d], plan.field, "input symbols")
+    try:
+        head = uniform_symbols[:d]
+    except (TypeError, IndexError):  # a scalar, which holds no block to slice
+        raise ValueError(
+            f"matcher needs {d} input symbols per block, got {np.shape(uniform_symbols)}"
+        ) from None
+    digits = symbol_array(head, plan.field, "input symbols")
     if digits.shape != (d,):
         raise ValueError(f"matcher needs {d} input symbols per block, got {digits.shape}")
     u = 0

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -313,45 +314,40 @@ def test_refinement_at_more_nodes_lands_as_a_cold_solve(scheme):
 
 
 @pytest.mark.parametrize(
-    "p, shaped, tol, rung_calls",
-    [
-        (5, False, LOG_GAMMA_TOL, 2),
-        (7, False, LOG_GAMMA_TOL, 1),
-        (7, True, PROBE_LOG_GAMMA_TOL, 1),
-    ],
-    ids=["baseline-5", "baseline-7", "probe-7"],
+    "p, forced, rung_calls",
+    [(5, False, [2, 1]), (7, False, [1, 1]), (7, True, [2, 1])],
+    ids=["baseline-5", "baseline-7", "forced-7"],
 )
-def test_ladder_rung_lands_as_a_cold_solve(p, shaped, tol, rung_calls):
-    # CQAM's cold solves, the baseline from gamma_cap and a nu solve without
-    # a hint from gamma_unif, run at COLD_NODES = 16 and hand their gamma and
-    # curvature to a solve at SEARCH_NODES = 48, which lands within
-    # LOG_GAMMA_TOL of a cold solve at 48 nodes.  The 16-node gamma_unif lies
-    # 1.4e-6 in ln gamma from the 48-node one on 7^2, inside
-    # PREDICTED_STEP_MAX, and 8.6e-6 on 5^2, which takes one call more.  The
-    # search's first probe is solved to PROBE_LOG_GAMMA_TOL, as the driver
-    # solves it, and still lands within LOG_GAMMA_TOL (2e-12 here)
-    assert (optimizer.COLD_NODES, optimizer.SEARCH_NODES) == (16, 48)
+def test_ladder_rung_lands_as_a_cold_solve(p, forced, rung_calls):
+    # CQAM's cold solves, the baseline from gamma_cap and a forced nu from
+    # gamma_unif, run at COLD_NODES = 16 and climb through LANDING_NODES = 30
+    # to 96 nodes, each rung from the gamma and curvature of the one below,
+    # and land within LOG_GAMMA_TOL of a cold solve at 96 nodes.  The 16-node
+    # gamma_unif lies 8.6e-6 in ln gamma from the finer ones on 5^2, past
+    # PREDICTED_STEP_MAX, so the landing rung takes two calls there, and the
+    # 96-node rung one
+    assert (optimizer.COLD_NODES, optimizer.LANDING_NODES) == (16, 30)
     scheme = optimizer._cqam_scheme(Prime(p), CqamParams(stretch=REFERENCE_STRETCH.get(p)))
     target = 2.0 * float(Fraction(2, 3)) * math.log2(p)
     gamma_cap = capacity_gamma(target / 2.0, "complex")
-    if shaped:  # the search's first probe, from the baseline's gamma
+    if forced:
         curve = functools.partial(scheme.curve, scheme.prior(0.5 * scheme.nu_max))
         start = snr_for_rate(scheme.baseline(96), target, gamma_cap)
     else:
         curve, start = scheme.baseline, gamma_cap
-    seen, rung = [], curve(16)
-    coarse = snr_for_rate(
-        lambda g: seen.append((math.log(g), *rung(g))) or seen[-1][1:], target, start, tol=tol
-    )
-    (t0, _, s0, _), (t1, _, s1, _) = seen[-2:]
-    calls, fine = [], curve(48)
-    warm = snr_for_rate(
-        lambda g: calls.append(g) or fine(g), target, coarse,
-        curvature=(s1 - s0) / (t1 - t0), tol=tol,
-    )
-    cold = snr_for_rate(fine, target, start)
-    assert len(calls) == rung_calls
-    assert abs(math.log(warm) - math.log(cold)) <= LOG_GAMMA_TOL
+    gamma, curvature, calls = start, math.nan, []
+    for n in (16, 30, 96):
+        seen, rung = [], curve(n)
+        gamma = snr_for_rate(
+            lambda g: seen.append((math.log(g), *rung(g))) or seen[-1][1:],
+            target, gamma, curvature=curvature,
+        )
+        (t0, _, s0, _), (t1, _, s1, _) = (seen * 2)[-2:]
+        curvature = (s1 - s0) / (t1 - t0) if t1 != t0 else curvature
+        calls.append(len(seen))
+    cold = snr_for_rate(curve(96), target, start)
+    assert calls[1:] == rung_calls
+    assert abs(math.log(gamma) - math.log(cold)) <= LOG_GAMMA_TOL
 
 
 @pytest.mark.parametrize("hint", [None, 1e-200, math.inf])
@@ -611,6 +607,31 @@ def test_coarse_nu_search_only_steers():
         edge, (nu, _, _) = optimizer._minimize_nu(f, 0.2, coarse=True)
     assert (edge, len(caught)) == (0.8, 2)
     assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 0.8)
+
+
+def test_refined_nu_search_leaves_its_optimum_to_the_refinement():
+    # a search whose optimum is solved again at more nodes solves none at its
+    # converged secant root, and hands it on with gamma_A there, extrapolated
+    # from its nearest probe; it converges as a full search does, so the root
+    # is the nu that search solves last
+    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
+    tols = []
+    nu, gamma = optimizer._minimize_nu(
+        lambda v, hint, tol: tols.append(tol) or f(v, hint, tol), 2.0, refined=True
+    )
+    assert set(tols) == {PROBE_LOG_GAMMA_TOL}
+    assert nu not in [c[0] for c in calls]
+    assert gamma == pytest.approx(math.exp(nu**4 - nu), rel=1e-7)
+    calls.clear()
+    assert optimizer._minimize_nu(f, 2.0)[0] == nu == calls[-1][0]
+    # where no secant root converges inside the bracket, the smallest gamma_A
+    # is solved again to LOG_GAMMA_TOL, as a full search solves it
+    tols.clear()
+    assert optimizer._minimize_nu(
+        lambda v, hint, tol: tols.append((v, tol)) or (math.exp((v - 0.3) ** 2), 2 * (v - 0.3)),
+        1.0, refined=True,
+    ) == (pytest.approx(0.3, abs=1e-15), 1.0)
+    assert tols[-1] == (tols[-2][0], LOG_GAMMA_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -948,25 +969,27 @@ def _complex_nodes(monkeypatch) -> list:
     return rules
 
 
-def test_cqam_row_calls_by_rung(monkeypatch):
-    # the 7^2 row of the cqam-p7 workload: the two cold solves' six
-    # evaluations run on the 16-node rule (252 nodes), leaving 8 calls at
-    # 48 nodes (12 without the ladder) and the two 96-node refinements
-    rules = _complex_nodes(monkeypatch)
-    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    assert rules.count(48) <= 8
-    assert rules.count(96) == 2
-    assert set(rules) == {16, 48, 96}
+def test_cqam_p7_workload_mi_calls_by_kind_and_nodes(monkeypatch):
+    # both rows of the cqam-p7 workload.  CQAM: the baseline's cold climb
+    # 16 -> 30 -> 96 (three calls at 16, one at 30), the nu search's eight
+    # steering probes at 16 and two probes at 48, whose optimum is solved
+    # at 96 alone; without the landing rung and with a 48-node solve at nu*,
+    # 4 calls at 48 nodes.  Shaped ASK^2: 12 real calls at `nodes` alone
+    calls = collections.Counter()
+    for kind in ("complex", "real"):
+        kernel = getattr(optimizer, f"mi_{kind}_points")
 
+        def counted(*args, _kernel=kernel, _kind=kind, **kwargs):
+            calls[_kind, args[3]] += 1
+            return _kernel(*args, **kwargs)
 
-def test_cqam_row_steers_its_nu_search_on_the_first_rung(monkeypatch):
-    # the 7^2 row of the cqam-p7 workload: the search steers on 16 nodes and
-    # converges on 48 from the coarse optimum, one probe or two and the
-    # converged solve, beside the baseline's 48-node rung
-    rules = _complex_nodes(monkeypatch)
-    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    assert rules.count(48) <= 4
-    assert rules.count(96) == 2
+        monkeypatch.setattr(optimizer, f"mi_{kind}_points", counted)
+    optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(REFERENCE_STRETCH[7]))
+    optimize_shaped_ask(Prime(7), Fraction(2, 3))
+    assert calls == {
+        ("complex", 16): 11, ("complex", 30): 1, ("complex", 48): 2, ("complex", 96): 2,
+        ("real", 96): 12,
+    }
 
 
 def _cqam_solves(monkeypatch) -> list:
@@ -1004,21 +1027,21 @@ def _cqam_solves(monkeypatch) -> list:
     return solves
 
 
-def test_cqam_optimum_is_solved_at_the_search_rung_then_at_nodes(monkeypatch):
-    # nu* and gamma_A come from a LOG_GAMMA_TOL solve at min(nodes,
-    # SEARCH_NODES) = 48 and its refinement at nodes = 96; the 16-node rung
-    # only steers: its probes are solved to PROBE_LOG_GAMMA_TOL, none at nu*
+def test_cqam_optimum_is_found_at_the_search_rung_and_solved_at_nodes(monkeypatch):
+    # nu* comes from the gradients of min(nodes, SEARCH_NODES) = 48, and its
+    # only LOG_GAMMA_TOL solve is the refinement at nodes = 96; the 16-node
+    # rung only steers: its probes are solved to PROBE_LOG_GAMMA_TOL, none
+    # at nu*, as are the 48-node probes here
     solves = _cqam_solves(monkeypatch)
     sol = optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    *_, search, refined = solves
-    assert search[:3] == (sol.nu_star, 48, LOG_GAMMA_TOL)
+    *_, refined = solves
     assert refined[:3] == (sol.nu_star, 96, LOG_GAMMA_TOL)
     assert optimizer._db(refined[3]) == sol.gamma_A_db
-    assert [s[1] for s in solves if s[0] is None] == [16, 48, 96]  # the baseline
-    coarse = [s for s in solves if s[0] is not None and s[1] == 16]
-    assert len(coarse) >= 3 and {s[2] for s in coarse} == {PROBE_LOG_GAMMA_TOL}
-    assert sol.nu_star not in {s[0] for s in coarse}
-    assert {s[1] for s in solves} == {16, 48, 96}
+    assert [s[1] for s in solves if s[0] is None] == [16, 30, 96]  # the baseline
+    probes = [s for s in solves if s[0] is not None][:-1]
+    assert {s[1] for s in probes} == {16, 48} and probes[-1][1] == 48
+    assert {s[2] for s in probes} == {PROBE_LOG_GAMMA_TOL}
+    assert sol.nu_star not in {s[0] for s in probes}
 
 
 def test_p_ask_schemes_have_no_ladder(monkeypatch):
@@ -1156,11 +1179,11 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
 
 
 def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
-    # the CQAM baseline solves cold at COLD_NODES = 16 and climbs to
-    # min(nodes, SEARCH_NODES = 48); the nu search steers on 16 nodes and
-    # converges at the baseline's second rung; only a larger `nodes` refines
-    # the baseline and the optimum there.  Each rung past the first is a
-    # solve of its own, and each probe of either search one solve
+    # the CQAM baseline solves cold at COLD_NODES = 16 and climbs through
+    # min(nodes, LANDING_NODES = 30) to nodes; the nu search steers on 16
+    # nodes and converges on min(nodes, SEARCH_NODES = 48), and only a larger
+    # `nodes` refines the optimum there.  Each rung past the first is a solve
+    # of its own, and each probe of either search one solve
     counts, rules = _count_solves(monkeypatch), _complex_nodes(monkeypatch)
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=24)
     assert [n for n, _ in itertools.groupby(rules)] == [16, 24, 16, 24]
@@ -1169,9 +1192,9 @@ def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
     counts.update(solves=0, search=0)
     rules.clear()
     optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
-    # baseline 16 -> 48 -> 64; the search steered at 16 and converged at 48,
-    # the optimum refined at 64; each 64-node refinement costs one kernel call
-    assert [n for n, _ in itertools.groupby(rules)] == [16, 48, 64, 16, 48, 64]
+    # baseline 16 -> 30 -> 64; the search steered at 16 and converged at 48,
+    # the optimum refined at 64; each 64-node solve costs one kernel call
+    assert [n for n, _ in itertools.groupby(rules)] == [16, 30, 64, 16, 48, 64]
     assert rules.count(64) == 2
     # the baseline's three rungs and the refinement
     assert counts["solves"] == counts["search"] + 3 + 1
@@ -1279,7 +1302,7 @@ def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run, levels
     monkeypatch.setattr(optimizer, "SEARCH_NODES", 96)  # CQAM searches at 96 too
     searches = []
 
-    def search(f, nu_max, seed=None, *, coarse=False):
+    def search(f, nu_max, seed=None, *, coarse=False, refined=False):
         searches.append(f)
         return (nu_max, (0.1, 1.0, 1.0)) if coarse else (0.1, 1.0)
 

@@ -374,6 +374,15 @@ def test_empirical_distributions_refuses_a_wrong_width():
             empirical_distributions(frames, code, plan)
 
 
+def test_empirical_distributions_refuses_an_odd_code_length():
+    # the shells take n // 2 columns and the phases the other n - n // 2,
+    # which raised numpy's broadcast error for an odd n
+    _, _, plan = _frames_and_plan()
+    code = CodeSpec(Prime(5), 5, 3, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="frame mapping needs an even code length"):
+        empirical_distributions(np.zeros((4, 5), dtype=np.int64), code, plan)
+
+
 def test_all_lists_the_public_names():
     # a name removed from the package must leave __all__ too, and vice versa
     public = {

@@ -283,6 +283,19 @@ def test_encode_rejects_short_or_invalid_input():
         ccdm_encode(plan, np.zeros((d, 2), dtype=int))
 
 
+@pytest.mark.parametrize(
+    "scalar", [3, np.int64(3), np.array(3), 3.0], ids=["int", "int64", "0-d", "float"]
+)
+def test_encode_refuses_a_scalar(scalar):
+    # slicing a scalar raised TypeError or IndexError, naming no argument
+    plan = CompositionPlan.from_distribution(Prime(7), np.full(7, 1 / 7), 16)
+    d = plan.input_length()
+    with pytest.raises(ValueError, match=rf"needs {d} input symbols per block, got \(\)"):
+        ccdm_encode(plan, scalar)
+    with pytest.raises(ValueError, match=r"block of shape \(\) does not match plan"):
+        ccdm_decode(plan, scalar)
+
+
 def test_encode_accepts_numpy_symbols():
     # the base-p input integer must not accumulate in np.int64 (d = 53)
     f13 = Prime(13)

@@ -138,3 +138,40 @@ def test_parity_sets_the_csv_nu_star_column_apart(tmp_path, gap_db, nu_star, ver
     assert lines[0].startswith("table ") and verdict in lines[0]
     if verdict.startswith("nu_star"):
         assert "max |delta| 0 (-)" in lines[0]
+
+
+def test_parity_reference_reports_the_largest_move_per_scheme():
+    # fixed rows as `parity.solve_rows` returns them at two node counts; a
+    # row unreachable at one of them only moves by inf in its status
+    def row(gap_db, nu_star):
+        return {"nu_star": nu_star, "gamma_A_db": 11.0, "gap_db": gap_db}
+
+    default = {
+        ("cqam", 7, "2/3"): row(0.1, 0.115),
+        ("cqam", 7, "9/10"): row(0.3, 0.2),
+        ("time-sharing shaped", 13, "2/3"): row(0.5, 0.05),
+        ("time-sharing shaped", 13, "19/20"): None,
+        ("shaped-ask-squared", 5, "2/3"): None,
+    }
+    reference = {
+        ("cqam", 7, "2/3"): row(0.1 - 3e-8, 0.115 + 1e-6),
+        ("cqam", 7, "9/10"): row(0.3 + 2e-8, 0.2),
+        ("time-sharing shaped", 13, "2/3"): row(0.5, 0.05),
+        ("time-sharing shaped", 13, "19/20"): row(0.9, 0.01),
+        ("shaped-ask-squared", 5, "2/3"): None,
+    }
+    assert parity.reference_lines(default, reference) == [
+        f"{'cqam':28s} max |delta| 3e-08 dB (p=7 Rc=2/3 gap_db); "
+        "nu_star max |delta| 1e-06 (p=7 Rc=2/3 nu_star)",
+        f"{'time-sharing shaped':28s} max |delta| inf dB (p=13 Rc=19/20 status); "
+        "nu_star max |delta| 0 (-)",
+        f"{'shaped-ask-squared':28s} max |delta| 0 dB (-); nu_star max |delta| 0 (-)",
+    ]
+
+
+def test_parity_reference_takes_no_revisions(capsys):
+    for argv in (["--reference", "HEAD"], ["HEAD"], []):
+        with pytest.raises(SystemExit) as exc:
+            parity.main(argv)
+        assert exc.value.code == 2
+    assert "give BASE and CHANGE, or --reference alone" in capsys.readouterr().err

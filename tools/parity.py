@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/parity.py BASE CHANGE [--bound-db X]
+    python3 tools/parity.py --reference
 
 BASE and CHANGE are any git revisions.  Each is checked out with
 ``git worktree`` under a temporary directory, and every command of
@@ -23,19 +24,30 @@ file that is neither, the layout of a JSON file or a CSV cell other than
 nu_star differs, or when a JSON number other than nu_star moves by more
 than ``--bound-db`` (default 1e-9, in the units of the field: dB for
 every table column that moves).
+
+``--reference`` compares no revisions: it solves the CQAM, shaped-ASK^2
+and time-sharing rows of REFERENCE_ROWS with the package in this
+checkout, once at the default quadrature rule and once at
+REFERENCE_NODES, and prints per scheme the largest |delta| of a dB field
+between the two, with its row and field, and the largest nu_star
+|delta| apart.  It reports and always exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +92,19 @@ COMMANDS = {
     # unstretched, so the packed shells themselves are diffed
     "construct-p11": ["construct", "-p", "11", "-o", "points.csv"],
 }
+
+#: Node count per real dimension of the rule `--reference` solves at.
+REFERENCE_NODES = 128
+
+#: (scheme, primes, coding rates) of the rows `--reference` solves: the
+#: CQAM and shaped-ASK^2 rows at and around the CQAM tables above, and
+#: both time-sharing tables.
+REFERENCE_ROWS = [
+    *((scheme, (5, 7, 11, 13), ("2/3", "3/4", "5/6", "9/10"))
+      for scheme in ("cqam", "shaped-ask-squared")),
+    *((f"time-sharing {convention}", (7, 13), ("2/3", "3/4", "4/5", "17/20", "9/10", "19/20"))
+      for convention in ("shaped", "time-averaged")),
+]
 
 #: The provenance line naming the tool version, in CSV and in JSON output.
 _TOOL_LINE = re.compile(rb'^(# tool: |\s*"tool": ).*\n', re.MULTILINE)
@@ -211,6 +236,61 @@ def compare(base: Path, change: Path, bound: float) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
+def solve_rows(nodes: int | None) -> dict[tuple[str, int, str], dict | None]:
+    """(scheme, p, R_c) -> nu_star and the dB fields of each row of
+    REFERENCE_ROWS solved at `nodes` (None: the default rule), None where
+    its rate is unreachable, with the package under this checkout's src."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from primeshape import optimizer
+    from primeshape.cli import REFERENCE_STRETCH
+    from primeshape.constellations import CqamParams
+    from primeshape.field import Prime
+
+    rows = {}
+    for scheme, primes, rates in REFERENCE_ROWS:
+        for p, rc in ((p, rc) for p in primes for rc in rates):
+            if scheme == "cqam":
+                params = CqamParams(stretch=REFERENCE_STRETCH.get(p))
+                run = functools.partial(optimizer.optimize_cqam, params=params)
+            elif scheme == "shaped-ask-squared":
+                run = optimizer.optimize_shaped_ask
+            else:
+                convention = scheme.split()[1]
+                run = functools.partial(optimizer.optimize_time_sharing, convention=convention)
+            try:
+                kwargs = {} if nodes is None else {"nodes": nodes}
+                solution = asdict(run(Prime(p), Fraction(rc), **kwargs))
+            except optimizer.UnreachableRateError:
+                rows[scheme, p, rc] = None
+                continue
+            rows[scheme, p, rc] = {
+                k: v for k, v in solution.items() if k == "nu_star" or k.endswith("_db")
+            }
+    return rows
+
+
+def reference_lines(default: dict, reference: dict) -> list[str]:
+    """One report line per scheme for the rows of `solve_rows` at two node
+    counts: the largest |delta| of a dB field and of nu_star, each with its
+    row and field.  A row unreachable at one node count only moves by inf
+    in its status."""
+    worst: dict[str, list[tuple[float, str]]] = {}
+    for (scheme, p, rc), a in default.items():
+        b, row = reference[scheme, p, rc], f"p={p} Rc={rc}"
+        moved = worst.setdefault(scheme, [(0.0, "-"), (0.0, "-")])
+        if (a is None) != (b is None):
+            moved[0] = max(moved[0], (math.inf, f"{row} status"))
+            continue
+        for name in (name for name in a or {} if a[name] != b[name]):
+            i = 1 if name == "nu_star" else 0
+            moved[i] = max(moved[i], (abs(a[name] - b[name]), f"{row} {name}"))
+    return [
+        f"{scheme:28s} max |delta| {db[0]:.3g} dB ({db[1]}); "
+        f"nu_star max |delta| {nu[0]:.3g} ({nu[1]})"
+        for scheme, (db, nu) in worst.items()
+    ]
+
+
 def _git(*args: str) -> str:
     done = subprocess.run(
         ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
@@ -220,13 +300,24 @@ def _git(*args: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", help="git revision to compare against")
-    parser.add_argument("change", help="git revision to check")
+    parser.add_argument("base", nargs="?", help="git revision to compare against")
+    parser.add_argument("change", nargs="?", help="git revision to check")
     parser.add_argument(
         "--bound-db", type=float, default=1e-9,
         help="largest |delta| allowed in a JSON number other than nu_star",
     )
+    parser.add_argument(
+        "--reference", action="store_true",
+        help=f"instead, print how far this checkout's default rows lie from "
+        f"a {REFERENCE_NODES}-node solve",
+    )
     args = parser.parse_args(argv)
+    if (args.base is None, args.change is None) != (args.reference,) * 2:
+        parser.error("give BASE and CHANGE, or --reference alone")
+    if args.reference:
+        print(f"reference: {REFERENCE_NODES} nodes against the default rule")
+        print("\n".join(reference_lines(solve_rows(None), solve_rows(REFERENCE_NODES))))
+        return 0
     revs = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("base", args.base), ("change", args.change))}
     with tempfile.TemporaryDirectory(prefix="primeshape-parity-") as tmp:
