@@ -324,8 +324,8 @@ def test_ladder_rung_lands_as_a_cold_solve(p, forced, rung_calls):
     # to 96 nodes, each rung from the gamma and curvature of the one below,
     # and land within LOG_GAMMA_TOL of a cold solve at 96 nodes.  The 16-node
     # gamma_unif lies 8.6e-6 in ln gamma from the finer ones on 5^2, past
-    # PREDICTED_STEP_MAX, so the landing rung takes two calls there, and the
-    # 96-node rung one
+    # PREDICTED_STEP_MAX, so the landing rung takes two calls there, as it
+    # does for the forced nu on 7^2; the 96-node rung takes one
     assert (optimizer.COLD_NODES, optimizer.LANDING_NODES) == (16, 30)
     scheme = optimizer._cqam_scheme(Prime(p), CqamParams(stretch=REFERENCE_STRETCH.get(p)))
     target = 2.0 * float(Fraction(2, 3)) * math.log2(p)
@@ -975,18 +975,11 @@ def test_cqam_p7_workload_mi_calls_by_kind_and_nodes(monkeypatch):
     # steering probes at 16 and two probes at 48, whose optimum is solved
     # at 96 alone; without the landing rung and with a 48-node solve at nu*,
     # 4 calls at 48 nodes.  Shaped ASK^2: 12 real calls at `nodes` alone
-    calls = collections.Counter()
-    for kind in ("complex", "real"):
-        kernel = getattr(optimizer, f"mi_{kind}_points")
-
-        def counted(*args, _kernel=kernel, _kind=kind, **kwargs):
-            calls[_kind, args[3]] += 1
-            return _kernel(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, f"mi_{kind}_points", counted)
+    calls = _count_mi_calls(monkeypatch)
     optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(REFERENCE_STRETCH[7]))
     optimize_shaped_ask(Prime(7), Fraction(2, 3))
-    assert calls == {
+    kinds = (("complex" if np.iscomplexobj(args[0]) else "real", args[3]) for args in calls)
+    assert collections.Counter(kinds) == {
         ("complex", 16): 11, ("complex", 30): 1, ("complex", 48): 2, ("complex", 96): 2,
         ("real", 96): 12,
     }
