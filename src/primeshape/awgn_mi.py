@@ -103,9 +103,10 @@ DEFAULT_NODES = 96
 
 _LN2 = math.log(2.0)
 
-#: Largest Gauss-Hermite node count: numpy's (2.4) weight recurrence
-#: overflows from 372 nodes on.
-_MAX_NODES = 371
+#: Largest Gauss-Hermite node count: from 371 nodes on numpy's (2.4)
+#: weights lose their mass (at 371 they are finite and sum to 0.0), and
+#: from 372 on they overflow.
+_MAX_NODES = 370
 
 #: Smallest tensor-rule weight, relative to the largest, that a rule keeps.
 #: The dropped nodes carry under 1e-16 of the weight mass, so a float64 sum
@@ -138,14 +139,15 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if not (is_int(nodes) and nodes >= 2):
         raise ValueError(f"need at least 2 quadrature nodes, as an integer count, got {nodes!r}")
     # hermgauss solves a nodes x nodes eigenproblem, so a count past the
-    # overflow is refused before it is built; the finiteness check stays
-    # for a numpy whose recurrence overflows earlier
+    # cap is refused before it is built; the checks of the nodes and of the
+    # weights' mass (sqrt(pi), NaN failing it) stay for a numpy whose
+    # recurrence fails earlier
     overflow = f"Hermite weights overflow at {nodes} nodes; use fewer"
     if nodes > _MAX_NODES:
         raise ValueError(overflow)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t, w = np.polynomial.hermite.hermgauss(nodes)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+    if not (np.all(np.isfinite(t)) and abs(w.sum() - math.sqrt(math.pi)) <= 1e-12):
         raise ValueError(overflow)
     return t, w
 
@@ -235,17 +237,18 @@ def _prepare(
     the nodes-point rule.  Memoized on those contents, so a curve's calls
     share one state, and an array changed in place is a new key.
 
-    Raises ValueError for mismatched lengths, priors that are not a
-    distribution (`sumdist.check_pmf`), points or conditioning points
-    that are not finite, and weights that are not nonnegative and finite.
+    Raises ValueError for an array that is not 1-D, naming its argument,
+    for mismatched lengths, priors that are not a distribution
+    (`sumdist.check_pmf`), points or conditioning points that are not
+    finite, and weights that are not nonnegative and finite.
     """
-    def array(key: tuple) -> np.ndarray:
-        if dim == 1:
-            return np.frombuffer(key[1]).reshape(key[0])[:, None]
-        return np.frombuffer(key[1], complex).view(float).reshape(-1, 2)
-
-    points, cond = array(points), array(cond)
-    priors, weights = (np.frombuffer(k[1]).reshape(k[0]) for k in (priors, weights))
+    names = "points", "priors", "condition_on", "condition_weights"
+    for name, (shape, _) in zip(names, (points, priors, cond, weights)):
+        if len(shape) != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {shape}")
+    # a complex point's bytes are its real components, real part first
+    points, cond = (np.frombuffer(k[1]).reshape(-1, dim) for k in (points, cond))
+    priors, weights = (np.frombuffer(k[1]) for k in (priors, weights))
     if len(points) != len(priors) or len(cond) != len(weights):
         raise ValueError("every point needs a prior, every conditioning point a weight")
     check_pmf(priors, "prior")

@@ -87,37 +87,23 @@ as the square of the node count, so CQAM has two ladders, each rung n
 standing for min(nodes, n) and dropped where it equals the one below:
 the cold solves' COLD_NODES, LANDING_NODES, `nodes`, and the nu
 search's COLD_NODES, SEARCH_NODES.  A real call costs mostly its fixed
-overhead, so p-ASK's ladders are `nodes` alone.  The search rung, on
-which nu* is found, is the top of the search's ladder.
+overhead, so p-ASK's ladders are `nodes` alone.  A solve climbs its
+rungs, each from the gamma and curvature of the solve on the rung below,
+which then costs about one evaluation (nested iteration); the baseline
+climbs the cold ladder from gamma_cap, and a forced nu from gamma_unif.
+The nu search runs once on each rung of its ladder, the first from
+[0, nu_max] and gamma_unif, each next seeded with the point the one
+below returns (`_minimize_nu`).
 
-* A solve climbs its rungs: the first from its hint, each next from the
-  gamma and curvature of the solve on the rung below, which then costs
-  about one evaluation (nested iteration).  The baseline climbs the
-  cold ladder from gamma_cap, and a forced nu from gamma_unif; its
-  landing rung only lands the solve at `nodes`.
-* The nu search runs a coarse secant search on each rung below the
-  search rung, from gamma_unif on the first.  A coarse search only
-  steers, and its gamma is never reported, so it solves no probe at its
-  converged nu and none again.  It hands the next rung its upper edge
-  and a seed: its optimum with a gamma hint there, and the secant slope
-  of the gradient, on which the next rung takes its first step by
-  Newton's method, borrowing the last coarse solve's curvature.  On the
-  search rung the search converges under NU_REL_TOL, so nu* comes from
-  that rung's gradients.  Where the search rung lies below `nodes`, the
-  search solves no probe at its converged nu either, and gamma_A(nu*)
-  is solved at `nodes` alone, from a hint extrapolated from the nearest
-  probe, in about one evaluation.  A ladder whose first rung is the
-  search rung (p-ASK, or CQAM at `nodes` <= COLD_NODES) runs no coarse
-  search and searches from the bracket [0, nu_max].
-
-A nu probe's gamma and gradient only steer the search, so each probe is
-solved to PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL: an
-inexact inner solve (Dembo, Eisenstat and Steihaug, 1982).  Every solve
-whose gamma is reported stays at LOG_GAMMA_TOL: the baseline gamma_unif,
-a forced nu, gamma_A(nu*) at `nodes`, and on a search rung at `nodes`
-the converged probe (or a steering probe that reads smallest, solved
-again).  A rung below the top is solved to the tolerance of the solve it
-serves, and every probe of a coarse nu search to PROBE_LOG_GAMMA_TOL.
+Every search has one contract: it solves each probe to
+PROBE_LOG_GAMMA_TOL, 30 times looser than LOG_GAMMA_TOL, since a
+probe's gamma and gradient only steer it (an inexact inner solve:
+Dembo, Eisenstat and Steihaug, 1982), and returns a point it solves
+none at, its converged secant root or its best probe, with a gamma hint
+there.  After the last rung gamma_A(nu*) is solved once, at `nodes` and
+to LOG_GAMMA_TOL, from that hint, in about one evaluation.  Every
+reported gamma is such a solve at `nodes`: gamma_unif, a forced nu and
+gamma_A(nu*).
 
 A target rate a scheme cannot reach raises `UnreachableRateError`, a
 ValueError subclass; the nu search treats it as an infeasible nu and
@@ -170,30 +156,30 @@ PREDICTED_STEP_MAX = LOG_GAMMA_TOL / (4.0 * 5e-4)
 #: larger residual means the curve jumps over the target.
 RATE_RESIDUAL_TOL = 1e-7
 
-#: Accuracy in log gamma of the nu probes that only steer the nu search,
-#: every probe but the one it returns.  Such a probe's gamma and gradient
-#: only choose the next nu, and an inexact inner solve steers an outer
-#: iteration nearly as well as an exact one (Dembo, Eisenstat and
-#: Steihaug, SIAM J. Numer. Anal., 1982): at 3e-7 every time-sharing and
-#: CQAM table row moved by under 3.1e-12 dB and took 322 -> 292 real MI
-#: calls over the 12-row table, while at 1e-6 the row searched from a
-#: narrowed nu bracket moved by 1.6e-9 dB.
+#: Accuracy in log gamma of every nu probe.  The search returns a point it
+#: solves none at, which the driver solves at `nodes` to LOG_GAMMA_TOL, so
+#: a probe's gamma and gradient only choose the next nu, and an inexact
+#: inner solve steers an outer iteration nearly as well as an exact one
+#: (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal., 1982): at 3e-7
+#: every time-sharing and CQAM table row moved by under 3.1e-12 dB and
+#: took 322 -> 292 real MI calls over the 12-row table, while at 1e-6 the
+#: row searched from a narrowed nu bracket moved by 1.6e-9 dB.
 PROBE_LOG_GAMMA_TOL = 3e-7
 
 #: Relative width, to the upper edge of its bracket, of the secant step (or
-#: the bracket) on which the nu search stops.  The search solves at that
+#: the bracket) on which the nu search stops.  The search returns that
 #: step's end, which lies far closer to nu*, since the secant converges
 #: superlinearly: every table row moved by under 1e-11 dB at 2.5e-6.
 NU_REL_TOL = 1e-4
 
 #: Gauss-Hermite node count per real dimension of the CQAM search rung,
-#: or `nodes` when that is smaller (see the module docstring).  A larger
-#: `nodes` solves the optimum there in about one evaluation, from a hint
-#: extrapolated from the search's nearest probe.  The coarser search moved the
-#: 7^2 and 13^2 rows at R_c = 2/3 by under 1e-12 dB; converging at 32
-#: nodes moved 7^2 at R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search
-#: at `nodes`: at 48 nodes the time-sharing row p = 7, R_c = 19/20 moved
-#: by 6e-7 dB.
+#: or `nodes` when that is smaller (see the module docstring).  The search
+#: solves no probe at its optimum; the driver solves it at `nodes`, in
+#: about one evaluation, from a hint extrapolated from the search's
+#: nearest probe.  The coarser search moved the 7^2 and 13^2 rows at
+#: R_c = 2/3 by under 1e-12 dB; converging at 32 nodes moved 7^2 at
+#: R_c = 3/4 by 1.05e-9 dB.  The p-ASK schemes search at `nodes`: at 48
+#: nodes the time-sharing row p = 7, R_c = 19/20 moved by 6e-7 dB.
 SEARCH_NODES = 48
 
 #: Node count of the first rung of both CQAM ladders, or `nodes` when that
@@ -358,21 +344,22 @@ def snr_for_rate(
     return math.exp(t)
 
 
-#: (nu, gamma_A, slope of h in nu): where a coarse nu search hands over
-#: to a finer one (see `_minimize_nu`)
+#: (nu, gamma_A hint, slope of h in nu): the point a nu search returns,
+#: and the seed of the next (see `_minimize_nu`)
 Seed = tuple[float, float, float]
 
 
 def _minimize_nu(
     f: Callable[[float, float | None, float], tuple[float, float]], nu_max: float,
-    seed: Seed | None = None, *, coarse: bool = False, refined: bool = False,
-) -> tuple[float, float] | tuple[float, Seed]:
+    seed: Seed | None = None,
+) -> tuple[float, Seed]:
     """Minimize gamma_A over nu >= 0 by a safeguarded secant method on
     h(nu) = d ln gamma_A / d nu, from the bracket [0, nu_max].
 
     f(nu, hint, tol) solves gamma_A at nu from the SNR hint (None while no
     nu is solved) to tol in log gamma, and returns (gamma_A, h); gamma_A
     is inf where the target is unreachable, and such a nu counts as h > 0.
+    Every probe is solved to PROBE_LOG_GAMMA_TOL: it only steers.
     The search keeps a sign bracket, h < 0 at lo and h >= 0 at hi, an
     untried end counting as such.  It starts at nu_max / 2 and steps to
     the secant root of h through the last two feasible nu.  A secant root
@@ -381,36 +368,28 @@ def _minimize_nu(
     nearest solved nu: gamma_near exp(h_near d + c d^2 / 2), d = nu -
     nu_near, where c is h's secant slope through the two nearest feasible
     nu, or 0 while only one is solved.  Once a secant step is at most
-    NU_REL_TOL times the upper edge, the search solves at its end and
-    stops; it also stops on a bracket narrower than that, once both its
-    ends are solved (nu = 0 alone may reach a target that no nu > 0
-    does).  An upper edge with h < 0 holds no minimum: the edge doubles,
-    up to six times, and the nu tolerance with it.
-    The probes that steer the search are solved to PROBE_LOG_GAMMA_TOL;
-    the converged one, and any probe inside a bracket already narrower
-    than the nu tolerance, to LOG_GAMMA_TOL.  Returns the solved (nu,
-    gamma_A) with the smallest gamma_A, which is always a solve to
-    LOG_GAMMA_TOL: a steering probe that reads smallest is solved again.
+    NU_REL_TOL times the upper edge, the search stops; it also stops on a
+    bracket narrower than that, once both its ends are solved (nu = 0
+    alone may reach a target that no nu > 0 does).  An upper edge with
+    h < 0 holds no minimum: the edge doubles, up to six times, and the nu
+    tolerance with it.
 
-    A `seed` (nu_0, gamma_0, c) starts the search at nu_0 instead, solved
-    from gamma_0 while no nu is solved, and steps from one feasible nu by
-    Newton's method on the slope c, to its secant once two are solved.
-    A `coarse` search only steers a finer one: it solves every probe to
-    PROBE_LOG_GAMMA_TOL, none at its converged nu and none again, and
-    returns its last upper edge and the seed at its converged secant root,
-    or at its smallest gamma_A where that root lies outside the bracket,
-    with gamma_0 extrapolated from the nearest probe as a hint is, and c
-    h's secant slope through its last two feasible nu (nan without two).
-    A `refined` search, whose optimum the caller solves again on a finer
-    rule, converges as a full one but solves none at its converged secant
-    root inside the bracket; it returns that root with gamma_A there
-    extrapolated from the nearest probe, as a hint is.
+    Returns its last upper edge and a point it solves none at: the
+    converged secant root, or the probe with the smallest gamma_A where
+    that root lies outside the bracket, with a gamma_A hint extrapolated
+    from the nearest probe as a solve's hint is, and h's secant slope
+    through its last two feasible nu (nan without two).  A `seed` (nu_0,
+    gamma_0, c), such a point of a search on a coarser rule, starts the
+    search at nu_0 instead, solved from gamma_0 while no nu is solved, and
+    steps from one feasible nu by Newton's method on the slope c, to its
+    secant once two are solved.  Raises UnreachableRateError where no
+    probe is feasible.
     """
-    seen: dict[float, tuple[float, float, float]] = {}  # nu -> (gamma_A, h, tol)
+    seen: dict[float, tuple[float, float]] = {}  # nu -> (gamma_A, h)
 
     def hint_at(nu: float) -> float | None:
         feasible = sorted(
-            ((v, g, h) for v, (g, h, _) in seen.items() if math.isfinite(h)),
+            ((v, g, h) for v, (g, h) in seen.items() if math.isfinite(h)),
             key=lambda s: abs(s[0] - nu),
         )
         if not feasible:
@@ -422,17 +401,14 @@ def _minimize_nu(
             log_hint += 0.5 * (h - h2) / (v - v2) * step * step
         return math.exp(min(max(log_hint, math.log(GAMMA_MIN)), math.log(GAMMA_MAX)))
 
-    def probe(nu: float, tol: float) -> float:
-        gamma, h = f(nu, hint_at(nu), tol)
-        seen[nu] = (gamma, h, tol) if math.isfinite(gamma) else (math.inf, math.inf, tol)
-        return seen[nu][1]
-
     lo, hi, edge = 0.0, nu_max, nu_max  # edge: the upper one, which only a widening moves
     slope = math.nan if seed is None else seed[2]  # of h: the secant's once it has one
-    # the last two feasible (nu, h)
-    x, last, closed = 0.5 * nu_max if seed is None else seed[0], [], False
+    x, last = 0.5 * nu_max if seed is None else seed[0], []  # the last two feasible (nu, h)
     while True:
-        h = probe(x, LOG_GAMMA_TOL if closed and not coarse else PROBE_LOG_GAMMA_TOL)
+        gamma, h = f(x, hint_at(x), PROBE_LOG_GAMMA_TOL)
+        if not math.isfinite(gamma):
+            gamma = h = math.inf
+        seen[x] = gamma, h
         if h < 0.0 and x == hi:  # gamma_A still falls at the upper edge
             if hi >= 64.0 * nu_max:  # six exact doublings did not contain it
                 raise RuntimeError("nu bracket widening failed to contain the optimum")
@@ -453,10 +429,7 @@ def _minimize_nu(
         elif last:  # a Newton step on the seed's slope; none without a seed
             ((x1, h1),) = last
             new = x1 - h1 / slope if slope != 0.0 else -h1 * math.inf
-        # solve at the converged nu, then stop
         if last and abs(new - x1) <= NU_REL_TOL * edge:
-            if lo < new < hi and not (coarse or refined):
-                probe(new, LOG_GAMMA_TOL)
             break
         closed = hi - lo <= NU_REL_TOL * edge
         if lo < new < hi:
@@ -469,18 +442,11 @@ def _minimize_nu(
             x = 0.5 * (lo + hi)
         else:
             break
-    while True:
-        nu, (gamma, _, solved_to) = min(seen.items(), key=lambda s: s[1][0])
-        if not math.isfinite(gamma):
-            raise UnreachableRateError("target rate unreachable at every shaping parameter")
-        if coarse:
-            nu = new if lo < new < hi else nu
-            return edge, (nu, hint_at(nu), slope)
-        if refined and lo < new < hi:
-            return new, hint_at(new)
-        if solved_to == LOG_GAMMA_TOL:
-            return nu, gamma
-        probe(nu, LOG_GAMMA_TOL)  # a steering probe came out best
+    nu, (gamma, _) = min(seen.items(), key=lambda s: s[1][0])
+    if not math.isfinite(gamma):
+        raise UnreachableRateError("target rate unreachable at every shaping parameter")
+    nu = new if lo < new < hi else nu
+    return edge, (nu, hint_at(nu), slope)
 
 
 @dataclass(frozen=True, slots=True)
@@ -539,11 +505,11 @@ def _optimize(
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
     `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A.
-    Each is one walk up a quadrature ladder of the scheme (see the module
-    docstring): gamma_unif and a forced nu climb the cold ladder; the nu
-    search steers on each rung of its own below its search rung, each
-    seeding the next, converges on the search rung and, where that rung
-    lies below `nodes`, leaves gamma_A(nu*) to one solve at `nodes`.
+    gamma_unif and a forced nu climb the cold quadrature ladder of the
+    scheme (see the module docstring); the nu search runs once on each
+    rung of its own ladder, each seeding the next, and gamma_A(nu*) is
+    solved once, at `nodes`, from the last search's hint.  Raises
+    UnreachableRateError where that solve finds the target unreachable.
     """
     coding_rate = Fraction(coding_rate)
     if not Fraction(1, 2) <= coding_rate <= 1:
@@ -626,20 +592,17 @@ def _optimize(
 
     if nu is not None:
         curvature = math.nan  # no neighbouring solve: a cold start
-        nu_star, (gamma_a, _) = nu, gamma_of_nu(cold, nu, None)
-        if not math.isfinite(gamma_a):
-            raise UnreachableRateError(f"target rate unreachable at nu={nu}")
+        rungs, nu_star, hint = cold, nu, None
     else:
-        # steer on each rung below the search rung, each handing the next
-        # its (edge, seed), and converge on the search rung: (nu*, gamma_A),
-        # or a hint of gamma_A where `nodes` solves it again
+        # search on each rung of the search's ladder, each handing the next
+        # its (edge, seed), and solve the last one's point at `nodes` alone
         found = scheme.nu_max, None
         for n in search:
-            f = functools.partial(gamma_of_nu, [n])
-            found = _minimize_nu(f, *found, coarse=n < search[-1], refined=n < nodes)
-        nu_star, gamma_a = found
-        if search[-1] != nodes:
-            gamma_a, _ = gamma_of_nu([nodes], nu_star, gamma_a)
+            found = _minimize_nu(functools.partial(gamma_of_nu, [n]), *found)
+        rungs, (nu_star, hint, _) = [nodes], found[1]
+    gamma_a, _ = gamma_of_nu(rungs, nu_star, hint)
+    if not math.isfinite(gamma_a):
+        raise UnreachableRateError(f"target rate unreachable at nu={nu_star}")
     return ShapingSolution(
         scheme=scheme.name,
         p=field.p,

@@ -48,6 +48,8 @@ class MaxwellBoltzmann:
 
     @classmethod
     def from_amplitudes(cls, nu: float, amplitudes: Sequence[float]) -> "MaxwellBoltzmann":
+        if isinstance(nu, (bool, np.bool_)):
+            raise TypeError(f"shaping parameter nu must be a number, got {nu!r}")
         if not 0.0 <= nu < math.inf:
             raise ValueError("shaping parameter nu must be nonnegative and finite")
         amps = np.asarray(amplitudes, dtype=float)

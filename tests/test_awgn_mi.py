@@ -12,6 +12,7 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
+from primeshape import awgn_mi
 from primeshape.awgn_mi import (
     _logsumexp_last,
     _rule,
@@ -128,14 +129,28 @@ NAN, INF = float("nan"), float("inf")
          "weights must be nonnegative and finite"),
         ([-1, 1], [0.5, 0.5], {"condition_on": [1.0, -1.0], "condition_weights": [2.0, -1.0]},
          "weights must be nonnegative and finite"),
+        (1.0, 1.0, {}, "^points must be a 1-D array, got shape"),
+        ([[-1, 1], [-2, 2]], [0.25] * 4, {}, "^points must be a 1-D array, got shape"),
+        ([-1, 1], 1.0, {}, "^priors must be a 1-D array, got shape"),
+        ([-1, 1], [[0.5, 0.5]], {}, "^priors must be a 1-D array, got shape"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": 1.0, "condition_weights": [1.0]},
+         "^condition_on must be a 1-D array, got shape"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [[1.0]], "condition_weights": [1.0]},
+         "^condition_on must be a 1-D array, got shape"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [1.0], "condition_weights": 1.0},
+         "^condition_weights must be a 1-D array, got shape"),
+        ([-1, 1], [0.5, 0.5], {"condition_on": [1.0], "condition_weights": [[1.0]]},
+         "^condition_weights must be a 1-D array, got shape"),
     ],
 )
 def test_kernel_refuses_priors_points_and_weights_it_would_misread(
     kernel, embed, points, priors, kw, message
 ):
     # [1.5, -0.5] read as -0.877 bits and [0.3, 0.3] was accepted; a negative
-    # weight was dropped as a zero one.  The checks run in the prepare step,
-    # once per curve, and warn about nothing on the way
+    # weight was dropped as a zero one.  0-d points raised an IndexError or
+    # "len() of unsized object", a 2-D complex array was flattened and a 2-D
+    # real one refused without its name.  The checks run in the prepare
+    # step, once per curve, and warn about nothing on the way
     kw = {k: np.array(v, dtype=embed if k == "condition_on" else float) for k, v in kw.items()}
     with pytest.raises(ValueError, match=message):
         kernel(np.array(points, dtype=embed), np.array(priors), 0.5, **kw)
@@ -786,13 +801,23 @@ def test_overflowing_node_count_is_refused_before_hermgauss(monkeypatch, nodes):
     assert calls == []
 
 
-def test_node_count_cap_is_where_hermgauss_overflows():
-    # the cap is numpy's (2.4) overflow point; a numpy that moves it fails here
+def test_node_count_cap_is_where_hermgauss_overflows(monkeypatch):
+    # the cap is numpy's (2.4) last rule with its mass: at 371 nodes the
+    # weights are finite but sum to 0.0, so the MI read 0 bits, and from 372
+    # on they overflow; a numpy that moves either point fails here
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rules = [np.polynomial.hermite.hermgauss(n) for n in (371, 372)]
-    finite = [np.isfinite(rule).all() for rule in rules]
-    assert finite == [True, False]
-    assert len(_rule(371, 1)[0]) > 0
+        rules = [np.polynomial.hermite.hermgauss(n) for n in (370, 371, 372)]
+    assert [np.isfinite(rule).all() for rule in rules] == [True, True, False]
+    assert [w.sum() for _, w in rules[:2]] == [pytest.approx(math.sqrt(math.pi), abs=1e-12), 0.0]
+    assert len(_rule(370, 1)[0]) > 0
+    args = np.array([-1.0, 1.0]), np.array([0.5, 0.5]), 1.0
+    with pytest.raises(ValueError, match="Hermite weights overflow at 371 nodes"):
+        mi_real_points(*args, 371)
+    # the mass check refuses that rule on its own, past a cap that admits it
+    monkeypatch.setattr(awgn_mi, "_MAX_NODES", 372)
+    for nodes in (371, 372):
+        with pytest.raises(ValueError, match=f"Hermite weights overflow at {nodes} nodes"):
+            _rule(nodes, 1)
 
 
 def test_quadrature_doubling_is_stable():

@@ -367,10 +367,11 @@ def test_snr_for_rate_range_ends_raise_their_own_errors(hint):
 
 def _recorded(f):
     """f(nu) -> (gamma_A, h) as the nu search calls it, recording each
-    (nu, hint, gamma_A, h)."""
+    (nu, hint, gamma_A, h); every probe is solved to PROBE_LOG_GAMMA_TOL."""
     calls = []
 
     def g(nu, hint, tol):
+        assert tol == PROBE_LOG_GAMMA_TOL
         gamma, h = f(nu)
         calls.append((nu, hint, gamma, h))
         return gamma, h
@@ -402,9 +403,10 @@ def test_nu_search_finds_an_interior_minimum():
     # ln gamma_A = (nu - 0.3)^2 has a linear gradient, which the secant
     # meets after one bisection
     f, calls = _recorded(lambda nu: (math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)))
-    nu, gamma = optimizer._minimize_nu(f, 1.0)
+    edge, (nu, gamma, slope) = optimizer._minimize_nu(f, 1.0)
     assert nu == pytest.approx(0.3, abs=1e-12)
     assert gamma == min(c[2] for c in calls)
+    assert (edge, slope) == (1.0, pytest.approx(2.0, rel=1e-12))
     assert len(calls) <= 4
     _assert_hints_follow_the_nearest_solve(calls)
     # h is linear in nu, so the second-order hint is exact from the third
@@ -412,7 +414,7 @@ def test_nu_search_finds_an_interior_minimum():
     assert [c[1] for c in calls[2:]] == pytest.approx([c[2] for c in calls[2:]], rel=1e-12)
     # a curved gradient takes a few secant steps more
     f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
-    nu, _ = optimizer._minimize_nu(f, 2.0)
+    _, (nu, _, _) = optimizer._minimize_nu(f, 2.0)
     assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 2.0)
     assert len(calls) <= 10
     _assert_hints_follow_the_nearest_solve(calls)
@@ -430,7 +432,7 @@ def test_nu_search_treats_an_infeasible_nu_as_rising():
     g, calls = _recorded(f)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nu, gamma = optimizer._minimize_nu(g, 1.0)
+        _, (nu, gamma, _) = optimizer._minimize_nu(g, 1.0)
     assert nu == pytest.approx(0.35, abs=1e-12)
     assert math.isfinite(gamma)
     assert any(math.isinf(c[2]) for c in calls)
@@ -442,16 +444,18 @@ def test_nu_search_treats_an_infeasible_nu_as_rising():
 
 def test_nu_search_edge_minima():
     # gamma_A rises from nu = 0: the secant points below 0, which is solved
-    # and returned exactly
+    # and, the root lying outside the bracket, returned as the best probe
     f, calls = _recorded(lambda nu: (math.exp(nu + nu**2), 1.0 + 2.0 * nu))
-    assert optimizer._minimize_nu(f, 1.0) == (0.0, 1.0)
+    edge, (nu, gamma, _) = optimizer._minimize_nu(f, 1.0)
+    assert (edge, nu, gamma) == (1.0, 0.0, 1.0)
     assert calls[-1][0] == 0.0
     # gamma_A still falls at the upper edge 0.1: it doubles to 0.2 and 0.4,
     # each announced, and the minimum at 0.25 is found inside
     f, calls = _recorded(lambda nu: (math.exp((nu - 0.25) ** 2), 2.0 * (nu - 0.25)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        nu, _ = optimizer._minimize_nu(f, 0.1)
+        edge, (nu, _, _) = optimizer._minimize_nu(f, 0.1)
+    assert edge == 0.4
     assert [str(w.message) for w in caught] == [
         "shaping optimum at the nu grid edge (0.1); widening the bracket to 0.2",
         "shaping optimum at the nu grid edge (0.2); widening the bracket to 0.4",
@@ -461,9 +465,11 @@ def test_nu_search_edge_minima():
 
 def test_nu_search_solves_the_untried_lower_end_before_giving_up():
     # only nu = 0 reaches the target: the infeasible probes close the
-    # bracket at the untried lower end, which is solved and returned
+    # bracket at the untried lower end, which is solved and returned with
+    # no second feasible nu to give h a slope
     f, calls = _recorded(lambda nu: (2.0, 1.0) if nu == 0.0 else (math.inf, math.inf))
-    assert optimizer._minimize_nu(f, 1.0) == (0.0, 2.0)
+    edge, (nu, gamma, slope) = optimizer._minimize_nu(f, 1.0)
+    assert (edge, nu, gamma) == (1.0, 0.0, 2.0) and math.isnan(slope)
     assert calls[-1][0] == 0.0
     assert [c[0] for c in calls].count(0.0) == 1
 
@@ -492,42 +498,20 @@ def test_target_within_the_residual_tolerance_of_the_ceiling_is_unreachable(monk
     assert counts["solves"] == 0
 
 
-def test_nu_search_solves_only_the_nu_it_returns_to_full_tolerance():
-    # the probes that steer the secant are solved to PROBE_LOG_GAMMA_TOL
-    tols = []
+def test_nu_search_returns_its_root_where_a_steering_probe_reads_lower():
+    # the first probe, nu = 1, reads half its gamma_A, far below the minimum
+    # exp(-0.4725) = 0.62 at nu* = 4^(-1/3); the search still returns its
+    # converged secant root, unsolved, and solves no probe again
+    def low(nu):
+        gamma, h = math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0
+        return (0.5 * gamma if nu == 1.0 else gamma), h
 
-    def solved(fn):
-        def f(nu, hint, tol):
-            tols.append((nu, tol))
-            return fn(nu, tol)
-
-        return f
-
-    def quadratic(nu, tol):
-        return math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)
-
-    # a converged secant step inside the bracket is the one full solve
-    curved = solved(lambda nu, tol: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
-    nu, _ = optimizer._minimize_nu(curved, 2.0)
-    assert tols[-1] == (nu, LOG_GAMMA_TOL)
-    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
-    # here the secant lands on nu* = 0.3 exactly: that probe closes the
-    # bracket, so no converged probe follows, and nu* is solved again
-    tols.clear()
-    assert optimizer._minimize_nu(solved(quadratic), 1.0) == (pytest.approx(0.3, abs=1e-15), 1.0)
-    assert tols[-1] == (tols[-2][0], LOG_GAMMA_TOL)
-    assert {tol for _, tol in tols[:-1]} == {PROBE_LOG_GAMMA_TOL}
-    # a steering probe whose loose gamma reads lowest is solved again before
-    # it may be returned: nu = 0.25 reads 1% low, and its full solve hands
-    # the result back to nu = 0.3
-    tols.clear()
-
-    def low(nu, tol):
-        gamma, h = quadratic(nu, tol)
-        return (0.99 * gamma if nu == 0.25 and tol == PROBE_LOG_GAMMA_TOL else gamma), h
-
-    assert optimizer._minimize_nu(solved(low), 1.0)[0] == pytest.approx(0.3, abs=1e-15)
-    assert (0.25, LOG_GAMMA_TOL) in tols
+    f, calls = _recorded(low)
+    _, (nu, gamma, _) = optimizer._minimize_nu(f, 2.0)
+    assert calls[0][0] == 1.0 and calls[0][2] < gamma
+    assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 2.0)
+    assert nu not in [c[0] for c in calls]
+    assert len({c[0] for c in calls}) == len(calls)
 
 
 def test_nu_search_gives_up_after_six_widenings():
@@ -566,7 +550,8 @@ def test_seeded_nu_search_finds_the_minimum_inside_its_bracket(
 ):
     # a finer search seeded with a start, a gamma hint and h's slope there,
     # off by up to -50% / +100%, lands within the nu tolerance of the
-    # minimizer, solves what it returns to LOG_GAMMA_TOL and never widens
+    # minimizer, solves every probe to PROBE_LOG_GAMMA_TOL and never widens;
+    # the gamma_A it returns is a second-order hint, within 1e-9 relative
     m, start = m_rel * nu_max, start_rel * nu_max
     log_gamma = NU_FAMILIES[family](m, a / nu_max)
     slope = (log_gamma(start + 1e-6)[1] - log_gamma(start - 1e-6)[1]) / 2e-6
@@ -580,23 +565,21 @@ def test_seeded_nu_search_finds_the_minimum_inside_its_bracket(
     seed = (start, math.exp(log_gamma(start)[0]), slope * (1.0 + slope_error))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nu, gamma = optimizer._minimize_nu(f, nu_max, seed)
+        edge, (nu, gamma, _) = optimizer._minimize_nu(f, nu_max, seed)
+    assert edge == nu_max
     assert abs(nu - m) <= optimizer.NU_REL_TOL * nu_max
-    assert (nu, LOG_GAMMA_TOL) in {(v, tol) for v, _, tol in tols}
-    assert gamma == math.exp(log_gamma(nu)[0])
+    assert {tol for _, _, tol in tols} == {PROBE_LOG_GAMMA_TOL}
+    assert gamma == pytest.approx(math.exp(log_gamma(nu)[0]), rel=1e-9)
     assert tols[0][:2] == seed[:2]  # the first solve starts at the seed
 
 
-def test_coarse_nu_search_only_steers():
-    # every probe to PROBE_LOG_GAMMA_TOL, none at the converged secant root,
-    # which it hands on with gamma_A there, extrapolated from its nearest
-    # probe, and h's secant slope, near h' = 12 nu^2 at nu* = 4^(-1/3)
+def test_nu_search_returns_its_secant_root_unsolved():
+    # no probe at the converged secant root, which the search returns with
+    # gamma_A there, extrapolated from its nearest probe, and h's secant
+    # slope, near h' = 12 nu^2 at nu* = 4^(-1/3)
     f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
-    tols = []
-    edge, (nu, gamma, slope) = optimizer._minimize_nu(
-        lambda v, hint, tol: tols.append(tol) or f(v, hint, tol), 2.0, coarse=True
-    )
-    assert edge == 2.0 and set(tols) == {PROBE_LOG_GAMMA_TOL}
+    edge, (nu, gamma, slope) = optimizer._minimize_nu(f, 2.0)
+    assert edge == 2.0
     assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 2.0)
     assert nu not in [c[0] for c in calls]
     assert gamma == pytest.approx(math.exp(nu**4 - nu), rel=1e-7)
@@ -604,34 +587,21 @@ def test_coarse_nu_search_only_steers():
     # a bracket widened twice hands on its last edge
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        edge, (nu, _, _) = optimizer._minimize_nu(f, 0.2, coarse=True)
+        edge, (nu, _, _) = optimizer._minimize_nu(f, 0.2)
     assert (edge, len(caught)) == (0.8, 2)
     assert nu == pytest.approx(0.25 ** (1 / 3), abs=optimizer.NU_REL_TOL * 0.8)
 
 
-def test_refined_nu_search_leaves_its_optimum_to_the_refinement():
-    # a search whose optimum is solved again at more nodes solves none at its
-    # converged secant root, and hands it on with gamma_A there, extrapolated
-    # from its nearest probe; it converges as a full search does, so the root
-    # is the nu that search solves last
-    f, calls = _recorded(lambda nu: (math.exp(nu**4 - nu), 4.0 * nu**3 - 1.0))
-    tols = []
-    nu, gamma = optimizer._minimize_nu(
-        lambda v, hint, tol: tols.append(tol) or f(v, hint, tol), 2.0, refined=True
-    )
-    assert set(tols) == {PROBE_LOG_GAMMA_TOL}
-    assert nu not in [c[0] for c in calls]
-    assert gamma == pytest.approx(math.exp(nu**4 - nu), rel=1e-7)
-    calls.clear()
-    assert optimizer._minimize_nu(f, 2.0)[0] == nu == calls[-1][0]
-    # where no secant root converges inside the bracket, the smallest gamma_A
-    # is solved again to LOG_GAMMA_TOL, as a full search solves it
-    tols.clear()
-    assert optimizer._minimize_nu(
-        lambda v, hint, tol: tols.append((v, tol)) or (math.exp((v - 0.3) ** 2), 2 * (v - 0.3)),
-        1.0, refined=True,
-    ) == (pytest.approx(0.3, abs=1e-15), 1.0)
-    assert tols[-1] == (tols[-2][0], LOG_GAMMA_TOL)
+def test_nu_search_returns_its_best_probe_where_the_root_leaves_the_bracket():
+    # the secant lands on nu* = 0.3 exactly: that probe closes the bracket,
+    # so the converged root lies outside it, and the search returns the
+    # probe with the smallest gamma_A, its hint that probe's own gamma_A,
+    # without solving it again
+    f, calls = _recorded(lambda nu: (math.exp((nu - 0.3) ** 2), 2.0 * (nu - 0.3)))
+    _, (nu, gamma, _) = optimizer._minimize_nu(f, 1.0)
+    assert (nu, gamma) == (pytest.approx(0.3, abs=1e-15), 1.0)
+    assert nu in [c[0] for c in calls]
+    assert len({c[0] for c in calls}) == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +705,8 @@ def test_nu_bracket_widening_warns_at_the_caller(monkeypatch):
 
 
 def test_cqam_nu_bracket_widening_warns_once_per_doubling_at_the_caller(monkeypatch):
-    # the coarse search on 16 nodes widens 0.01 -> 0.32 around nu* ~ 0.283;
-    # the fine search at 48 starts inside that final edge, so these five
+    # the search on the 16-node rung widens 0.01 -> 0.32 around nu* ~ 0.283;
+    # the search at 48 starts inside that final edge, so these five
     # doublings are all that is announced, each at the caller
     build = optimizer._cqam_scheme
     with monkeypatch.context() as narrow, warnings.catch_warnings(record=True) as caught:
@@ -879,7 +849,8 @@ def test_entropy_ceiling_skips_unreachable_solves(monkeypatch):
 
     monkeypatch.setattr(optimizer, "snr_for_rate", checked_solve)
     optimize_time_sharing(Prime(7), Fraction(9, 10), convention="shaped", nodes=NODES)
-    assert counts["solves"] < 1 + counts["search"]
+    # the baseline, the probes solved and gamma_A(nu*): fewer than one a probe
+    assert counts["solves"] < 2 + counts["search"]
     assert unreachable == []
 
 
@@ -985,16 +956,16 @@ def test_cqam_p7_workload_mi_calls_by_kind_and_nodes(monkeypatch):
     }
 
 
-def _cqam_solves(monkeypatch) -> list:
-    """Record each SNR solve of the CQAM rows run after it as (nu, node
-    count, tol, gamma), nu None for the uniform baseline."""
+def _tagged_solves(monkeypatch) -> list:
+    """Record each SNR solve of the rows run after it, of every scheme, as
+    (nu, node count, tol, gamma), nu None for the uniform baseline."""
     solves, evals, nus = [], [], {}
-    build, solve = optimizer._cqam_scheme, optimizer.snr_for_rate
+    solve = optimizer.snr_for_rate
 
     def tagged(curve, nu, n):
         return lambda gamma: evals.append((nu, n)) or curve(gamma)
 
-    def scheme(*args):
+    def scheme(build, *args):
         s = build(*args)
 
         def prior(nu):
@@ -1015,26 +986,63 @@ def _cqam_solves(monkeypatch) -> list:
         solves.append((*point, tol, gamma))
         return gamma
 
-    monkeypatch.setattr(optimizer, "_cqam_scheme", scheme)
+    for name in ("_ask_scheme", "_cqam_scheme"):
+        monkeypatch.setattr(optimizer, name, functools.partial(scheme, getattr(optimizer, name)))
     monkeypatch.setattr(optimizer, "snr_for_rate", recorded)
     return solves
 
 
 def test_cqam_optimum_is_found_at_the_search_rung_and_solved_at_nodes(monkeypatch):
     # nu* comes from the gradients of min(nodes, SEARCH_NODES) = 48, and its
-    # only LOG_GAMMA_TOL solve is the refinement at nodes = 96; the 16-node
-    # rung only steers: its probes are solved to PROBE_LOG_GAMMA_TOL, none
-    # at nu*, as are the 48-node probes here
-    solves = _cqam_solves(monkeypatch)
+    # only LOG_GAMMA_TOL solve is the driver's at nodes = 96; the probes of
+    # both rungs are solved to PROBE_LOG_GAMMA_TOL, none at nu*
+    solves = _tagged_solves(monkeypatch)
     sol = optimize_cqam(Prime(7), Fraction(2, 3), CqamParams(stretch=REFERENCE_STRETCH[7]))
-    *_, refined = solves
-    assert refined[:3] == (sol.nu_star, 96, LOG_GAMMA_TOL)
-    assert optimizer._db(refined[3]) == sol.gamma_A_db
+    *_, optimum = solves
+    assert optimum[:3] == (sol.nu_star, 96, LOG_GAMMA_TOL)
+    assert optimizer._db(optimum[3]) == sol.gamma_A_db
     assert [s[1] for s in solves if s[0] is None] == [16, 30, 96]  # the baseline
     probes = [s for s in solves if s[0] is not None][:-1]
     assert {s[1] for s in probes} == {16, 48} and probes[-1][1] == 48
     assert {s[2] for s in probes} == {PROBE_LOG_GAMMA_TOL}
     assert sol.nu_star not in {s[0] for s in probes}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda **kw: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=NODES, **kw),
+        lambda **kw: optimize_shaped_ask(Prime(5), Fraction(2, 3), nodes=NODES, **kw),
+        lambda **kw: optimize_cqam(Prime(5), Fraction(2, 3), nodes=16, **kw),
+        lambda **kw: optimize_cqam(Prime(5), Fraction(2, 3), nodes=24, **kw),
+    ],
+    ids=["time-sharing", "shaped-ask", "cqam-16", "cqam-24"],
+)
+def test_row_reports_the_search_root_where_a_steering_probe_reads_lower(monkeypatch, run):
+    # the first probe of every search reads half its gamma_A, lower than any
+    # other; p-ASK, which searches at `nodes`, and CQAM, at `nodes` on one
+    # rung or above a steering one, alike report the last search's secant
+    # root, solved at `nodes` as a forced nu is to within the tolerances
+    found, minimize = [], optimizer._minimize_nu
+
+    def search(f, *args):
+        probes = []
+
+        def low(nu, hint, tol):
+            gamma, h = f(nu, hint, tol)
+            probes.append(nu)
+            return (0.5 * gamma if len(probes) == 1 else gamma), h
+
+        edge, seed = minimize(low, *args)
+        found.append((seed[0], probes))
+        return edge, seed
+
+    monkeypatch.setattr(optimizer, "_minimize_nu", search)
+    sol = run()
+    nu, probes = found[-1]
+    assert sol.nu_star == nu and nu not in probes
+    monkeypatch.undo()
+    assert abs(sol.gamma_A_db - run(nu=nu).gamma_A_db) <= 1e-7
 
 
 def test_p_ask_schemes_have_no_ladder(monkeypatch):
@@ -1131,6 +1139,25 @@ def test_forced_nu_unreachable(scheme):
         FORCED[scheme](50.0, Fraction(9, 10))
 
 
+@pytest.mark.parametrize("scheme", sorted(FORCED))
+def test_searched_nu_unreachable_at_nodes(monkeypatch, scheme):
+    # the driver's one solve of the search's point at `nodes` reports a
+    # target unreachable there as the forced nu does
+    monkeypatch.setattr(
+        optimizer, "_minimize_nu", lambda f, nu_max, seed=None: (nu_max, (50.0, 1.0, math.nan))
+    )
+    with pytest.raises(UnreachableRateError, match="unreachable at nu=50.0"):
+        FORCED[scheme](None, Fraction(9, 10))
+
+
+@pytest.mark.parametrize("nu", [True, np.bool_(False)], ids=["True", "numpy-False"])
+@pytest.mark.parametrize("scheme", sorted(FORCED))
+def test_forced_nu_refuses_a_bool(scheme, nu):
+    # True was read as nu = 1, and the row reported "unreachable at nu=True"
+    with pytest.raises(TypeError, match="shaping parameter nu must be a number, got"):
+        FORCED[scheme](nu, Fraction(2, 3))
+
+
 NAN, INF = float("nan"), float("inf")
 NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
 
@@ -1171,31 +1198,39 @@ def test_invalid_node_count_fails_before_any_solve(monkeypatch):
     assert counts == {"solves": 0, "search": 0}
 
 
-def test_cqam_resolves_only_when_search_nodes_differ(monkeypatch):
-    # the CQAM baseline solves cold at COLD_NODES = 16 and climbs through
-    # min(nodes, LANDING_NODES = 30) to nodes; the nu search steers on 16
-    # nodes and converges on min(nodes, SEARCH_NODES = 48), and only a larger
-    # `nodes` refines the optimum there.  Each rung past the first is a solve
-    # of its own, and each probe of either search one solve
-    counts, rules = _count_solves(monkeypatch), _complex_nodes(monkeypatch)
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=24)
-    assert [n for n, _ in itertools.groupby(rules)] == [16, 24, 16, 24]
-    # the baseline's two rungs
-    assert counts["solves"] == counts["search"] + 2
-    counts.update(solves=0, search=0)
-    rules.clear()
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=64)
-    # baseline 16 -> 30 -> 64; the search steered at 16 and converged at 48,
-    # the optimum refined at 64; each 64-node solve costs one kernel call
-    assert [n for n, _ in itertools.groupby(rules)] == [16, 30, 64, 16, 48, 64]
-    assert rules.count(64) == 2
-    # the baseline's three rungs and the refinement
-    assert counts["solves"] == counts["search"] + 3 + 1
-    counts.update(solves=0, search=0)
-    rules.clear()
-    optimize_cqam(Prime(5), Fraction(2, 3), nodes=16)
-    assert set(rules) == {16}
-    assert counts["solves"] == counts["search"] + 1  # a one-rung ladder
+#: (cold ladder, search ladder) of CQAM by `nodes`; p-ASK's are `nodes` alone
+CQAM_LADDERS = {16: ([16], [16]), 32: ([16, 30, 32], [16, 32]), 96: ([16, 30, 96], [16, 48])}
+
+
+@pytest.mark.parametrize("nodes", sorted(CQAM_LADDERS))
+@pytest.mark.parametrize(
+    "run, complex_",
+    [
+        (lambda n: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=n), False),
+        (lambda n: optimize_shaped_ask(Prime(5), Fraction(2, 3), nodes=n), False),
+        (lambda n: optimize_cqam(Prime(5), Fraction(2, 3), nodes=n), True),
+    ],
+    ids=["time-sharing", "shaped-ask", "cqam"],
+)
+def test_every_row_solves_its_optimum_once_at_nodes(monkeypatch, run, complex_, nodes):
+    # the baseline climbs the cold ladder to `nodes`; the nu search runs on
+    # each rung of its own, every probe solved to PROBE_LOG_GAMMA_TOL, and
+    # the driver then solves gamma_A(nu*) once, at `nodes` alone, to
+    # LOG_GAMMA_TOL: the row's only full solve of a shaped prior, whether or
+    # not `nodes` lies above the search rung.  At 96 nodes each CQAM solve
+    # at `nodes` costs one kernel call
+    solves, rules = _tagged_solves(monkeypatch), _complex_nodes(monkeypatch)
+    sol = run(nodes)
+    cold, search = CQAM_LADDERS[nodes] if complex_ else ([nodes], [nodes])
+    baseline = [s for s in solves if s[0] is None]
+    assert [s[1:3] for s in baseline] == [(n, LOG_GAMMA_TOL) for n in cold]
+    *probes, optimum = [s for s in solves if s[0] is not None]
+    assert optimum[:3] == (sol.nu_star, nodes, LOG_GAMMA_TOL)
+    assert optimizer._db(optimum[3]) == sol.gamma_A_db
+    assert {s[2] for s in probes} == {PROBE_LOG_GAMMA_TOL}
+    assert [n for n, _ in itertools.groupby(s[1] for s in probes)] == search
+    if complex_ and nodes == 96:
+        assert rules.count(96) == 2
 
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):
@@ -1295,9 +1330,9 @@ def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run, levels
     monkeypatch.setattr(optimizer, "SEARCH_NODES", 96)  # CQAM searches at 96 too
     searches = []
 
-    def search(f, nu_max, seed=None, *, coarse=False, refined=False):
+    def search(f, nu_max, seed=None):
         searches.append(f)
-        return (nu_max, (0.1, 1.0, 1.0)) if coarse else (0.1, 1.0)
+        return nu_max, (0.1, 1.0, 1.0)
 
     monkeypatch.setattr(optimizer, "_minimize_nu", search)
     run()

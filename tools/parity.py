@@ -66,10 +66,11 @@ COMMANDS = {
         "--rc", "5/6",
     ],
     # unstretched primes, and the high rate, where the CQAM ladder's rungs
-    # step farthest
+    # step farthest; 5^2 at 5/6, where a 48-node steering probe of the nu
+    # search reads lower than the secant root that the row reports
     "table-cqam-wide": [
-        "table", "--mode", "cqam", "-p", "5", "-p", "11", "--rc", "2/3", "--rc", "9/10",
-        "--format", "json",
+        "table", "--mode", "cqam", "-p", "5", "-p", "11", "--rc", "2/3", "--rc", "5/6",
+        "--rc", "9/10", "--format", "json",
     ],
     "pas-p7": ["pas", "-p", "7", "-o", "report.json", "--dump-frames", "frames.csv"],
     "pas-p13": ["pas", "-p", "13", "-o", "report.json", "--dump-frames", "frames.csv"],
