@@ -192,13 +192,20 @@ def _assemble(radii: np.ndarray, phases: np.ndarray, p: int) -> Constellation:
     return Constellation(pts, np.full(p * p, 1.0 / (p * p)), shells)
 
 
+def _cqam_params(params: CqamParams | None) -> CqamParams:
+    """params, or the default CqamParams() for None; refuses anything else."""
+    if not (params is None or isinstance(params, CqamParams)):
+        raise TypeError(f"params must be a CqamParams or None, got {params!r}")
+    return params or CqamParams()
+
+
 def build_cqam(field: Prime, params: CqamParams | None = None) -> Constellation:
     """Construct the p^2-point CQAM constellation with uniform priors.
 
     Its shell radii follow params.stretch when that is set; the phase
     offsets are those of the unstretched packing either way.
     """
-    params = params or CqamParams()
+    params = _cqam_params(params)
     if field.p == 2:
         raise ValueError("CQAM construction requires an odd prime")
     radii, phases = _pack_shells(field)

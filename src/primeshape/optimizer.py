@@ -19,7 +19,8 @@ symbols that the prior fills (the rest are uniform), the default nu
 bracket and its channel (real, or complex with two real dimensions per
 use).  The driver builds one prior per nu and derives from it the
 entropy that caps the rate at every gamma: share H(prior) plus the
-uniform symbols' bits.  Three schemes are provided:
+uniform p-ary symbols' (1 - share) log2 p bits.  Three schemes are
+provided:
 
 * time-sharing p-ASK: a fraction R_c of real-channel uses carries
   Maxwell-Boltzmann shaped symbols and the rest carries uniform symbols
@@ -33,32 +34,37 @@ uniform symbols' bits.  Three schemes are provided:
 * shaped ASK squared: two independent fully shaped real dimensions
   (reported per real dimension), the natural square-constellation
   benchmark for CQAM.
-* CQAM: p^2-point circular constellations with MB-shaped shell priors
-  and a uniform phase on the complex channel; the uniform baseline is
-  the unstretched construction under uniform priors.  Its curves
-  condition on one point per shell (`awgn_mi.shell_conditioning`), the
-  p-fold reduction that the tests hold to the full conditional sum of
-  `mi_complex_naive` in `tests/oracles.py`.
+* CQAM: p^2-point circular constellations on the complex channel with
+  an MB prior on the points, of amplitude the radius of their shell, so
+  each shell's phases are uniform, as the shells play the part of the
+  ASK amplitudes; the uniform baseline is the unstretched construction
+  under uniform priors.
 
 One builder serves both ASK schemes, full shaping being time sharing
-with every channel use shaped; both share the uniform p-ASK baseline.
-The builder folds the alphabet's mirror symmetry once per scheme, and
-under the "shaped" convention a time-sharing mix's uniform term is that
-baseline's curve, so every solve of a row shares one.
-One function builds every p-ASK and CQAM curve from an MI kernel.  It
-returns the rate with the slope d rate / d log gamma, which the kernel
-forms by I-MMSE as the rule's integral of the mmse.  Where the rule
-resolves the noise that slope matches the rate's own derivative to 1e-7
-relative.  At high SNR the rule integrates the mmse more coarsely than
-the rate, and uniform 7- or 13-ASK at 96 nodes parts from it by 2e-4 at
-sigma = 0.2 and 1.4e-5 at sigma = 0.25.  The curve also returns the
-rate's derivative in nu at fixed gamma, in closed form: the kernel
-returns each conditioning point's divergence D(p(y|x) || p(y)), which is
-d I / d P(x) up to a constant (Blahut, IEEE Trans. IT, 1972), so the MB
-prior's closed-form P' = -P (a^2 - E) weights them, and the noise moves
-with the energy E at fixed gamma, which costs the slope times
-d ln E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three
-by linearity.  A gamma solve finds the root of rate(e^t) - target in
+with every channel use shaped; both share the uniform p-ASK baseline,
+and under the "shaped" convention a time-sharing mix's uniform term is
+that baseline's curve, so every solve of a row shares one.
+The MB law exp(-nu |x|^2) is uniform on each orbit of the alphabet's
+symmetry, the mirror x <-> -x of p-ASK and the p-fold rotation of CQAM,
+whose orbits are the shells.  One builder (`_orbit_curves`) therefore
+makes every p-ASK and CQAM curve from an MI kernel: it finds the first
+point of each orbit once per scheme and conditions each curve on those,
+weighted by the orbit masses (the reduction of the `awgn_mi` module
+docstring, which the tests hold to the full conditional sum of
+`mi_complex_naive` in `tests/oracles.py`).  A curve returns the rate
+with the slope d rate / d log gamma, which the kernel forms by I-MMSE as
+the rule's integral of the mmse.  Where the rule resolves the noise that
+slope matches the rate's own derivative to 1e-7 relative.  At high SNR
+the rule integrates the mmse more coarsely than the rate, and uniform 7-
+or 13-ASK at 96 nodes parts from it by 2e-4 at sigma = 0.2 and 1.4e-5 at
+sigma = 0.25.  The curve also returns the rate's derivative in nu at
+fixed gamma, in closed form: the kernel returns each conditioning
+point's divergence D(p(y|x) || p(y)), which is d I / d P(x) up to a
+constant (Blahut, IEEE Trans. IT, 1972), so the MB prior's closed-form
+P' = -P (a^2 - E), summed over each orbit, weights them, and the noise
+moves with the energy E at fixed gamma, which costs the slope times d ln
+E / d nu with E' = -Var(a^2).  A time-sharing mix carries all three by
+linearity.  A gamma solve finds the root of rate(e^t) - target in
 t = log gamma to LOG_GAMMA_TOL by a safeguarded Newton method on the
 slope, warm-started from a nearby gamma: the baseline from gamma_cap,
 the first nu from gamma_unif, and each rung of a quadrature ladder from
@@ -127,17 +133,10 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .awgn_mi import (
-    DEFAULT_NODES,
-    _rule,
-    capacity_gamma,
-    mi_complex_points,
-    mi_real_points,
-    shell_conditioning,
-)
-from .constellations import Constellation, CqamParams, build_ask, build_cqam, _stretched
+from .awgn_mi import DEFAULT_NODES, _rule, capacity_gamma, mi_complex_points, mi_real_points
+from .constellations import CqamParams, build_ask, build_cqam, _cqam_params, _stretched
 from .field import Prime
-from .shaping import MaxwellBoltzmann, cqam_prior
+from .shaping import MaxwellBoltzmann
 
 #: Accuracy in log gamma of the SNR solve: it stops on a Newton step of
 #: at most a quarter of this, on a predicted one (PREDICTED_STEP_MAX), or
@@ -475,14 +474,15 @@ Curve = Callable[[float], tuple[float, float, float]]
 class _Scheme:
     """One shaping scheme as the driver `_optimize` sees it.
 
-    prior(nu) is the shaped prior at nu; curve(prior, nodes) and
+    prior(nu) is the MB prior at nu on the scheme's points (the p-ASK
+    alphabet, or the p^2 CQAM points); curve(prior, nodes) and
     baseline(nodes) give the `Curve` of the shaped scheme and of its
     uniform baseline: gamma -> (bits per channel use, d bits / d ln
     gamma, d bits / d nu at fixed gamma), the last 0 for the baseline,
-    whose prior does not move with nu.  The prior fills a fraction `share` of a use's symbols and
-    uniform symbols the rest, which add `uniform_bits` per use; share
-    H(prior) + uniform_bits, the entropy of a use, caps curve(prior, ...)
-    at every gamma.  nu_max is the first upper edge of the nu search;
+    whose prior does not move with nu.  The prior fills a fraction `share`
+    of a use's symbols and uniform p-ary symbols the rest; share H(prior)
+    + (1 - share) log2 p, the entropy of a use, caps curve(prior, ...) at
+    every gamma.  nu_max is the first upper edge of the nu search;
     dimension names the channel ("real" or "complex") a use of which the
     curves measure.
     """
@@ -492,7 +492,6 @@ class _Scheme:
     curve: Callable[[MaxwellBoltzmann, int], Curve]
     baseline: Callable[[int], Curve]
     share: float
-    uniform_bits: float
     nu_max: float
     dimension: Literal["real", "complex"]
     convention: str | None = None
@@ -504,7 +503,8 @@ def _optimize(
 ) -> ShapingSolution:
     """Solve gamma_unif and gamma_A(nu*) of one scheme at R_t = R_c log2 p.
 
-    `nu` forces the shaping parameter; otherwise nu* minimizes gamma_A.
+    `nu` forces the shaping parameter, and a bad one is refused before
+    any solve; otherwise nu* minimizes gamma_A.
     gamma_unif and a forced nu climb the cold quadrature ladder of the
     scheme (see the module docstring); the nu search runs once on each
     rung of its own ladder, each seeding the next, and gamma_A(nu*) is
@@ -518,6 +518,8 @@ def _optimize(
             "needs at least half the symbols carrying shaped payload"
         )
     _rule(nodes, 1)  # rejects a bad node count before any solve; cached
+    if nu is not None:
+        scheme.prior(nu)  # and a bad forced nu
     # the quadrature ladders of the cold solves and of the nu search (see the
     # module docstring); p-ASK's are `nodes` alone
     cold = search = [nodes]
@@ -530,7 +532,7 @@ def _optimize(
     def at_ceiling(prior: MaxwellBoltzmann) -> bool:
         """Whether the entropy of a use under prior lies below the target
         or within RATE_RESIDUAL_TOL above it (see the module docstring)."""
-        ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
+        ceiling = scheme.share * prior.entropy_bits() + (1.0 - scheme.share) * math.log2(field.p)
         return ceiling <= solve_target + RATE_RESIDUAL_TOL
 
     if at_ceiling(scheme.prior(0.0)):  # nu = 0 has the largest entropy
@@ -632,44 +634,45 @@ def _mb_derivative(prior: MaxwellBoltzmann) -> tuple[float, np.ndarray, float]:
     return energy, d_probs, float(np.dot(d_probs, a2)) / energy
 
 
-def _curve(
-    kernel: Callable, points: np.ndarray, probs: np.ndarray, cond: np.ndarray,
-    weights: np.ndarray, energy: float, n: int, d_weights: np.ndarray, d_log_energy: float,
-) -> Curve:
-    """MI of points with probs at gamma = energy / (2 sigma^2), its slope
-    and its derivative in nu at fixed gamma, from `kernel` conditioned on
-    cond with weights.
+def _orbit_curves(
+    kernel: Callable, points: np.ndarray, orbit: np.ndarray
+) -> Callable[[np.ndarray, float, int, np.ndarray, float], Curve]:
+    """The rate curves of `kernel` on points whose priors are uniform on
+    each orbit of a symmetry of theirs, orbit[i] naming the orbit of
+    points[i] (see the `awgn_mi` module docstring).
 
-    d_weights and d_log_energy are d weights / d nu and d ln energy / d nu
-    (0 for a prior that does not move with nu).  The weights move the rate
-    through the kernel's divergences, and the energy moves the noise at
-    fixed gamma, which costs the slope times d ln energy / d nu.
+    curve(probs, energy, n, d_probs, d_log_energy) is the `Curve` of points
+    with probs at gamma = energy / (2 sigma^2) on the n-node rule,
+    conditioned on the first point of each orbit, weighted by the orbit's
+    mass.  d_probs and d_log_energy are d probs / d nu and d ln energy / d
+    nu (0 for a prior that does not move with nu).  The masses move the
+    rate through the kernel's divergences, and the energy moves the noise
+    at fixed gamma, which costs the slope times d ln energy / d nu.  The
+    masses and their derivative are summed orbit by orbit (reduceat) over
+    the points sorted stably by orbit: a mirror pair's x + x is 2x
+    exactly, and over 2000 random shell priors at each p in {5, 7, 11,
+    13, 31} a shell's p equal masses summed to the row sums of the (p, p)
+    grid bit for bit, where np.bincount did not from p = 11 on.
     """
+    order = np.argsort(orbit, kind="stable")
+    starts = np.flatnonzero(np.diff(orbit[order], prepend=-np.inf))
+    cond = points[order[starts]]
 
-    def curve(gamma: float) -> tuple[float, float, float]:
-        bits, slope, div = kernel(
-            points, probs, math.sqrt(energy / (2.0 * gamma)), n,
-            condition_on=cond, condition_weights=weights,
-        )
-        return bits, slope, float(np.dot(d_weights, div)) - slope * d_log_energy
+    def curve(
+        probs: np.ndarray, energy: float, n: int, d_probs: np.ndarray, d_log_energy: float
+    ) -> Curve:
+        weights, d_weights = (np.add.reduceat(a[order], starts) for a in (probs, d_probs))
+
+        def rate(gamma: float) -> tuple[float, float, float]:
+            bits, slope, div = kernel(
+                points, probs, math.sqrt(energy / (2.0 * gamma)), n,
+                condition_on=cond, condition_weights=weights,
+            )
+            return bits, slope, float(np.dot(d_weights, div)) - slope * d_log_energy
+
+        return rate
 
     return curve
-
-
-def _mirror_fold(points: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mirror reduction of `mi_real_points` for p-ASK on the real
-    channel: the mask of the points x >= 0, on which the MI is
-    conditioned, and the factor 2 of each x > 0 (1 at x = 0), by which a
-    prior with equal mass on x and -x, and its derivative in nu, fold onto
-    them.  Raises ValueError when points or probs are not mirror-symmetric.
-    """
-    mirror = -np.arange(len(points)) % len(points)
-    if not (
-        np.array_equal(points[mirror], -points) and np.array_equal(probs[mirror], probs)
-    ):
-        raise ValueError("the p-ASK points and prior must be mirror-symmetric")
-    half = points >= 0.0
-    return half, np.where(points[half] > 0.0, 2.0, 1.0)
 
 
 def _ask_scheme(
@@ -683,26 +686,16 @@ def _ask_scheme(
     evaluates one MI per gamma, and both conventions give the shaped
     prior its own energy.
 
-    The curves are mirror-folded (`_mirror_fold`).  The fold and the
-    amplitudes |a| are found once per scheme: an MB prior is a function
-    of |a|, so every prior the scheme builds keeps the uniform prior's
-    mirror symmetry.  Under "shaped" the uniform term is the baseline,
+    An MB prior is a function of |a|, so the orbits of the mirror x <-> -x
+    are the amplitudes, and every curve conditions on the points x >= 0
+    (`_orbit_curves`).  Under "shaped" the uniform term is the baseline,
     and the two share one curve per node count.
     """
     p = field.p
     pts, unif = build_ask(field).points.real, np.full(p, 1.0 / p)
-    half, fold = _mirror_fold(pts, unif)
-    cond, amps = pts[half], np.abs(pts)
+    amps = np.abs(pts)
+    real_curve = _orbit_curves(mi_real_points, pts, amps)
     e_unif = (p * p - 1.0) / 12.0
-
-    def real_curve(
-        probs: np.ndarray, energy: float, n: int, d_probs: np.ndarray, d_log_energy: float
-    ) -> Curve:
-        return _curve(
-            mi_real_points, pts, probs, cond, fold * probs[half], energy, n,
-            fold * d_probs[half], d_log_energy,
-        )
-
     # one curve per node count: under "shaped" each solve's uniform term
     baseline = functools.cache(lambda n: real_curve(unif, e_unif, n, np.zeros(p), 0.0))
 
@@ -729,36 +722,34 @@ def _ask_scheme(
 
     return _Scheme(
         name, lambda nu: MaxwellBoltzmann.from_amplitudes(nu, amps), curve, baseline,
-        share, (1.0 - share) * math.log2(p), 2.0 / field.half, "real", convention,
+        share, 2.0 / field.half, "real", convention,
     )
 
 
 def _cqam_scheme(field: Prime, params: CqamParams) -> _Scheme:
-    """p^2-CQAM with MB(nu) shell priors, each shell's phases uniform.
+    """p^2-CQAM with MB(nu) priors on its points, of amplitude the radius
+    of their shell, so each shell's phases are uniform.
 
     The shaped curves run on the geometry of `params` (stretched when
     params.stretch is set), the uniform baseline on the unstretched
-    construction.  Every curve conditions on one point per shell,
-    weighted by the shell prior (`shell_conditioning`), whose weights
-    move with nu as the MB shell prior does.
+    construction.  The orbits of the p-fold rotation are the shells, and
+    every curve conditions on one point per shell (`_orbit_curves`); its
+    energy is `Constellation.mean_energy`'s sum.
     """
-    base = build_cqam(field)
+    p, base = field.p, build_cqam(field)
     geom = _stretched(base, params.stretch)
-    radii = geom.shells.radii
+    shell = np.repeat(np.arange(p), p)  # point index = shell * p + phase
+    amps, abs2 = geom.shells.radii[shell], np.abs(geom.points) ** 2
+    shaped, uniform = (_orbit_curves(mi_complex_points, c.points, shell) for c in (geom, base))
 
-    def curve(c: Constellation, n: int, d_probs: np.ndarray, d_log_energy: float) -> Curve:
-        return _curve(
-            mi_complex_points, c.points, c.priors, *shell_conditioning(c), c.mean_energy(),
-            n, d_probs, d_log_energy,
-        )
+    def curve(prior: MaxwellBoltzmann, n: int) -> Curve:
+        _, d_probs, d_log_energy = _mb_derivative(prior)
+        return shaped(prior.probs, float(np.dot(prior.probs, abs2)), n, d_probs, d_log_energy)
 
     return _Scheme(
-        "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, radii),
-        lambda prior, n: curve(
-            geom.with_priors(cqam_prior(prior, field)), n, *_mb_derivative(prior)[1:]
-        ),
-        lambda n: curve(base, n, np.zeros(field.p), 0.0), 1.0, math.log2(field.p),
-        4.0 / float(radii[-1]) ** 2, "complex",
+        "cqam", lambda nu: MaxwellBoltzmann.from_amplitudes(nu, amps), curve,
+        lambda n: uniform(base.priors, base.mean_energy(), n, np.zeros(p * p), 0.0),
+        1.0, 4.0 / float(amps[-1]) ** 2, "complex",
     )
 
 
@@ -824,5 +815,5 @@ def optimize_cqam(
     docstring); the returned operating point is solved at `nodes`.
     """
     return _optimize(
-        _cqam_scheme(field, params or CqamParams()), field, coding_rate, nodes=nodes, nu=nu
+        _cqam_scheme(field, _cqam_params(params)), field, coding_rate, nodes=nodes, nu=nu
     )

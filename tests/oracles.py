@@ -4,10 +4,12 @@ Nothing under ``src/`` calls these; they live here so that the library
 carries only what its commands run.
 
 * `mi_real`, `mi_complex_cqam` and `mi_complex_naive` evaluate a
-  `Constellation` at an operating point `ChannelSnr`.  `mi_complex_naive`
-  conditions on every point through the same kernel, so it checks the
-  p-fold reduction (`awgn_mi.shell_conditioning`) that `mi_complex_cqam`
-  and the optimizer's CQAM curves apply.
+  `Constellation` at an operating point `ChannelSnr`.
+* `shell_conditioning` gives the p-fold reduction of a shell-uniform
+  prior: one point per shell, weighted by the shell's mass, on which
+  `mi_complex_cqam` conditions, as the optimizer's CQAM curves do
+  (`optimizer._orbit_curves`).  `mi_complex_naive` conditions on every
+  point through the same kernel, so it checks that reduction.
 * `sum_distribution_convolve` is the direct cyclic convolution that
   `sumdist.sum_distribution_dft` is checked against.
 """
@@ -20,12 +22,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from primeshape.awgn_mi import (
-    DEFAULT_NODES,
-    mi_complex_points,
-    mi_real_points,
-    shell_conditioning,
-)
+from primeshape.awgn_mi import DEFAULT_NODES, mi_complex_points, mi_real_points
 from primeshape.constellations import Constellation
 from primeshape.sumdist import SymbolDistribution, _common_field
 
@@ -60,6 +57,20 @@ def mi_real(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> fl
     if np.abs(c.points.imag).max() > 0.0:
         raise ValueError("constellation is not real-valued")
     return mi_real_points(c.points.real, c.priors, sigma, nodes)[0]
+
+
+def shell_conditioning(c: Constellation) -> tuple[np.ndarray, np.ndarray]:
+    """The p-fold reduction of a shell-structured constellation with
+    shell-uniform priors: one conditioning point per shell, and the shell
+    priors as their weights (`condition_on`, `condition_weights`).
+    `mi_complex_naive` is its oracle."""
+    if c.shells is None:
+        raise ValueError("constellation has no shell structure")
+    p = c.shells.num_shells
+    grid = c.priors.reshape(p, p)
+    if np.any(np.abs(grid - grid[:, :1]) > 1e-12):
+        raise ValueError("priors are not uniform within shells")
+    return c.points[np.arange(p) * p], grid.sum(axis=1)
 
 
 def mi_complex_cqam(c: Constellation, snr: ChannelSnr, nodes: int = DEFAULT_NODES) -> float:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 
-from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real
+from oracles import ChannelSnr, mi_complex_cqam, mi_complex_naive, mi_real, shell_conditioning
 from primeshape import awgn_mi
 from primeshape.awgn_mi import (
     _logsumexp_last,
@@ -19,7 +19,6 @@ from primeshape.awgn_mi import (
     capacity_gamma,
     mi_complex_points,
     mi_real_points,
-    shell_conditioning,
 )
 from primeshape.cli import REFERENCE_STRETCH
 from primeshape.constellations import (

@@ -33,6 +33,9 @@ def test_param_validation():
         Stretch(rho_max=1.0, beta=0.5)
     with pytest.raises(ValueError):
         Stretch(rho_max=4.0, beta=0.0)
+    # a Stretch where its CqamParams belongs read as an AttributeError
+    with pytest.raises(TypeError, match="params must be a CqamParams or None, got Stretch"):
+        build_cqam(Prime(7), Stretch(4.8, 0.76))
 
 
 def test_constellation_invariants():

@@ -854,39 +854,43 @@ def test_entropy_ceiling_skips_unreachable_solves(monkeypatch):
     assert unreachable == []
 
 
-def test_real_curve_rejects_a_prior_without_mirror_symmetry():
-    pts = np.arange(7.0) - 3.0  # p-ASK, though not in symbol order
-    prior = np.full(7, 1 / 7)
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._mirror_fold(pts, prior)
-    pts = np.array([0.0, 1.0, 2.0, 3.0, -3.0, -2.0, -1.0])  # symbol order
-    half, fold = optimizer._mirror_fold(pts, prior)
-    npt.assert_array_equal(pts[half], [0.0, 1.0, 2.0, 3.0])
-    npt.assert_array_equal(fold, [1.0, 2.0, 2.0, 2.0])
-    tilted = prior * np.linspace(0.9, 1.1, 7)
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._mirror_fold(pts, tilted / tilted.sum())
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        optimizer._mirror_fold(pts + 0.5, prior)
-
-
-def test_real_curve_conditions_on_the_nonnegative_half(monkeypatch):
-    calls = []
-    kernel = optimizer.mi_real_points
+@pytest.mark.parametrize(
+    "kernel, run, orbits",
+    [
+        (
+            "mi_real_points",
+            lambda: optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=NODES, nu=0.1),
+            # the points x >= 0 in symbol order, each x > 0 at twice its prior
+            lambda points, priors: ([0.0, 1.0, 2.0, 3.0], priors[:4] * [1.0, 2.0, 2.0, 2.0]),
+        ),
+        (
+            "mi_complex_points",
+            lambda: optimize_cqam(
+                Prime(5), Fraction(2, 3), CqamParams(Stretch(3.0, 0.8)), nodes=16, nu=0.1
+            ),
+            # the first point of each shell at the shell's mass, the row sums
+            # of shell_conditioning in tests/oracles.py
+            lambda points, priors: (points[::5], priors.reshape(5, 5).sum(axis=1)),
+        ),
+    ],
+    ids=["p-ask", "cqam"],
+)
+def test_curves_condition_on_one_point_per_orbit(monkeypatch, kernel, run, orbits):
+    # every curve, the baseline's and the shaped prior's, conditions on one
+    # point per orbit weighted by the orbit's mass, bit for bit
+    calls, mi = [], getattr(optimizer, kernel)
 
     def recorded(*args, **kwargs):
         calls.append((args, kwargs))
-        return kernel(*args, **kwargs)
+        return mi(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "mi_real_points", recorded)
-    optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=NODES, nu=0.1)
-    assert calls
+    monkeypatch.setattr(optimizer, kernel, recorded)
+    run()
+    assert len({args[1].tobytes() for args, _ in calls}) == 2  # uniform and shaped
     for args, kwargs in calls:
-        npt.assert_array_equal(kwargs["condition_on"], [0.0, 1.0, 2.0, 3.0])
-        priors = args[1]
-        npt.assert_array_equal(
-            kwargs["condition_weights"], priors[:4] * [1.0, 2.0, 2.0, 2.0]
-        )
+        cond, weights = orbits(*args[:2])
+        npt.assert_array_equal(kwargs["condition_on"], cond)
+        npt.assert_array_equal(kwargs["condition_weights"], weights)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -1084,7 +1088,8 @@ def test_prepared_kernel_memo_gives_cold_bits_and_sees_changes_in_place(kind):
     if kind == "real":  # mirror-folded 7-ASK, as the optimizer calls it
         pts = constellations.build_ask(Prime(7)).points.real
         kernel, pri = mi_real_points, mb_ask_prior(Prime(7), 0.1).probs.copy()
-        half, fold = optimizer._mirror_fold(pts, pri)
+        half = pts >= 0.0
+        fold = np.where(pts[half] > 0.0, 2.0, 1.0)
         kw = {"condition_on": pts[half], "condition_weights": fold * pri[half]}
     else:
         c = build_cqam(Prime(5))
@@ -1162,22 +1167,38 @@ NAN, INF = float("nan"), float("inf")
 NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
 
 
+PARAMS_MESSAGE = r"params must be a CqamParams or None, got Stretch\(rho_max=4.8"
+
+
 @pytest.mark.parametrize(
-    "run, message",
+    "run, error, message",
     [
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=-1.0),
-         NU_MESSAGE),
+         ValueError, NU_MESSAGE),
         (lambda: optimize_time_sharing(Prime(7), Fraction(2, 3), nodes=16, nu=NAN),
-         NU_MESSAGE),
+         ValueError, NU_MESSAGE),
         (lambda: optimize_shaped_ask(Prime(7), Fraction(2, 3), nodes=16, nu=INF),
-         NU_MESSAGE),
+         ValueError, NU_MESSAGE),
+        # a Stretch where its CqamParams belongs read as an AttributeError
+        (lambda: optimize_cqam(Prime(7), Fraction(2, 3), Stretch(4.8, 0.76)),
+         TypeError, PARAMS_MESSAGE),
     ],
-    ids=["nu=-1", "nu=nan", "nu=inf"],
+    ids=["nu=-1", "nu=nan", "nu=inf", "params=Stretch"],
 )
-def test_invalid_input_is_not_an_unreachable_rate(run, message):
-    with pytest.raises(ValueError, match=message) as exc:
+def test_invalid_input_is_not_an_unreachable_rate(run, error, message):
+    with pytest.raises(error, match=message) as exc:
         run()
     assert not isinstance(exc.value, UnreachableRateError)
+
+
+@pytest.mark.parametrize("nu", [-1.0, NAN, True], ids=["-1", "nan", "True"])
+def test_forced_nu_is_refused_before_any_mi_call(monkeypatch, nu):
+    # a bad forced nu was refused where its prior was built, after 5 complex
+    # MI calls of gamma_unif's cold climb on 7^2; now before the climb
+    calls = _count_mi_calls(monkeypatch)
+    with pytest.raises((ValueError, TypeError), match="shaping parameter nu"):
+        optimize_cqam(Prime(7), Fraction(2, 3), nu=nu)
+    assert calls == []
 
 
 def test_invalid_node_count_fails_before_any_solve(monkeypatch):
@@ -1235,27 +1256,29 @@ def test_every_row_solves_its_optimum_once_at_nodes(monkeypatch, run, complex_, 
 
 def test_stretched_cqam_packs_shells_once(monkeypatch):
     packs, geoms = [], []
-    pack, conditioning = constellations._pack_shells, optimizer.shell_conditioning
+    pack, kernel = constellations._pack_shells, optimizer.mi_complex_points
 
     def counted_pack(*args, **kwargs):
         packs.append(args)
         return pack(*args, **kwargs)
 
-    def recorded_conditioning(c):
-        geoms.append(c)  # one call per curve
-        return conditioning(c)
+    def recorded_kernel(points, *args, **kwargs):
+        geoms.append(points.tobytes())
+        return kernel(points, *args, **kwargs)
 
     monkeypatch.setattr(constellations, "_pack_shells", counted_pack)
-    monkeypatch.setattr(optimizer, "shell_conditioning", recorded_conditioning)
+    monkeypatch.setattr(optimizer, "mi_complex_points", recorded_kernel)
     params = CqamParams(stretch=Stretch(4.8, 0.76))
     optimize_cqam(Prime(7), Fraction(2, 3), params, nodes=16, nu=0.1)
     assert len(packs) == 1
     monkeypatch.undo()
     base = constellations.build_cqam(Prime(7))
     stretched = constellations.build_cqam_stretched(Prime(7), params)
-    assert [np.array_equal(g.points, base.points) for g in geoms] == [True, False]
-    assert np.array_equal(geoms[1].points, stretched.points)
-    assert np.array_equal(geoms[1].shells.radii, stretched.shells.radii)
+    # the baseline's solve on the packed geometry, then the forced nu's on
+    # the stretched one
+    assert [g for g, _ in itertools.groupby(geoms)] == [
+        base.points.tobytes(), stretched.points.tobytes()
+    ]
 
 
 @pytest.mark.parametrize("stretch", [None, Stretch(4.8, 0.76)], ids=["plain", "stretched"])
@@ -1264,10 +1287,8 @@ def test_cqam_curve_bits_are_mi_complex_cqam(stretch):
     # test_acceptance holds to mi_complex_naive; the baseline is unstretched
     field = Prime(7)
     scheme = optimizer._cqam_scheme(field, CqamParams(stretch=stretch))
-    prior = scheme.prior(0.1)
-    shaped = build_cqam(field, CqamParams(stretch=stretch)).with_priors(
-        cqam_prior(prior, field)
-    )
+    prior = scheme.prior(0.1)  # on the 7^2 points
+    shaped = build_cqam(field, CqamParams(stretch=stretch)).with_priors(prior.probs)
     for curve, c in ((scheme.curve(prior, 24), shaped), (scheme.baseline(24), build_cqam(field))):
         for gamma in (0.3, 4.0, 60.0):
             assert curve(gamma)[0] == mi_complex_cqam(c, ChannelSnr(gamma, "complex"), 24)
@@ -1349,10 +1370,11 @@ def test_nu_search_gradient_is_the_slope_of_log_gamma_a(monkeypatch, run, levels
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_scheme_ceiling_is_its_high_snr_rate(name, nu):
     # at high SNR every symbol is decoded, so the rate reaches the entropy
-    # of a use's symbols: the ceiling the driver derives from the prior
-    scheme = SCHEMES[name]()
+    # of a use's symbols: the ceiling the driver derives from the prior,
+    # with the uniform p-ary symbols of the unshaped share
+    scheme, p = SCHEMES[name](), 5 if name.startswith("cqam") else 7
     prior = scheme.prior(nu)
-    ceiling = scheme.share * prior.entropy_bits() + scheme.uniform_bits
+    ceiling = scheme.share * prior.entropy_bits() + (1.0 - scheme.share) * math.log2(p)
     rate, _, _ = scheme.curve(prior, 24)(1e8)
     assert -1e-10 < ceiling - rate < 1e-6  # below it, up to rounding
 
