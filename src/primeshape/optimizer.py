@@ -655,7 +655,8 @@ def _orbit_curves(
     grid bit for bit, where np.bincount did not from p = 11 on.
     """
     order = np.argsort(orbit, kind="stable")
-    starts = np.flatnonzero(np.diff(orbit[order], prepend=-np.inf))
+    ranked = orbit[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     cond = points[order[starts]]
 
     def curve(
