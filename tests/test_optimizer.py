@@ -1165,8 +1165,6 @@ def test_forced_nu_refuses_a_bool(scheme, nu):
 
 NAN, INF = float("nan"), float("inf")
 NU_MESSAGE = "shaping parameter nu must be nonnegative and finite"
-
-
 PARAMS_MESSAGE = r"params must be a CqamParams or None, got Stretch\(rho_max=4.8"
 
 
